@@ -8,7 +8,7 @@ CSV output for a given seed is byte-identical across reruns and thread
 counts; the manifest's wall-time field is the only non-reproducible output.
 
 Exit codes: 0 success, 1 numerical failure (quadrature or window not
-converged, empty feasible set), 2 usage or configuration error.
+converged, empty feasible set), 2 usage error or bad input, naming its [section] key.
 """
 from __future__ import annotations
 
@@ -21,8 +21,10 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
-from typing import IO, Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from enum import Enum
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,45 +44,7 @@ from .core import (
     validate,
 )
 from . import analytic, geometry, montecarlo, optimize
-from .analytic import AFVariant, DivergenceReport
-
-QUANTITIES = (
-    "laplace",
-    "coverage",
-    "ase",
-    "af-snapshot",
-    "af-cumulative",
-    "latency",
-    "optimize",
-    "geometry-dump",
-    "validate",
-)
-
-_PARAM_KEYS = ("lambda_l", "mu", "nu", "speed", "power", "alpha", "device_density")
-_RUN_KEYS = (
-    "mode",
-    "n",
-    "seed",
-    "threads",
-    "out",
-    "variant",
-    "rel_tol",
-    "abs_tol",
-    "target",
-    "w1",
-    "w2",
-    "w3",
-    "tau",
-    "constraint",
-    "refine",
-    "radius",
-    "half_length",
-    "palm",
-    "manhattan",
-    "devices",
-    "sigma",
-)
-_GRID_KEYS = ("s", "tau", "tau_db", "t", "w", "nu", "mu")
+from .analytic import AFVariant
 
 _DEFAULTS: dict[str, dict[str, str]] = {
     "params": {
@@ -112,6 +76,11 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     },
     "grid": {},
 }
+
+# every key a config may set: the defaulted ones plus those without a default
+_PARAM_KEYS = (*_DEFAULTS["params"], "device_density")
+_RUN_KEYS = (*_DEFAULTS["run"], "seed", "threads", "target", "constraint")
+_GRID_KEYS = ("s", "tau", "tau_db", "t", "w", "nu", "mu")
 
 # Canonical scenario presets; every value can be overridden per run.
 _PRESETS: dict[str, dict[str, dict[str, str]]] = {
@@ -181,8 +150,27 @@ def _parse_set(items: Sequence[str]) -> dict[str, dict[str, str]]:
     return out
 
 
-def _parse_grid(text: str, name: str) -> np.ndarray:
-    text = text.strip()
+# Range rules for _number and _grid: (test, what the value must be).
+_NONNEG = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_GRID_RULES = {"s": _NONNEG, "tau": _NONNEG, "t": _NONNEG, "w": _NONNEG,
+               "nu": _POSITIVE, "mu": _POSITIVE}
+_MODES = ("analytic", "montecarlo", "both")
+
+
+def _grid(config: dict[str, dict[str, str]], keys: tuple[str, ...],
+          default: Optional[str]) -> tuple[Optional[str], Optional[list[float]]]:
+    """(key, values) of the one of ``keys`` set, else ``default`` for the last key;
+    ``tau_db`` values come back as linear thresholds."""
+    given = [k for k in keys if k in config["grid"]]
+    if len(given) > 1:
+        raise ConfigError(f"[grid] {', '.join(given)}: give only one of these")
+    if given:
+        key, text = given[0], config["grid"][given[0]].strip()
+    elif default is not None:
+        key, text = keys[-1], default
+    else:
+        return None, None
     try:
         if text.startswith("lin:") or text.startswith("geom:"):
             kind, _, rest = text.partition(":")
@@ -191,26 +179,31 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
             if count < 1:
                 raise ValueError("count must be >= 1")
             space = np.linspace if kind == "lin" else np.geomspace
-            return space(lo, hi, count)
-        return np.array([float(p) for p in text.split(",") if p.strip()])
+            values = space(lo, hi, count)
+        else:
+            values = np.array([float(p) for p in text.split(",") if p.strip()])
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad grid '{name}': {text!r} ({exc})") from None
+        raise ConfigError(f"[grid] {key}: bad grid {text!r} ({exc})") from None
+    if values.size == 0 or not np.all(np.isfinite(values)):
+        raise ConfigError(f"[grid] {key}: need one or more finite values, got {text!r}")
+    test, need = _GRID_RULES.get(key, (lambda v: True, ""))
+    if not all(test(v) for v in values):
+        raise ConfigError(f"[grid] {key}: every value must be {need}, got {text!r}")
+    return key, (10.0 ** (values / 10.0) if key == "tau_db" else values).tolist()
 
 
-def _float(config: dict[str, dict[str, str]], section: str, key: str) -> float:
+def _number(config: dict[str, dict[str, str]], section: str, key: str,
+            kind: type = float, rule: Optional[tuple] = None):
+    """[section] key parsed as ``kind`` and checked against ``rule``."""
     raw = config[section][key]
     try:
-        return float(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-
-
-def _int(config: dict[str, dict[str, str]], section: str, key: str) -> int:
-    raw = config[section][key]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key}: not {noun}: {raw!r}") from None
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
+    return value
 
 
 def _bool(config: dict[str, dict[str, str]], section: str, key: str) -> bool:
@@ -234,57 +227,25 @@ def _build_params(config: dict[str, dict[str, str]]) -> NetworkParams:
 
 def _quad(config: dict[str, dict[str, str]]) -> QuadratureSpec:
     return QuadratureSpec(
-        rel_tol=_float(config, "run", "rel_tol"),
-        abs_tol=_float(config, "run", "abs_tol"),
+        rel_tol=_number(config, "run", "rel_tol", rule=(lambda v: 0 < v < 1, "in (0, 1)")),
+        abs_tol=_number(config, "run", "abs_tol", rule=(lambda v: 0 <= v < 1, "in [0, 1)")),
     )
 
 
-def _af_variant(name: str) -> AFVariant:
-    try:
-        return AFVariant(name)
-    except ValueError:
-        raise ConfigError(
-            f"unknown variant '{name}'; expected one of "
-            f"{[v.value for v in AFVariant]}"
-        ) from None
+def _sampling(config: dict[str, dict[str, str]]) -> tuple[int, int]:
+    """(n, seed) of a random run."""
+    if "seed" not in config["run"]:
+        raise ConfigError("[run] seed: required for Monte Carlo runs (--seed)")
+    seed = _number(config, "run", "seed", int, _NONNEG)
+    return _number(config, "run", "n", int, (lambda v: v >= 100, ">= 100")), seed
 
 
-def _latency_variant(name: str) -> LatencyVariant:
-    try:
-        return LatencyVariant(name)
-    except ValueError:
-        raise ConfigError(
-            f"unknown variant '{name}'; expected one of "
-            f"{[v.value for v in LatencyVariant]}"
-        ) from None
-
-
-def _need_seed(config: dict[str, dict[str, str]], quantity: str) -> Optional[int]:
-    mode = config["run"]["mode"]
-    needs = quantity == "geometry-dump" or quantity == "validate" or mode in (
-        "montecarlo",
-        "both",
-    )
-    raw = config["run"].get("seed")
-    if raw is None:
-        if needs:
-            raise ConfigError("seed is required for Monte Carlo runs (--seed)")
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"seed must be an integer, got {raw!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# CSV writers (one row format per engine; schema_version leads every file)
-
-
-def _open_csv(path: str, header: list[str]) -> tuple[IO[str], csv.writer]:
-    handle = open(path, "w", newline="", encoding="utf-8")
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    return handle, writer
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """One CSV file; schema_version leads every header."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(value: float) -> str:
@@ -293,297 +254,202 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_analytic(
-    path: str,
-    quantity: str,
-    variant: str,
-    rows: list[tuple[float, float]],
-    bound_of,
-    digest: str,
-) -> None:
-    handle, writer = _open_csv(
-        path,
-        [
-            "schema_version",
-            "quantity",
-            "variant",
-            "grid_value",
-            "value",
-            "est_error_bound",
-            "params_hash",
-        ],
-    )
-    with handle:
-        for grid_value, value in rows:
-            writer.writerow(
-                [
-                    SCHEMA_VERSION,
-                    quantity,
-                    variant,
-                    _fmt(grid_value),
-                    _fmt(value),
-                    _fmt(bound_of(value)),
-                    digest,
-                ]
-            )
+# ---------------------------------------------------------------------------
+# the quantity table: every quantity with an analytic value and an estimate
 
 
-def _write_mc(
-    path: str,
-    rows: list[tuple[str, float, montecarlo.Estimate]],
-    seed: int,
-    digest: str,
-) -> None:
-    handle, writer = _open_csv(
-        path,
-        [
-            "schema_version",
-            "quantity",
-            "grid_value",
-            "estimate",
-            "std_error",
-            "n",
-            "seed",
-            "params_hash",
-        ],
-    )
-    with handle:
-        for quantity, grid_value, est in rows:
-            writer.writerow(
-                [
-                    SCHEMA_VERSION,
-                    quantity,
-                    _fmt(grid_value),
-                    _fmt(est.value),
-                    _fmt(est.std_error),
-                    est.n_samples,
-                    seed,
-                    digest,
-                ]
-            )
+@dataclass(frozen=True)
+class _Inputs:
+    """What a quantity's row makers read, resolved from the config."""
+
+    params: NetworkParams
+    quad: QuadratureSpec
+    variant: Optional[Enum]
+    grid_key: Optional[str]
+    grid: Optional[list[float]]
+    config: dict[str, dict[str, str]]
+
+
+@dataclass(frozen=True)
+class _Quantity:
+    """One estimable quantity: its grid, variant resolver and row makers.
+
+    Rows are (quantity, grid value, value or Estimate); ``montecarlo`` also
+    returns one window report per estimator run.  ``reference`` makes the
+    analytic rows that only validate compares against.  Row makers look up
+    library functions at each call, so wrappers installed after import count.
+    """
+
+    grid_keys: tuple[str, ...]
+    default_grid: Optional[str]
+    analytic: Callable[[_Inputs], list]
+    montecarlo: Callable[[_Inputs, int, int], tuple[list, list]]
+    variant: Callable[[str], Optional[Enum]] = lambda name: None
+    reference: Callable[[_Inputs], list] = lambda x: []
+
+
+def _variant(kind: type[Enum], auto: Enum) -> Callable[[str], Enum]:
+    def resolve(name: str) -> Enum:
+        try:
+            return auto if name == "auto" else kind(name)
+        except ValueError:
+            raise ConfigError(f"[run] variant: unknown variant {name!r}; expected one of "
+                              f"{[v.value for v in kind]}") from None
+
+    return resolve
+
+
+def _grid_rows(tag: str, x: _Inputs, res: montecarlo.GridEstimate) -> tuple[list, list]:
+    """Rows and window of a staged estimator run once over the whole grid."""
+    return [(tag, g, est) for g, est in zip(x.grid, res.estimates)], [res.window]
+
+
+def _cells(x: _Inputs) -> list[tuple[float, NetworkParams]]:
+    """ASE sweep cells over nu or mu; one nan-labelled cell without a grid."""
+    if x.grid_key is None:
+        return [(math.nan, x.params)]
+    return [(v, replace(x.params, **{x.grid_key: v})) for v in x.grid]
+
+
+def _ase_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
+    runs = [(label, *montecarlo.estimate_ase(cell, n=n, seed=seed)) for label, cell in _cells(x)]
+    return [("ase", label, est) for label, est, _ in runs], [window for *_, window in runs]
+
+
+def _af_cumulative(x: _Inputs) -> list:
+    rows = [("af-cumulative", t, analytic.af_cumulative(x.params, t, x.quad, x.variant))
+            for t in x.grid]
+    # closing row: the t -> infinity limit every curve approaches
+    return rows + [("af-cumulative", math.inf, analytic.af_limit(x.params))]
+
+
+def _af_cumulative_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
+    sigma = _number(x.config, "run", "sigma", rule=_NONNEG)
+    ests = montecarlo.estimate_af_cumulative(x.params, x.grid, n=n, seed=seed, sigma=sigma)
+    return [("af-cumulative", t, est) for t, est in zip(x.grid, ests)], []
+
+
+def _latency_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
+    res = montecarlo.estimate_latency(x.params, x.grid, n=n, seed=seed)
+    rows = [("latency-ccdf", w, est) for w, est in zip(x.grid, res.ccdf)]
+    rows += [("latency-mean", math.nan, res.mean), ("latency-pzero", math.nan, res.p_zero)]
+    return rows, []
+
+
+_TABLE: dict[str, _Quantity] = {
+    "laplace": _Quantity(
+        ("s",), "geom:1e-4,0.1,10",
+        lambda x: [("laplace", s, analytic.laplace(x.params, s, x.quad)) for s in x.grid],
+        lambda x, n, seed: _grid_rows("laplace", x, montecarlo.estimate_laplace(
+            x.params, x.grid, n=n, seed=seed))),
+    "coverage": _Quantity(
+        ("tau", "tau_db"), "lin:0,20,11",
+        lambda x: [("coverage", t, analytic.coverage_probability(x.params, t, x.quad))
+                   for t in x.grid],
+        lambda x, n, seed: _grid_rows("coverage", x, montecarlo.estimate_coverage(
+            x.params, x.grid, n=n, seed=seed))),
+    "ase": _Quantity(
+        ("nu", "mu"), None,
+        lambda x: [("ase", label, analytic.area_spectral_efficiency(cell, x.quad))
+                   for label, cell in _cells(x)],
+        _ase_mc),
+    "af-snapshot": _Quantity(
+        (), None,
+        lambda x: [("af-snapshot", math.nan, analytic.af_snapshot(x.params, x.quad))],
+        lambda x, n, seed: ([("af-snapshot", math.nan, montecarlo.estimate_af_snapshot(
+            x.params, n=n, seed=seed))], [])),
+    "af-cumulative": _Quantity(
+        ("t",), "lin:0,400,9",
+        _af_cumulative, _af_cumulative_mc,
+        _variant(AFVariant, AFVariant.DIRECTION_AWARE)),
+    "latency": _Quantity(
+        ("w",), "lin:0,100,11",
+        lambda x: [("latency-ccdf", w, analytic.latency_ccdf(x.params, w, x.quad, x.variant))
+                   for w in x.grid],
+        _latency_mc,
+        _variant(LatencyVariant, LatencyVariant.DIRECTION_AWARE_CONDITIONED),
+        # the sampled waits follow the conditioned law whatever the variant
+        lambda x: [("latency-mean", math.nan, analytic.mean_latency(x.params, x.quad))]),
+}
+
+
+def _inputs(quantity: _Quantity, config: dict[str, dict[str, str]]) -> _Inputs:
+    params, quad = _build_params(config), _quad(config)
+    variant = quantity.variant(config["run"]["variant"])
+    key, grid = _grid(config, quantity.grid_keys, quantity.default_grid)
+    return _Inputs(params, quad, variant, key, grid, config)
+
+
+def _windows(reports: list[montecarlo.WindowReport]) -> dict:
+    return {"window": [asdict(r) for r in reports]} if reports else {}
 
 
 # ---------------------------------------------------------------------------
-# per-quantity evaluation, returning rows for either engine
+# subcommand drivers: (config, out_dir) -> (outputs, manifest extras, status)
 
 
-def _analytic_rows(
-    quantity: str,
-    params: NetworkParams,
-    config: dict[str, dict[str, str]],
-    quad: QuadratureSpec,
-) -> tuple[list[tuple[float, float]], str]:
-    """(grid_value, value) rows plus the variant label actually used."""
-    grid_cfg = config["grid"]
-    variant = config["run"]["variant"]
-    if quantity == "laplace":
-        grid = _parse_grid(grid_cfg.get("s", "geom:1e-4,0.1,10"), "s")
-        return [(float(s), analytic.laplace(params, float(s), quad)) for s in grid], ""
-    if quantity == "coverage":
-        grid = _coverage_grid(grid_cfg)
-        return [
-            (float(t), analytic.coverage_probability(params, float(t), quad))
-            for t in grid
-        ], ""
-    if quantity == "ase":
-        rows = []
-        for label, cell in _sweep(params, grid_cfg):
-            rows.append((label, analytic.area_spectral_efficiency(cell, quad)))
-        return rows, ""
-    if quantity == "af-snapshot":
-        return [(math.nan, analytic.af_snapshot(params, quad))], ""
-    if quantity == "af-cumulative":
-        af_var = _af_variant("direction-aware" if variant == "auto" else variant)
-        grid = _parse_grid(grid_cfg.get("t", "lin:0,400,9"), "t")
-        rows = [
-            (float(t), analytic.af_cumulative(params, float(t), quad, af_var))
-            for t in grid
-        ]
-        # closing row: the t -> infinity limit every curve approaches
-        rows.append((math.inf, analytic.af_limit(params)))
-        return rows, af_var.value
-    if quantity == "latency":
-        # auto picks the conditioned law, the one the sampler estimates
-        lat_var = _latency_variant(
-            "direction-aware-conditioned" if variant == "auto" else variant
-        )
-        grid = _parse_grid(grid_cfg.get("w", "lin:0,100,11"), "w")
-        rows = [
-            (float(w), analytic.latency_ccdf(params, float(w), quad, lat_var))
-            for w in grid
-        ]
-        return rows, lat_var.value
-    raise ConfigError(f"quantity {quantity} has no analytic table")
-
-
-def _coverage_grid(grid_cfg: dict[str, str]) -> np.ndarray:
-    if "tau" in grid_cfg and "tau_db" in grid_cfg:
-        raise ConfigError("give either grid tau or tau_db, not both")
-    if "tau" in grid_cfg:
-        return _parse_grid(grid_cfg["tau"], "tau")
-    db = _parse_grid(grid_cfg.get("tau_db", "lin:0,20,11"), "tau_db")
-    return 10.0 ** (db / 10.0)
-
-
-def _sweep(params: NetworkParams, grid_cfg: dict[str, str]):
-    """ASE sweep over nu or mu; a single nan-labelled point when no grid."""
-    if "nu" in grid_cfg and "mu" in grid_cfg:
-        raise ConfigError("ase sweeps over nu or mu, not both")
-    if "nu" in grid_cfg:
-        for nu in _parse_grid(grid_cfg["nu"], "nu"):
-            yield float(nu), replace(params, nu=float(nu))
-    elif "mu" in grid_cfg:
-        for mu in _parse_grid(grid_cfg["mu"], "mu"):
-            yield float(mu), replace(params, mu=float(mu))
-    else:
-        yield math.nan, params
-
-
-def _mc_rows(
-    quantity: str,
-    params: NetworkParams,
-    config: dict[str, dict[str, str]],
-    seed: int,
-) -> tuple[list[tuple[str, float, montecarlo.Estimate]], Optional[montecarlo.WindowReport]]:
-    grid_cfg = config["grid"]
-    n = _int(config, "run", "n")
-    if quantity == "laplace":
-        grid = _parse_grid(grid_cfg.get("s", "geom:1e-4,0.1,10"), "s")
-        res = montecarlo.estimate_laplace(params, grid, n=n, seed=seed)
-        rows = [
-            ("laplace", float(s), est) for s, est in zip(res.grid, res.estimates)
-        ]
-        return rows, res.window
-    if quantity == "coverage":
-        grid = _coverage_grid(grid_cfg)
-        res = montecarlo.estimate_coverage(params, grid, n=n, seed=seed)
-        rows = [
-            ("coverage", float(t), est) for t, est in zip(res.grid, res.estimates)
-        ]
-        return rows, res.window
-    if quantity == "ase":
-        rows = []
-        report = None
-        for label, cell in _sweep(params, grid_cfg):
-            est, report = montecarlo.estimate_ase(cell, n=n, seed=seed)
-            rows.append(("ase", label, est))
-        return rows, report
-    if quantity == "af-snapshot":
-        est = montecarlo.estimate_af_snapshot(params, n=n, seed=seed)
-        return [("af-snapshot", math.nan, est)], None
-    if quantity == "af-cumulative":
-        grid = _parse_grid(grid_cfg.get("t", "lin:0,400,9"), "t")
-        sigma = _float(config, "run", "sigma")
-        ests = montecarlo.estimate_af_cumulative(params, grid, n=n, seed=seed, sigma=sigma)
-        return [("af-cumulative", float(t), e) for t, e in zip(grid, ests)], None
-    if quantity == "latency":
-        grid = _parse_grid(grid_cfg.get("w", "lin:0,100,11"), "w")
-        res = montecarlo.estimate_latency(params, grid, n=n, seed=seed)
-        rows = [("latency-ccdf", float(w), e) for w, e in zip(res.grid, res.ccdf)]
-        rows.append(("latency-mean", math.nan, res.mean))
-        rows.append(("latency-pzero", math.nan, res.p_zero))
-        return rows, None
-    raise ConfigError(f"quantity {quantity} has no Monte Carlo estimator")
-
-
-# ---------------------------------------------------------------------------
-# subcommand drivers
-
-
-def _run_plain(
-    quantity: str, config: dict[str, dict[str, str]], out_dir: str
-) -> tuple[list[str], dict]:
-    params = _build_params(config)
-    quad = _quad(config)
+def _run_quantity(
+    name: str, config: dict[str, dict[str, str]], out_dir: str
+) -> tuple[list[str], dict, int]:
     mode = config["run"]["mode"]
-    if mode not in ("analytic", "montecarlo", "both"):
-        raise ConfigError(f"unknown mode '{mode}'")
-    digest = params_digest(params)
+    if mode not in _MODES:
+        raise ConfigError(f"[run] mode: unknown mode {mode!r}")
+    quantity = _TABLE[name]
+    x = _inputs(quantity, config)
+    # Monte Carlo inputs are checked before any work, so a bad one writes no CSV
+    n, seed = _sampling(config) if mode != "analytic" else (0, 0)
+    digest, label = params_digest(x.params), getattr(x.variant, "value", "")
     outputs: list[str] = []
-    extra: dict = {}
-    bound = lambda v: quad.rel_tol * abs(v) + quad.abs_tol
-    if mode in ("analytic", "both"):
-        rows, variant = _analytic_rows(quantity, params, config, quad)
-        path = os.path.join(out_dir, f"{quantity}_analytic.csv")
-        _write_analytic(path, quantity, variant, rows, bound, digest)
-        outputs.append(path)
-    if mode in ("montecarlo", "both"):
-        seed = _need_seed(config, quantity)
-        assert seed is not None
-        rows, report = _mc_rows(quantity, params, config, seed)
-        path = os.path.join(out_dir, f"{quantity}_mc.csv")
-        _write_mc(path, rows, seed, digest)
-        outputs.append(path)
-        if report is not None:
-            extra["window"] = {
-                "final_radius": report.final_radius,
-                "stages": report.stages,
-                "max_shift_over_se": report.max_shift_over_se,
-            }
-    return outputs, extra
+    reports: list[montecarlo.WindowReport] = []
+    if mode != "montecarlo":
+        bound = lambda v: x.quad.rel_tol * abs(v) + x.quad.abs_tol
+        outputs.append(os.path.join(out_dir, f"{name}_analytic.csv"))
+        _write_csv(outputs[-1], ["schema_version", "quantity", "variant", "grid_value", "value",
+                                 "est_error_bound", "params_hash"],
+                   [[SCHEMA_VERSION, name, label, _fmt(g), _fmt(v), _fmt(bound(v)), digest]
+                    for _, g, v in quantity.analytic(x)])
+    if mode != "analytic":
+        rows, reports = quantity.montecarlo(x, n, seed)
+        outputs.append(os.path.join(out_dir, f"{name}_mc.csv"))
+        _write_csv(outputs[-1], ["schema_version", "quantity", "grid_value", "estimate",
+                                 "std_error", "n", "seed", "params_hash"],
+                   [[SCHEMA_VERSION, tag, _fmt(g), _fmt(est.value), _fmt(est.std_error),
+                     est.n_samples, seed, digest] for tag, g, est in rows])
+    return outputs, _windows(reports), 0
 
 
 def _run_optimize(
-    config: dict[str, dict[str, str]], out_dir: str, threads: int
-) -> tuple[list[str], dict]:
+    config: dict[str, dict[str, str]], out_dir: str
+) -> tuple[list[str], dict, int]:
     params = _build_params(config)
     quad = _quad(config)
-    weights = optimize.UtilityWeights(
-        w1=_float(config, "run", "w1"),
-        w2=_float(config, "run", "w2"),
-        w3=_float(config, "run", "w3"),
-        tau=_float(config, "run", "tau"),
-    )
-    grid_cfg = config["grid"]
-    nus = _parse_grid(grid_cfg.get("nu", "lin:0.1,1.5,8"), "nu")
-    mus = _parse_grid(grid_cfg.get("mu", "lin:0.25,0.75,4"), "mu")
-    spec = optimize.GridSpec(
-        nu_range=(float(nus[0]), float(nus[-1])),
-        mu_range=(float(mus[0]), float(mus[-1])),
-        n_nu=len(nus),
-        n_mu=len(mus),
-    )
+    terms = {k: _number(config, "run", k, rule=_NONNEG) for k in ("w1", "w2", "w3", "tau")}
+    if terms["w1"] + terms["w2"] <= 0:
+        raise ConfigError("[run] w1, w2: at least one must be > 0")
+    axes = {key: _grid(config, (key,), default)[1]
+            for key, default in (("nu", "lin:0.1,1.5,8"), ("mu", "lin:0.25,0.75,4"))}
+    try:
+        grid = optimize.GridSpec(**axes)
+    except ValueError as exc:  # the message leads with the axis name
+        raise ConfigError(f"[grid] {exc}") from None
     constraint = None
-    raw_c = config["run"].get("constraint", "").strip()
-    if raw_c:
-        constraint = float(raw_c)
+    if config["run"].get("constraint", "").strip():
+        constraint = _number(config, "run", "constraint", rule=_NONNEG)
     result = optimize.optimize_grid(
         params,
-        weights,
-        spec,
+        optimize.UtilityWeights(**terms),
+        grid,
         constraint=constraint,
         quad=quad,
         refine=_bool(config, "run", "refine"),
-        threads=threads,
     )
     path = os.path.join(out_dir, "optimize.csv")
-    handle, writer = _open_csv(
+    _write_csv(
         path,
-        [
-            "schema_version",
-            "nu",
-            "mu",
-            "p_c",
-            "af_limit",
-            "mean_latency",
-            "utility",
-            "feasible",
-        ],
+        ["schema_version", "nu", "mu", "p_c", "af_limit", "mean_latency", "utility", "feasible"],
+        [[SCHEMA_VERSION, _fmt(c.nu), _fmt(c.mu), _fmt(c.p_c), _fmt(c.af), _fmt(c.latency),
+          _fmt(c.utility), int(c.feasible)] for c in result.surface],
     )
-    with handle:
-        for cell in result.surface:
-            writer.writerow(
-                [
-                    SCHEMA_VERSION,
-                    _fmt(cell.nu),
-                    _fmt(cell.mu),
-                    _fmt(cell.p_c),
-                    _fmt(cell.af),
-                    _fmt(cell.latency),
-                    _fmt(cell.utility),
-                    int(cell.feasible),
-                ]
-            )
     extra = {
         "optimum": {
             "nu": result.nu_opt,
@@ -597,17 +463,16 @@ def _run_optimize(
         f"optimum nu={result.nu_opt:.6g} mu={result.mu_opt:.6g} "
         f"value={result.value:.6g}"
     )
-    return [path], extra
+    return [path], extra, 0
 
 
 def _run_geometry(
     config: dict[str, dict[str, str]], out_dir: str
-) -> tuple[list[str], dict]:
+) -> tuple[list[str], dict, int]:
     params = _build_params(config)
-    seed = _need_seed(config, "geometry-dump")
-    assert seed is not None
-    radius = _float(config, "run", "radius")
-    half_length = _float(config, "run", "half_length")
+    _, seed = _sampling(config)
+    radius = _number(config, "run", "radius", rule=_NONNEG)
+    half_length = _number(config, "run", "half_length", rule=_NONNEG)
     rng = substream(seed, 0)
     if _bool(config, "run", "manhattan"):
         lines = geometry.sample_manhattan_lines(params.lambda_l, radius, rng)
@@ -620,74 +485,32 @@ def _run_geometry(
         snap = geometry.place_devices(snap, params.nu, rng)
     path = os.path.join(out_dir, "geometry.csv")
     geometry.snapshot_to_csv(snap, path)
-    return [path], {"lines": snap.n_lines, "vehicles": snap.n_vehicles}
+    return [path], {"lines": snap.n_lines, "vehicles": snap.n_vehicles}, 0
 
 
 def _run_validate(
     config: dict[str, dict[str, str]], out_dir: str
 ) -> tuple[list[str], dict, int]:
     target = config["run"].get("target", "laplace")
-    if target not in ("laplace", "coverage", "ase", "af-snapshot", "af-cumulative", "latency"):
-        raise ConfigError(f"validate target must be an estimable quantity, got '{target}'")
-    params = _build_params(config)
-    quad = _quad(config)
-    seed = _need_seed(config, "validate")
-    assert seed is not None
-    digest = params_digest(params)
-    ana_rows, variant = _analytic_rows(target, params, config, quad)
-    mc_rows, _ = _mc_rows(target, params, config, seed)
-    # align by grid value; analytic af-cumulative carries a closing inf row
-    # and latency a mean/pzero pair that need bespoke pairing
-    ana_map = {g: v for g, v in ana_rows if math.isfinite(g)}
-    pairs: list[tuple[float, float, montecarlo.Estimate]] = []
-    for quantity, grid_value, est in mc_rows:
-        if quantity == "latency-mean":
-            value = analytic.mean_latency(params, quad)
-            if isinstance(value, DivergenceReport):
-                continue
-            pairs.append((math.nan, value, est))
-        elif quantity == "latency-pzero":
-            continue
-        elif quantity == "af-snapshot" or (quantity == "ase" and math.isnan(grid_value)):
-            pairs.append((grid_value, ana_rows[0][1], est))
-        else:
-            if math.isnan(grid_value):
-                continue
-            pairs.append((grid_value, ana_map[grid_value], est))
+    if target not in _TABLE:
+        raise ConfigError(f"[run] target: validate needs one of {list(_TABLE)}, got {target!r}")
+    quantity = _TABLE[target]
+    x = _inputs(quantity, config)
+    n, seed = _sampling(config)
+    digest = params_digest(x.params)
+    # join on (quantity, grid value): a row found on one side only is dropped
+    reference = {(tag, _fmt(g)): v
+                 for tag, g, v in quantity.analytic(x) + quantity.reference(x)}
+    mc_rows, reports = quantity.montecarlo(x, n, seed)
+    pairs = [(g, reference[tag, _fmt(g)], est) for tag, g, est in mc_rows
+             if (tag, _fmt(g)) in reference]
+    z_abs = [abs(est.z_score(value)) for _, value, est in pairs]
+    worst = max([0.0, *z_abs])
     path = os.path.join(out_dir, f"validate_{target}.csv")
-    handle, writer = _open_csv(
-        path,
-        [
-            "schema_version",
-            "quantity",
-            "grid_value",
-            "analytic",
-            "mc",
-            "std_error",
-            "z_abs",
-            "params_hash",
-        ],
-    )
-    worst = 0.0
-    with handle:
-        for grid_value, value, est in pairs:
-            if est.std_error > 0:
-                z = abs(est.value - value) / est.std_error
-            else:
-                z = 0.0 if est.value == value else math.inf
-            worst = max(worst, z)
-            writer.writerow(
-                [
-                    SCHEMA_VERSION,
-                    target,
-                    _fmt(grid_value),
-                    _fmt(value),
-                    _fmt(est.value),
-                    _fmt(est.std_error),
-                    _fmt(z),
-                    digest,
-                ]
-            )
+    _write_csv(path, ["schema_version", "quantity", "grid_value", "analytic", "mc",
+                      "std_error", "z_abs", "params_hash"],
+               [[SCHEMA_VERSION, target, _fmt(g), _fmt(value), _fmt(est.value),
+                 _fmt(est.std_error), _fmt(z), digest] for (g, value, est), z in zip(pairs, z_abs)])
     status = 0
     if worst > 3.0:
         print(f"validation FAILED: max |z| = {worst:.2f} > 3", file=sys.stderr)
@@ -695,7 +518,17 @@ def _run_validate(
     elif worst > 2.0:
         print(f"validation warning: max |z| = {worst:.2f} > 2", file=sys.stderr)
     print(f"validate {target}: max |z| = {worst:.3f} over {len(pairs)} points")
-    return [path], {"max_abs_z": worst, "variant": variant}, status
+    extra = {"max_abs_z": worst, "variant": getattr(x.variant, "value", "")}
+    return [path], {**extra, **_windows(reports)}, status
+
+
+_RUNNERS = {
+    **{name: partial(_run_quantity, name) for name in _TABLE},
+    "optimize": _run_optimize,
+    "geometry-dump": _run_geometry,
+    "validate": _run_validate,
+}
+QUANTITIES = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +590,13 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="Monte Carlo seed")
         p.add_argument("--n", type=int, help="Monte Carlo realisations")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (results never depend on it)")
+                       help="worker count (no result depends on it)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--variant",
                        help="analytic variant name (default auto: the variant "
                             "the Monte Carlo estimator targets)")
         p.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
-        p.add_argument("--mode", choices=["analytic", "montecarlo", "both"])
+        p.add_argument("--mode", choices=_MODES)
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override any config value")
     return parser
@@ -780,22 +613,13 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     overrides = _parse_set(args.set)
     _check_keys(overrides)
     _merge(config, overrides)
-    run = config["run"]
-    if args.seed is not None:
-        run["seed"] = str(args.seed)
-    if args.n is not None:
-        run["n"] = str(args.n)
-    if args.out is not None:
-        run["out"] = args.out
-    if args.variant is not None:
-        run["variant"] = args.variant
-    if args.rel_tol is not None:
-        run["rel_tol"] = repr(args.rel_tol)
-    if args.mode is not None:
-        run["mode"] = args.mode
-    if args.threads is not None:
-        run["threads"] = str(args.threads)
+    # each of these flags sets the [run] key of the same name
+    for key in ("seed", "n", "out", "variant", "rel_tol", "mode", "threads"):
+        if getattr(args, key) is not None:
+            config["run"][key] = str(getattr(args, key))
     _check_keys(config)
+    if "threads" in config["run"]:
+        _number(config, "run", "threads", int, _POSITIVE)
     return config
 
 
@@ -807,16 +631,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _resolve_config(args)
         out_dir = config["run"]["out"]
         os.makedirs(out_dir, exist_ok=True)
-        threads = int(config["run"].get("threads") or os.cpu_count() or 1)
-        status = 0
-        if quantity == "optimize":
-            outputs, extra = _run_optimize(config, out_dir, threads)
-        elif quantity == "geometry-dump":
-            outputs, extra = _run_geometry(config, out_dir)
-        elif quantity == "validate":
-            outputs, extra, status = _run_validate(config, out_dir)
-        else:
-            outputs, extra = _run_plain(quantity, config, out_dir)
+        outputs, extra, status = _RUNNERS[quantity](config, out_dir)
         manifest = _write_manifest(
             out_dir, quantity, config, outputs, extra, time.time() - started
         )

@@ -322,26 +322,16 @@ class Estimate:
 # numerical tolerances
 # ---------------------------------------------------------------------------
 
-class TruncationPolicy(Enum):
-    """How improper integrals decide where to stop."""
-
-    FIXED_RADIUS = "fixed"
-    ADAPTIVE_DOUBLING = "adaptive"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy shared by the analytic evaluators.
+    """Tolerances shared by the analytic evaluators.
 
-    ``truncation_radius`` is only consulted under FIXED_RADIUS; the adaptive
-    policy doubles the integration range until a whole block contributes less
-    than rel_tol of the running total (with abs_tol as a floor).
+    Half-line integrals double their range until a whole block contributes
+    less than rel_tol of the running total (with abs_tol as a floor).
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-10
-    truncation: TruncationPolicy = TruncationPolicy.ADAPTIVE_DOUBLING
-    truncation_radius: Optional[float] = None
     max_subdivisions: int = 60
 
     def __post_init__(self):
@@ -351,9 +341,6 @@ class QuadratureSpec:
             raise ValueError(f"abs_tol must lie in [0, 1), got {self.abs_tol}")
         if self.max_subdivisions < 4:
             raise ValueError("max_subdivisions must be at least 4")
-        if self.truncation is TruncationPolicy.FIXED_RADIUS:
-            if self.truncation_radius is None or self.truncation_radius <= 0:
-                raise ValueError("FIXED_RADIUS truncation needs a positive truncation_radius")
 
 
 class LatencyVariant(Enum):

@@ -2,13 +2,12 @@
 
 The objective combines coverage, the long-run covered area fraction and an
 optional mean-latency penalty.  Cells of the search grid are independent
-analytic evaluations; a small thread pool may process them concurrently and
-an ordered reduction keeps the argmax deterministic either way.
+analytic evaluations, reduced in (nu, mu) order so the argmax is
+deterministic.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -54,25 +53,25 @@ class UtilityWeights:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular (nu, mu) search grid, endpoints included."""
+    """Rectangular (nu, mu) search grid: the values of each axis, evaluated as given."""
 
-    nu_range: tuple[float, float] = (0.1, 1.5)
-    mu_range: tuple[float, float] = (0.25, 0.75)
-    n_nu: int = 8
-    n_mu: int = 4
+    nu: tuple[float, ...] = tuple(np.linspace(0.1, 1.5, 8))
+    mu: tuple[float, ...] = tuple(np.linspace(0.25, 0.75, 4))
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in (("nu_range", self.nu_range), ("mu_range", self.mu_range)):
-            if not (0 < lo < hi):
-                raise ValueError(f"{name} must satisfy 0 < lo < hi, got ({lo}, {hi})")
-        if self.n_nu < 2 or self.n_mu < 2:
-            raise ValueError("need at least 2 grid points per axis")
+        for name in ("nu", "mu"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if len(values) < 2 or values[0] <= 0 or any(
+                    b <= a for a, b in zip(values, values[1:])):
+                raise ValueError(
+                    f"{name} needs at least 2 positive, strictly increasing values, got {values}")
+            object.__setattr__(self, name, values)
 
     def nu_values(self) -> np.ndarray:
-        return np.linspace(*self.nu_range, self.n_nu)
+        return np.array(self.nu)
 
     def mu_values(self) -> np.ndarray:
-        return np.linspace(*self.mu_range, self.n_mu)
+        return np.array(self.mu)
 
 
 @dataclass(frozen=True)
@@ -172,25 +171,6 @@ def _argmax(cells: list[SurfaceCell]) -> Optional[SurfaceCell]:
     return best
 
 
-def _evaluate_many(
-    pairs: list[tuple[float, float]],
-    base: NetworkParams,
-    weights: UtilityWeights,
-    quad: QuadratureSpec,
-    constraint: Optional[float],
-    threads: int,
-) -> list[SurfaceCell]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(
-                    lambda nm: _evaluate_cell(nm[0], nm[1], base, weights, quad, constraint),
-                    pairs,
-                )
-            )
-    return [_evaluate_cell(nu, mu, base, weights, quad, constraint) for nu, mu in pairs]
-
-
 def optimize_grid(
     base: NetworkParams,
     weights: UtilityWeights,
@@ -198,7 +178,6 @@ def optimize_grid(
     constraint: Optional[float] = None,
     quad: QuadratureSpec = QuadratureSpec(),
     refine: bool = True,
-    threads: int = 1,
 ) -> OptimizeResult:
     """Exhaustively maximise the utility over the grid.
 
@@ -213,7 +192,7 @@ def optimize_grid(
     nus = grid.nu_values()
     mus = grid.mu_values()
     pairs = [(float(nu), float(mu)) for nu in nus for mu in mus]
-    cells = _evaluate_many(pairs, base, weights, quad, constraint, threads)
+    cells = [_evaluate_cell(nu, mu, base, weights, quad, constraint) for nu, mu in pairs]
     best = _argmax(cells)
     if best is None:
         raise EmptyFeasibleSet(
@@ -231,7 +210,8 @@ def optimize_grid(
             for nu in np.linspace(nu_lo, nu_hi, 5)
             for mu in np.linspace(mu_lo, mu_hi, 5)
         ]
-        fine = _evaluate_many(fine_pairs, base, weights, quad, constraint, threads)
+        fine = [_evaluate_cell(nu, mu, base, weights, quad, constraint)
+                for nu, mu in fine_pairs]
         refined_best = _argmax(sorted(cells + fine, key=lambda c: (c.nu, c.mu)))
         if refined_best is not None:
             best = refined_best

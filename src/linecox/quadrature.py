@@ -4,8 +4,8 @@ The analytic formulas in this package are nests of one-dimensional integrals
 whose integrands are cheap only when evaluated on whole arrays at once.
 scipy's scalar quad interface forces one python call per abscissa, so this
 module keeps a small global-adaptive G7/K15 scheme that hands the integrand
-every active node in a single array and supports the block-doubling
-truncation policy needed for half-line tails.
+every active node in a single array and integrates half-line tails in
+doubling blocks.
 
 Integrands must accept and return float ndarrays of the same shape.
 """
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import QuadratureNotConverged, QuadratureSpec, TruncationPolicy
+from .core import QuadratureNotConverged, QuadratureSpec
 
 # 15-point Kronrod extension of 7-point Gauss, nodes ascending on [-1, 1].
 GK15_NODES = np.array([
@@ -113,15 +113,11 @@ def integrate_halfline(f: Callable, a: float, spec: QuadratureSpec,
                        scale: float = 1.0, max_blocks: int = 80) -> tuple[float, float]:
     """Integral of ``f`` over [a, inf) for positive, eventually-decaying f.
 
-    Under the adaptive policy the range grows in doubling blocks
-    [a, a+scale], [a+scale, a+3*scale], ... until one whole block contributes
-    less than the tolerance; the reported error bound includes twice the last
-    block as a tail allowance (exact for tails decaying at least like 1/x^2).
-    A FIXED_RADIUS spec integrates [a, truncation_radius] in one adaptive go.
+    The range grows in doubling blocks [a, a+scale], [a+scale, a+3*scale],
+    ... until one whole block contributes less than the tolerance; the
+    reported error bound includes twice the last block as a tail allowance
+    (exact for tails decaying at least like 1/x^2).
     """
-    if spec.truncation is TruncationPolicy.FIXED_RADIUS:
-        return integrate(f, a, float(spec.truncation_radius), spec, min_intervals=4)
-
     total = 0.0
     bound = 0.0
     width = scale

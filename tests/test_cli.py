@@ -23,34 +23,43 @@ def _run(tmp_path, *argv):
     return main([*argv, "--out", str(out)]), out
 
 
+# Bad inputs: test name -> (argv, text stderr must contain).  Each exits 2
+# and names the offending field.
+BAD_INPUTS = {
+    "alpha_at_boundary_names_the_field": (["laplace", "--set", "params.alpha=2"], "alpha"),
+    "monte_carlo_requires_seed": (["laplace", "--mode", "montecarlo", "--n", "200"],
+                                  "[run] seed"),
+    "unknown_config_key": (["laplace", "--set", "run.bogus=1"], "bogus"),
+    "malformed_grid": (["laplace", "--set", "grid.s=lin:1,2"], "[grid] s"),
+    "unknown_mode": (["laplace", "--set", "run.mode=telepathy"], "[run] mode"),
+    "bad_unit_string": (["laplace", "--set", "params.speed=30 mph"], "[params] speed"),
+    "constraint_not_a_number": (["optimize", "--set", "run.constraint=abc"],
+                                "[run] constraint"),
+    "negative_weight": (["optimize", "--set", "run.w1=-1"], "[run] w1"),
+    "too_few_realisations": (["laplace", "--mode", "montecarlo", "--seed", "1", "--n", "10"],
+                             "[run] n"),
+    "decreasing_optimize_grid": (["optimize", "--set", "grid.nu=0.9,0.5,0.1"], "[grid] nu"),
+    "negative_time_grid": (["af-cumulative", "--set", "grid.t=-5,1"], "[grid] t"),
+    "negative_wait_grid": (["latency", "--set", "grid.w=-1"], "[grid] w"),
+    "negative_threshold_grid": (["coverage", "--set", "grid.tau=-1"], "[grid] tau"),
+    "negative_radius": (["geometry-dump", "--seed", "1", "--set", "run.radius=-1"],
+                        "[run] radius"),
+    "rel_tol_above_one": (["laplace", "--set", "run.rel_tol=2"], "[run] rel_tol"),
+    "negative_sigma": (["af-cumulative", "--mode", "montecarlo", "--seed", "1", "--n", "200",
+                        "--set", "run.sigma=-1"], "[run] sigma"),
+}
+
+
+def _exits_2_naming(argv, field):
+    def test(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, *argv)
+        assert code == 2
+        assert field in capsys.readouterr().err
+
+    return test
+
+
 class TestExitCodes:
-    def test_alpha_at_boundary_names_the_field(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, "laplace", "--set", "params.alpha=2")
-        assert code == 2
-        assert "alpha" in capsys.readouterr().err
-
-    def test_monte_carlo_requires_seed(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, "laplace", "--mode", "montecarlo", "--n", "200")
-        assert code == 2
-        assert "seed" in capsys.readouterr().err
-
-    def test_unknown_config_key(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, "laplace", "--set", "run.bogus=1")
-        assert code == 2
-        assert "bogus" in capsys.readouterr().err
-
-    def test_malformed_grid(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, "laplace", "--set", "grid.s=lin:1,2")
-        assert code == 2
-
-    def test_unknown_mode(self, tmp_path):
-        code, _ = _run(tmp_path, "laplace", "--set", "run.mode=telepathy")
-        assert code == 2
-
-    def test_bad_unit_string(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, "laplace", "--set", "params.speed=30 mph")
-        assert code == 2
-
     def test_validation_failure_is_numerical(self, tmp_path, capsys):
         # comparing the sampler against the direction-blind curve must fail:
         # that curve keeps the never-covered mass the sampler conditions away
@@ -60,6 +69,11 @@ class TestExitCodes:
         )
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
+
+
+# one named test per table row, so each case reports on its own
+for _name, (_argv, _field) in BAD_INPUTS.items():
+    setattr(TestExitCodes, f"test_{_name}", _exits_2_naming(_argv, _field))
 
 
 class TestAnalyticOutputs:
@@ -184,6 +198,16 @@ class TestConfigResolution:
         assert manifest["outputs"] == ["laplace_analytic.csv"]
         assert manifest["wall_time_s"] >= 0
         assert "tool_version" in manifest
+        assert "window" not in manifest
+
+        # a Monte Carlo sweep records one window per cell, in grid order
+        code, out = _run(tmp_path / "ase", "ase", "--mode", "montecarlo", "--seed", "1",
+                         "--n", "100", "--set", "grid.nu=lin:0.05,0.2,2")
+        assert code == 0
+        manifest = json.loads((out / "ase_manifest.json").read_text())
+        assert len(manifest["window"]) == 2
+        for window in manifest["window"]:
+            assert set(window) == {"final_radius", "stages", "max_shift_over_se"}
 
 
 class TestGeometryDump:
@@ -230,6 +254,14 @@ class TestOptimizeCommand:
             "schema_version", "nu", "mu", "p_c", "af_limit", "mean_latency",
             "utility", "feasible",
         }
+
+    def test_explicit_grid_used_as_given(self, tmp_path):
+        code, out = _run(tmp_path, "optimize", "--preset", "fig10",
+                         "--set", "grid.nu=0.1,0.2,0.9", "--set", "grid.mu=0.25,0.5",
+                         "--set", "run.refine=false")
+        assert code == 0
+        rows = _read_csv(out / "optimize.csv")
+        assert [r["nu"] for r in rows] == ["0.1", "0.1", "0.2", "0.2", "0.9", "0.9"]
 
     def test_empty_feasible_set_is_numerical_failure(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "optimize", "--preset", "fig10",
