@@ -30,10 +30,11 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import betainc, gammainc
 
 from .core import (
     LatencyVariant,
@@ -42,7 +43,8 @@ from .core import (
     ZeroSpeed,
     validate,
 )
-from .quadrature import GK15_NODES, GK15_WEIGHTS, integrate, integrate_halfline, leggauss
+from .quadrature import (GK15_NODES, GK15_WEIGHTS, gauss_legendre, integrate,
+                         integrate_halfline, leggauss)
 
 __all__ = [
     "AFVariant", "DivergenceReport", "LaplaceEvaluator",
@@ -193,136 +195,181 @@ def _phi_profile(alpha: float, rel_tol: float) -> _PhiProfile:
 # Laplace transform of the interference
 # ---------------------------------------------------------------------------
 
-_SEMICIRCLE_NODES = 64
+# the outer r-integral runs over the panels [0, c], [c, 4c], ..., [4^4 c, 4^5 c]
+# with c = max(nu, b); past R = 4^5 c its integrand is expanded in closed form
+_R_PANELS = 6
+_R_RATIO = 4.0
+# (s, r, u) elements per batched pass: the working arrays stay near 0.5 MB each
+_MAX_ELEMENTS = 2 ** 16
+_HALF_PI = 0.5 * math.pi
+
+
+def _batch(x, name: str):
+    """``x`` flat, checked >= 0, and the map giving a result x's shape (a float for a scalar)."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError(f"{name} must be >= 0, got {x}")
+    return arr.ravel(), lambda v: float(v[0]) if arr.ndim == 0 else v.reshape(arr.shape)
 
 
 class LaplaceEvaluator:
     """Laplace transform of interference seen by the typical vehicle, plus the
     coverage and throughput functionals built on it.
 
-    One instance is tied to one parameter set; scalar results are memoised so
-    sweeps that revisit the same transform argument pay only once.  Instances
-    are safe to share across threads.
+    One instance is tied to one parameter set.  The transform and coverage
+    take a scalar (giving a float) or an array, evaluated in batched array
+    passes; no element's value depends on the rest of the batch.
     """
 
     def __init__(self, params: NetworkParams, quad: QuadratureSpec = QuadratureSpec()):
         self.params = validate(params)
         self.quad = quad
         self._profile = _phi_profile(params.alpha, quad.rel_tol)
-        # semicircle average over the device offset, after u = nu sin(phi)
-        gl_x, gl_w = leggauss(_SEMICIRCLE_NODES)
-        phi = 0.5 * math.pi * gl_x
-        self._disk_u = params.nu * np.sin(phi)
-        self._disk_w = gl_w * np.cos(phi) ** 2
-        self._memo: dict[float, float] = {}
-        self._memo_lock = threading.Lock()
 
     # -- exponent profile ---------------------------------------------------
 
-    def _line_exponent(self, r: np.ndarray, s: float, use_table: bool = True) -> np.ndarray:
-        """J(r): interference exponent of one line at offset r (vectorised)."""
+    def _line_exponent(self, r: np.ndarray, b: np.ndarray, nodes: int,
+                       use_table: bool = True) -> np.ndarray:
+        """J at the offsets r (shape (k, m)) of k arguments with b = (s p)^(1/alpha).
+
+        After u = nu sin(phi), which removes the semicircle's endpoint
+        singularities, the average takes ``nodes`` nodes on each of two sides.
+        Phi(|r + u| / b) peaks at u = -r with width b, so for r < nu both
+        sides end there (else they are [-pi/2, 0] and [0, pi/2]), and each
+        side's nodes are graded exponentially toward its end nearest the peak.
+        """
         p = self.params
-        b = (s * p.power) ** (1.0 / p.alpha)
-        arg = np.abs(r[:, None] + self._disk_u[None, :]) / b
-        phi = self._profile(arg.ravel()) if use_table else _phi_direct(arg.ravel(), p.alpha)
-        phi = phi.reshape(arg.shape)
-        return p.mu * b * (phi @ self._disk_w)
+        x, w = leggauss(nodes)
+        v, w = 0.5 * (x + 1.0), 0.5 * w
+        r_flat, b_flat = (a.ravel() for a in np.broadcast_arrays(r, b[:, None]))
+        out = np.empty(r_flat.size)
+        # _phi_direct expands each of its arguments over 255 nodes
+        step = max(1, _MAX_ELEMENTS // (2 * nodes * (1 if use_table else 255)))
+        for i in range(0, r_flat.size, step):
+            rc, bc = r_flat[i:i + step, None, None], b_flat[i:i + step, None, None]
+            inside = rc < p.nu
+            anchor = np.where(inside, -np.arcsin(np.minimum(rc / p.nu, 1.0)),
+                              np.array([[-_HALF_PI], [0.0]]))
+            width = np.where(inside, np.array([[-_HALF_PI], [_HALF_PI]]),
+                             np.array([[0.0], [_HALF_PI]])) - anchor
+            c = np.log1p(np.abs(width) * p.nu / (bc + np.abs(rc + p.nu * np.sin(anchor))))
+            grow = np.expm1(c)
+            g = np.expm1(c * v) / grow
+            sin = np.sin(anchor + width * g)
+            weight = np.abs(width) * c * (g + 1.0 / grow) * w * (1.0 - sin * sin)
+            arg = np.abs(rc + p.nu * sin) / bc
+            phi = (self._profile(arg) if use_table
+                   else _phi_direct(arg.ravel(), p.alpha).reshape(arg.shape))
+            out[i:i + step] = (phi * weight).sum(axis=(1, 2))
+        return p.mu * b[:, None] * out.reshape(r.shape) / _HALF_PI
 
-    def laplace_factors(self, s: float, use_table: bool = True) -> tuple[float, float]:
-        """(other-line factor, own-line factor); their product is laplace(s)."""
-        if s < 0:
-            raise ValueError(f"transform argument must be >= 0, got {s}")
-        if s == 0.0:
-            return 1.0, 1.0
-        p = self.params
-        b = (s * p.power) ** (1.0 / p.alpha)
+    def _tail(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """int_r^inf (1 - exp(-J)) dr for the large-r form of J.
 
-        def outer(r: np.ndarray) -> np.ndarray:
-            return -np.expm1(-self._line_exponent(r, s, use_table))
+        Phi's large-y terms and E[u^2] = nu^2 / 4 give J = A r^(1-alpha)
+        (1 + alpha (alpha-1) nu^2 / (8 r^2)) + B r^(1-2 alpha), A = mu a1 s p,
+        B = mu a2 (s p)^2.  The A term integrates exactly: with k = 1 / (alpha-1)
+        and T = A r^(1-alpha) to A^k [Gamma(1-k) P(1-k, T) - (1 - e^-T) T^-k],
+        P the regularised lower incomplete gamma function; the others enter
+        to first order.  What is left out is of relative order (nu / r)^4,
+        T (nu / r)^2 and (b / r)^alpha.
+        """
+        p, alpha = self.params, self.params.alpha
+        a = p.mu * self._profile.tail_a1 * s * p.power
+        k, t = 1.0 / (alpha - 1.0), a * r ** (1.0 - alpha)
+        return (a ** k * (math.gamma(1.0 - k) * gammainc(1.0 - k, t) + np.expm1(-t) * t ** -k)
+                + a * (alpha - 1.0) * p.nu ** 2 * r ** -alpha / 8.0
+                + p.mu * self._profile.tail_a2 * (s * p.power) ** 2 * r ** (2.0 - 2.0 * alpha)
+                / (2.0 * alpha - 2.0))
 
-        # an absolute error delta in this integral perturbs the transform
-        # relatively by 2 lambda_l delta, so that is the accuracy that matters
-        exp_spec = replace(self.quad, abs_tol=max(
-            self.quad.abs_tol, 0.25 * self.quad.rel_tol / (2.0 * p.lambda_l)))
-        val, _ = integrate_halfline(outer, 0.0, exp_spec, scale=max(p.nu, b))
-        own = self._line_exponent(np.zeros(1), s, use_table)[0]
-        return math.exp(-2.0 * p.lambda_l * val), math.exp(-own)
+    def laplace_factors(self, s, use_table: bool = True):
+        """(other-line factor, own-line factor) of L(s), elementwise over s;
+        their product is laplace(s)."""
+        flat, shaped = _batch(s, "transform argument")
+        other, own = np.zeros(flat.size), np.zeros(flat.size)
+        pos = np.flatnonzero(flat)
+        if pos.size:
+            p, q = self.params, self.quad
+            b = (flat[pos] * p.power) ** (1.0 / p.alpha)
+            edges = np.maximum(p.nu, b)[:, None] * np.append(0.0, _R_RATIO ** np.arange(_R_PANELS))
 
-    def laplace(self, s: float, use_table: bool = True) -> float:
-        """L(s) = E[exp(-s I)] for the total interference power I."""
-        if use_table:
-            hit = self._memo.get(s)
-            if hit is not None:
-                return hit
-        l1, l2 = self.laplace_factors(s, use_table)
-        out = l1 * l2
-        if use_table:
-            with self._memo_lock:
-                self._memo[s] = out
-        return out
+            def outer(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                # the semicircle rule refines along with the r-rule
+                j = self._line_exponent(r.reshape(len(rows), -1), b[rows], 2 * r.shape[-1],
+                                        use_table)
+                return -np.expm1(-j).reshape(r.shape)
+
+            def own_line(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                # J(0), constant over one panel: the rule refines its semicircle average
+                j = self._line_exponent(np.zeros((len(rows), 1)), b[rows], 2 * x.shape[-1],
+                                        use_table)
+                return np.broadcast_to(j[:, :, None], x.shape)
+
+            # an exponent error d moves L relatively by d: rel_tol / 4 for each part
+            near = gauss_legendre(outer, edges, replace(q, abs_tol=max(
+                q.abs_tol, 0.25 * q.rel_tol / (2.0 * p.lambda_l)))).sum(axis=1)
+            other[pos] = 2.0 * p.lambda_l * (near + self._tail(flat[pos], edges[:, -1]))
+            own[pos] = gauss_legendre(own_line, np.tile([0.0, 1.0], (pos.size, 1)), replace(
+                q, abs_tol=max(q.abs_tol, 0.25 * q.rel_tol)))[:, 0]
+        return shaped(np.exp(-other)), shaped(np.exp(-own))
+
+    def laplace(self, s, use_table: bool = True):
+        """L(s) = E[exp(-s I)] for the total interference power I, elementwise over s."""
+        other, own = self.laplace_factors(s, use_table)
+        return other * own
 
     # -- functionals --------------------------------------------------------
 
-    def coverage(self, tau: float) -> float:
-        """P(SIR > tau) for the typical vehicle and its own disk device.
+    def coverage(self, tau):
+        """P(SIR > tau) for the typical vehicle and its own disk device,
+        elementwise over tau.
 
         The serving distance has density 2 rho / nu^2 on [0, nu] and the
         fading average turns the tail into the transform at tau rho^alpha / p
         (transmit power cancels).
         """
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
-        if tau == 0.0:
-            return 1.0
+        taus, shaped = _batch(tau, "tau")
         p = self.params
 
-        def f(rho: np.ndarray) -> np.ndarray:
-            return np.array([
-                2.0 * x / p.nu ** 2 * self.laplace(tau * x ** p.alpha / p.power)
-                for x in rho
-            ])
+        def f(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            s = taus[rows, None, None] * rho ** p.alpha / p.power
+            return 2.0 * rho / p.nu ** 2 * self.laplace(s)
 
-        val, _ = integrate(f, 0.0, p.nu, self.quad, min_intervals=2)
-        return min(1.0, val)
+        val = gauss_legendre(f, np.tile([0.0, p.nu], (taus.size, 1)), self.quad)[:, 0]
+        return shaped(np.minimum(1.0, val))
 
     def ase(self) -> float:
         """Mean spatial throughput density, bit/s/Hz per km^2.
 
         lambda_l * mu * E[log2(1 + SIR)], with the expectation written as an
         integral of the interference transform against the serving-signal
-        kernel; the natural-log identity brings a 1/ln 2.  The substitution
-        z = y^3 flattens the z -> 0 end, and the tail stops once the
-        transform is below abs_tol.
+        kernel K(z) = E[1 / (rho^alpha / p + z)]; the natural-log identity
+        brings a 1/ln 2.  K(z) = (2 / (alpha z)) (z / c)^a B(a, 1 - a)
+        I_{c/(c+z)}(a, 1 - a), a = 2 / alpha, c = nu^alpha / p, I the
+        regularised incomplete beta function.  The substitution z = y^3
+        flattens the z -> 0 end, and the tail stops once the transform is
+        below abs_tol.
         """
         p = self.params
-        inner_spec = self.quad
-
-        def inner(z: float) -> float:
-            def g(r: np.ndarray) -> np.ndarray:
-                return (2.0 / p.nu ** 2) * r / (r ** p.alpha / p.power + z)
-
-            val, _ = integrate(g, 0.0, p.nu, inner_spec, min_intervals=2)
-            return val
+        a, c = 2.0 / p.alpha, p.nu ** p.alpha / p.power
 
         def f(y: np.ndarray) -> np.ndarray:
-            out = np.empty_like(y)
-            for i, yi in enumerate(y):
-                z = yi ** 3
-                lap = self.laplace(z)
-                out[i] = 0.0 if lap < self.quad.abs_tol else 3.0 * yi ** 2 * inner(z) * lap
-            return out
+            z = y ** 3
+            lap = self.laplace(z)
+            kernel = (2.0 / (p.alpha * z) * (z / c) ** a * math.pi / math.sin(math.pi * a)
+                      * betainc(a, 1.0 - a, c / (c + z)))
+            return np.where(lap < self.quad.abs_tol, 0.0, 3.0 * y ** 2 * kernel * lap)
 
         val, _ = integrate_halfline(f, 0.0, self.quad, scale=0.5)
         return p.lambda_l * p.mu * val / _LOG2
 
 
-def laplace(params: NetworkParams, s: float,
-            quad: QuadratureSpec = QuadratureSpec()) -> float:
+def laplace(params: NetworkParams, s, quad: QuadratureSpec = QuadratureSpec()):
     return LaplaceEvaluator(params, quad).laplace(s)
 
 
-def coverage_probability(params: NetworkParams, tau: float,
-                         quad: QuadratureSpec = QuadratureSpec()) -> float:
+def coverage_probability(params: NetworkParams, tau,
+                         quad: QuadratureSpec = QuadratureSpec()):
     return LaplaceEvaluator(params, quad).coverage(tau)
 
 
@@ -335,38 +382,39 @@ def area_spectral_efficiency(params: NetworkParams,
 # swept coverage: area fractions and latency
 # ---------------------------------------------------------------------------
 
-def _sweep_exponent_integral(params: NetworkParams, extra: float, half_extra: bool,
-                             quad: QuadratureSpec) -> float:
-    """int_0^nu (1 - exp(-E(u))) du for the per-line covering probability.
+def _sweep_exponent_integral(params: NetworkParams, extra: np.ndarray, half_extra: bool,
+                             quad: QuadratureSpec) -> np.ndarray:
+    """int_0^nu (1 - exp(-E(u))) du for the per-line covering probability,
+    elementwise over the swept reach ``extra``.
 
     E(u) = 2 mu (c(u) + extra) when half_extra is False (every vehicle within
     the swept reach counts) and mu (2 c(u) + extra) when True (only vehicles
     approaching the origin sweep new ground), with c(u) = sqrt(nu^2 - u^2).
-    The substitution u = nu sin(theta) removes the endpoint kink.
+    The reach factors out: with x = exp(-mu extra), or exp(-2 mu extra), the
+    integral is nu (h x + 1 - x), h = int_0^nu (1 - exp(-2 mu c(u))) du / nu
+    taken after u = nu sin(theta), which removes the endpoint kink.
     """
     mu, nu = params.mu, params.nu
 
     def f(theta: np.ndarray) -> np.ndarray:
-        c = nu * np.cos(theta)
-        expo = mu * (2.0 * c + extra) if half_extra else 2.0 * mu * (c + extra)
-        return -np.expm1(-expo) * np.cos(theta)
+        return -np.expm1(-2.0 * mu * nu * np.cos(theta)) * np.cos(theta)
 
-    val, _ = integrate(f, 0.0, 0.5 * math.pi, quad, min_intervals=2)
-    return nu * val
+    h, _ = integrate(f, 0.0, _HALF_PI, quad, min_intervals=2)
+    decay = (1.0 if half_extra else 2.0) * mu * np.asarray(extra)
+    return nu * (h * np.exp(-decay) - np.expm1(-decay))
 
 
 def af_snapshot(params: NetworkParams,
                 quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Fraction of the plane within nu of some vehicle at a fixed instant."""
-    validate(params)
-    k = _sweep_exponent_integral(params, 0.0, True, quad)
-    return -math.expm1(-2.0 * params.lambda_l * k)
+    return af_cumulative(params, 0.0, quad)
 
 
-def af_cumulative(params: NetworkParams, t: float,
+def af_cumulative(params: NetworkParams, t,
                   quad: QuadratureSpec = QuadratureSpec(),
-                  variant: AFVariant = AFVariant.DIRECTION_AWARE) -> float:
-    """Fraction of the plane swept by some vehicle disk within t seconds.
+                  variant: AFVariant = AFVariant.DIRECTION_AWARE):
+    """Fraction of the plane swept by some vehicle disk within t seconds,
+    elementwise over t.
 
     The direction-blind variant credits every vehicle within c(u) + v t of a
     point; the direction-aware one thins each line's traffic by heading, so
@@ -374,12 +422,10 @@ def af_cumulative(params: NetworkParams, t: float,
     At t = 0 both coincide with :func:`af_snapshot`.
     """
     validate(params)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    swept = params.speed * t
+    ts, shaped = _batch(t, "t")
     half = variant is AFVariant.DIRECTION_AWARE
-    k = _sweep_exponent_integral(params, swept, half, quad)
-    return -math.expm1(-2.0 * params.lambda_l * k)
+    k = _sweep_exponent_integral(params, params.speed * ts, half, quad)
+    return shaped(-np.expm1(-2.0 * params.lambda_l * k))
 
 
 def af_limit(params: NetworkParams) -> float:
@@ -388,31 +434,24 @@ def af_limit(params: NetworkParams) -> float:
     return -math.expm1(-2.0 * params.lambda_l * params.nu)
 
 
-def _ccdf_raw(params: NetworkParams, w: float, half_extra: bool,
-              quad: QuadratureSpec) -> float:
-    k = _sweep_exponent_integral(params, params.speed * w, half_extra, quad)
-    return math.exp(-2.0 * params.lambda_l * k)
-
-
-def latency_ccdf(params: NetworkParams, w: float,
+def latency_ccdf(params: NetworkParams, w,
                  quad: QuadratureSpec = QuadratureSpec(),
-                 variant: LatencyVariant = LatencyVariant.DIRECTION_AWARE_CONDITIONED) -> float:
-    """P(no vehicle disk has reached the origin by w seconds).
+                 variant: LatencyVariant = LatencyVariant.DIRECTION_AWARE_CONDITIONED):
+    """P(no vehicle disk has reached the origin by w seconds), elementwise over w.
 
     The conditioned variant divides out the event that some line passes
     within nu at all (probability 1 - exp(-2 lambda_l nu)), which is what the
     waiting time of a point that does eventually get covered obeys.
     """
     validate(params)
-    if w < 0:
-        raise ValueError(f"w must be >= 0, got {w}")
-    if variant is LatencyVariant.DIRECTION_BLIND:
-        return _ccdf_raw(params, w, False, quad)
-    raw = _ccdf_raw(params, w, True, quad)
-    if variant is LatencyVariant.DIRECTION_AWARE:
-        return raw
-    miss = math.exp(-2.0 * params.lambda_l * params.nu)
-    return max(0.0, (raw - miss) / -math.expm1(-2.0 * params.lambda_l * params.nu))
+    ws, shaped = _batch(w, "w")
+    half = variant is not LatencyVariant.DIRECTION_BLIND
+    k = _sweep_exponent_integral(params, params.speed * ws, half, quad)
+    raw = np.exp(-2.0 * params.lambda_l * k)
+    if variant is LatencyVariant.DIRECTION_AWARE_CONDITIONED:
+        miss = math.exp(-2.0 * params.lambda_l * params.nu)
+        raw = np.maximum(0.0, (raw - miss) / -math.expm1(-2.0 * params.lambda_l * params.nu))
+    return shaped(raw)
 
 
 def mean_latency(params: NetworkParams,
@@ -436,12 +475,6 @@ def mean_latency(params: NetworkParams,
     if params.speed <= 0.0:
         raise ZeroSpeed([("speed", "mean latency needs speed > 0")])
 
-    def f(w: np.ndarray) -> np.ndarray:
-        return np.array([
-            latency_ccdf(params, wi, quad, LatencyVariant.DIRECTION_AWARE_CONDITIONED)
-            for wi in w
-        ])
-
-    scale = 1.0 / (params.mu * params.speed)
-    val, _ = integrate_halfline(f, 0.0, quad, scale=scale)
+    val, _ = integrate_halfline(lambda w: latency_ccdf(params, w, quad, variant), 0.0, quad,
+                                scale=1.0 / (params.mu * params.speed))
     return val

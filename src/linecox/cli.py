@@ -121,14 +121,17 @@ def _merge(base: dict[str, dict[str, str]], extra: dict[str, dict[str, str]]) ->
         base.setdefault(section, {}).update(values)
 
 
-def _check_keys(config: dict[str, dict[str, str]]) -> None:
-    known = {"params": _PARAM_KEYS, "run": _RUN_KEYS, "grid": _GRID_KEYS}
+def _check_keys(config: dict[str, dict[str, str]],
+                grid_keys: tuple[str, ...] = _GRID_KEYS) -> None:
+    known = {"params": _PARAM_KEYS, "run": _RUN_KEYS, "grid": grid_keys}
     for section, values in config.items():
         if section not in known:
             raise ConfigError(f"unknown config section [{section}]")
         for key in values:
             if key not in known[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+                raise ConfigError(f"[{section}] {key}: unknown key" if section != "grid" else
+                                  f"[grid] {key}: not a grid this command reads "
+                                  f"({', '.join(grid_keys) or 'none'})")
 
 
 def _load_config_file(path: str) -> dict[str, dict[str, str]]:
@@ -299,9 +302,14 @@ def _variant(kind: type[Enum], auto: Enum) -> Callable[[str], Enum]:
     return resolve
 
 
+def _curve(tag: str, x: _Inputs, values) -> list:
+    """(tag, grid value, value) rows of values computed over the whole grid at once."""
+    return [(tag, g, v) for g, v in zip(x.grid, values)]
+
+
 def _grid_rows(tag: str, x: _Inputs, res: montecarlo.GridEstimate) -> tuple[list, list]:
     """Rows and window of a staged estimator run once over the whole grid."""
-    return [(tag, g, est) for g, est in zip(x.grid, res.estimates)], [res.window]
+    return _curve(tag, x, res.estimates), [res.window]
 
 
 def _cells(x: _Inputs) -> list[tuple[float, NetworkParams]]:
@@ -317,8 +325,7 @@ def _ase_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
 
 
 def _af_cumulative(x: _Inputs) -> list:
-    rows = [("af-cumulative", t, analytic.af_cumulative(x.params, t, x.quad, x.variant))
-            for t in x.grid]
+    rows = _curve("af-cumulative", x, analytic.af_cumulative(x.params, x.grid, x.quad, x.variant))
     # closing row: the t -> infinity limit every curve approaches
     return rows + [("af-cumulative", math.inf, analytic.af_limit(x.params))]
 
@@ -326,12 +333,12 @@ def _af_cumulative(x: _Inputs) -> list:
 def _af_cumulative_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
     sigma = _number(x.config, "run", "sigma", rule=_NONNEG)
     ests = montecarlo.estimate_af_cumulative(x.params, x.grid, n=n, seed=seed, sigma=sigma)
-    return [("af-cumulative", t, est) for t, est in zip(x.grid, ests)], []
+    return _curve("af-cumulative", x, ests), []
 
 
 def _latency_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
     res = montecarlo.estimate_latency(x.params, x.grid, n=n, seed=seed)
-    rows = [("latency-ccdf", w, est) for w, est in zip(x.grid, res.ccdf)]
+    rows = _curve("latency-ccdf", x, res.ccdf)
     rows += [("latency-mean", math.nan, res.mean), ("latency-pzero", math.nan, res.p_zero)]
     return rows, []
 
@@ -339,13 +346,12 @@ def _latency_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
 _TABLE: dict[str, _Quantity] = {
     "laplace": _Quantity(
         ("s",), "geom:1e-4,0.1,10",
-        lambda x: [("laplace", s, analytic.laplace(x.params, s, x.quad)) for s in x.grid],
+        lambda x: _curve("laplace", x, analytic.laplace(x.params, x.grid, x.quad)),
         lambda x, n, seed: _grid_rows("laplace", x, montecarlo.estimate_laplace(
             x.params, x.grid, n=n, seed=seed))),
     "coverage": _Quantity(
         ("tau", "tau_db"), "lin:0,20,11",
-        lambda x: [("coverage", t, analytic.coverage_probability(x.params, t, x.quad))
-                   for t in x.grid],
+        lambda x: _curve("coverage", x, analytic.coverage_probability(x.params, x.grid, x.quad)),
         lambda x, n, seed: _grid_rows("coverage", x, montecarlo.estimate_coverage(
             x.params, x.grid, n=n, seed=seed))),
     "ase": _Quantity(
@@ -364,8 +370,8 @@ _TABLE: dict[str, _Quantity] = {
         _variant(AFVariant, AFVariant.DIRECTION_AWARE)),
     "latency": _Quantity(
         ("w",), "lin:0,100,11",
-        lambda x: [("latency-ccdf", w, analytic.latency_ccdf(x.params, w, x.quad, x.variant))
-                   for w in x.grid],
+        lambda x: _curve("latency-ccdf", x,
+                         analytic.latency_ccdf(x.params, x.grid, x.quad, x.variant)),
         _latency_mc,
         _variant(LatencyVariant, LatencyVariant.DIRECTION_AWARE_CONDITIONED),
         # the sampled waits follow the conditioned law whatever the variant
@@ -531,6 +537,17 @@ _RUNNERS = {
 QUANTITIES = tuple(_RUNNERS)
 
 
+def _grid_reads(command: str, config: dict[str, dict[str, str]]) -> tuple[str, ...]:
+    """The grid keys ``command`` reads; validate reads those of its target."""
+    if command == "validate":
+        command = config["run"].get("target", "laplace")
+        if command not in _TABLE:  # _run_validate names the bad target
+            return _GRID_KEYS
+    if command == "optimize":
+        return ("nu", "mu")
+    return _TABLE[command].grid_keys if command in _TABLE else ()
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -606,18 +623,21 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     config: dict[str, dict[str, str]] = {s: dict(v) for s, v in _DEFAULTS.items()}
     if args.preset:
         _merge(config, _PRESETS[args.preset])
-    if args.config:
-        file_cfg = _load_config_file(args.config)
-        _check_keys(file_cfg)
-        _merge(config, file_cfg)
-    overrides = _parse_set(args.set)
-    _check_keys(overrides)
-    _merge(config, overrides)
+    given = [_load_config_file(args.config)] if args.config else []
+    given.append(_parse_set(args.set))
+    for part in given:
+        _check_keys(part)
+        _merge(config, part)
     # each of these flags sets the [run] key of the same name
     for key in ("seed", "n", "out", "variant", "rel_tol", "mode", "threads"):
         if getattr(args, key) is not None:
             config["run"][key] = str(getattr(args, key))
     _check_keys(config)
+    # a grid key given for a command that does not read it is an error, not a
+    # silent run of the default grid; a preset's grid keys may go unread
+    reads = _grid_reads(args.quantity, config)
+    for part in given:
+        _check_keys({"grid": part.get("grid", {})}, reads)
     if "threads" in config["run"]:
         _number(config, "run", "threads", int, _POSITIVE)
     return config

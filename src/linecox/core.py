@@ -326,8 +326,13 @@ class Estimate:
 class QuadratureSpec:
     """Tolerances shared by the analytic evaluators.
 
-    Half-line integrals double their range until a whole block contributes
-    less than rel_tol of the running total (with abs_tol as a floor).
+    Each integral's error estimate must come below max(abs_tol, rel_tol *
+    |value|).  The batched Gauss-Legendre integrals (the transform over an
+    array of s, coverage) compare an n-node and a 2n-node rule and double n
+    until they agree; the transform's exponent is held to rel_tol / 4 in
+    absolute terms.  Half-line integrals double their range until a whole
+    block contributes less than rel_tol of the running total (with abs_tol
+    as a floor); max_subdivisions caps the adaptive Gauss-Kronrod segments.
     """
 
     rel_tol: float = 1e-6

@@ -117,17 +117,6 @@ class Snapshot:
     def n_vehicles(self) -> int:
         return self.veh_abscissa.size
 
-    @property
-    def lines(self) -> list[Line]:
-        return [Line(float(r), float(a))
-                for r, a in zip(self.line_offset, self.line_angle)]
-
-    @property
-    def vehicles(self) -> list[Vehicle]:
-        return [Vehicle(int(i), float(t), int(d), float(s))
-                for i, t, d, s in zip(self.veh_line, self.veh_abscissa,
-                                      self.veh_direction, self.veh_speed)]
-
     def vehicle_xy(self) -> np.ndarray:
         """Planar positions of all vehicles, shape (n_vehicles, 2)."""
         r = self.line_offset[self.veh_line]

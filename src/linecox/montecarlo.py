@@ -41,7 +41,6 @@ __all__ = [
     "WindowPolicy",
     "WindowReport",
     "GridEstimate",
-    "LatencySample",
     "LatencyResult",
     "interference_at_origin",
     "estimate_laplace",
@@ -49,8 +48,6 @@ __all__ = [
     "estimate_ase",
     "estimate_af_snapshot",
     "estimate_af_cumulative",
-    "randomized_speed_af",
-    "sample_latency",
     "estimate_latency",
 ]
 
@@ -478,35 +475,8 @@ def estimate_af_cumulative(
     return tuple(Estimate.from_samples(hit[:, g].astype(float)) for g in range(grid.size))
 
 
-def randomized_speed_af(
-    params: NetworkParams,
-    times: Sequence[float],
-    n: int = 100_000,
-    seed: int = 0,
-    sigma: float = 0.0,
-) -> tuple[Estimate, ...]:
-    """Availability over time when vehicle speeds are random.
-
-    Alias of :func:`estimate_af_cumulative` with the speed spread exposed as
-    the main argument; sigma = 0 is draw-for-draw the constant-speed model.
-    """
-    return estimate_af_cumulative(params, times, n=n, seed=seed, sigma=sigma)
-
-
 # ---------------------------------------------------------------------------
 # latency
-
-
-@dataclass(frozen=True)
-class LatencySample:
-    """One draw of the time until the origin is first covered."""
-
-    wait: float
-    line_count: int
-
-    @property
-    def covered_at_zero(self) -> bool:
-        return self.wait == 0.0
 
 
 @dataclass(frozen=True)
@@ -561,27 +531,6 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     waits = np.full(n, np.inf)
     np.minimum.at(waits, rid, line_wait)
     return waits
-
-
-def sample_latency(params: NetworkParams, rng: np.random.Generator) -> LatencySample:
-    """Draw one latency sample conditioned on eventual coverage."""
-    validate(params)
-    nu, v = params.nu, params.speed
-    lam = 2.0 * params.lambda_l * nu
-    k = int(rng.poisson(lam))
-    while k == 0:
-        k = int(rng.poisson(lam))
-    offsets = rng.uniform(-nu, nu, size=k)
-    chord = np.sqrt(np.maximum(nu * nu - offsets * offsets, 0.0))
-    vacant = rng.uniform(size=k) < np.exp(-2.0 * params.mu * chord)
-    gaps = rng.exponential(scale=2.0 / params.mu, size=(k, 2)).min(axis=1)
-    if not np.all(vacant):
-        return LatencySample(wait=0.0, line_count=k)
-    if v <= 0.0:
-        raise ZeroSpeed(
-            [("speed", "latency diverges at zero speed when not covered at t=0")]
-        )
-    return LatencySample(wait=float(gaps.min() / v), line_count=k)
 
 
 def estimate_latency(

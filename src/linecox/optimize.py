@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -97,25 +96,6 @@ class OptimizeResult:
     coarse_mu_opt: float
 
 
-# Memoised building blocks; NetworkParams and QuadratureSpec are frozen and
-# hashable, so repeated weights or refinement passes reuse evaluations.
-@lru_cache(maxsize=65536)
-def _pc(params: NetworkParams, tau: float, quad: QuadratureSpec) -> float:
-    return coverage_probability(params, tau, quad)
-
-
-@lru_cache(maxsize=65536)
-def _af(params: NetworkParams) -> float:
-    return af_limit(params)
-
-
-@lru_cache(maxsize=65536)
-def _latency(params: NetworkParams, quad: QuadratureSpec) -> float:
-    value = mean_latency(params, quad)
-    assert isinstance(value, float)  # default variant always converges
-    return value
-
-
 def utility(
     nu: float,
     mu: float,
@@ -126,15 +106,8 @@ def utility(
     """Aggregate objective at one (nu, mu), other parameters from ``base``."""
     if nu <= 0 or mu <= 0:
         raise ValueError(f"nu and mu must be positive, got ({nu}, {mu})")
-    params = validate(replace(base, nu=nu, mu=mu))
-    value = 0.0
-    if weights.w1 > 0:
-        value += weights.w1 * _pc(params, weights.tau, quad)
-    if weights.w2 > 0:
-        value += weights.w2 * _af(params)
-    if weights.w3 > 0:
-        value -= weights.w3 * _latency(params, quad)
-    return value
+    validate(replace(base, nu=nu, mu=mu))
+    return _evaluate_cell(nu, mu, base, weights, quad, None).utility
 
 
 def _evaluate_cell(
@@ -146,10 +119,10 @@ def _evaluate_cell(
     constraint: Optional[float],
 ) -> SurfaceCell:
     params = replace(base, nu=nu, mu=mu)
-    p_c = _pc(params, weights.tau, quad) if weights.w1 > 0 else math.nan
-    af = _af(params)
+    p_c = coverage_probability(params, weights.tau, quad) if weights.w1 > 0 else math.nan
+    af = af_limit(params)
     need_latency = weights.w3 > 0 or constraint is not None
-    latency = _latency(params, quad) if need_latency else math.nan
+    latency = mean_latency(params, quad) if need_latency else math.nan
     value = weights.w1 * (p_c if weights.w1 > 0 else 0.0) + weights.w2 * af
     if weights.w3 > 0:
         value -= weights.w3 * latency
@@ -238,9 +211,5 @@ def feasible_domain(
         raise ValueError(f"constraint must be > 0, got {constraint}")
     nus = grid.nu_values()
     mus = grid.mu_values()
-    mask = np.zeros((len(nus), len(mus)), dtype=bool)
-    for i, nu in enumerate(nus):
-        for j, mu in enumerate(mus):
-            params = replace(base, nu=float(nu), mu=float(mu))
-            mask[i, j] = _latency(params, quad) < constraint
-    return mask
+    return np.array([[mean_latency(replace(base, nu=float(nu), mu=float(mu)), quad) < constraint
+                      for mu in mus] for nu in nus])

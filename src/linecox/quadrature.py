@@ -1,11 +1,12 @@
-"""Vectorised adaptive Gauss-Kronrod integration.
+"""Vectorised integration: adaptive Gauss-Kronrod and batched Gauss-Legendre.
 
 The analytic formulas in this package are nests of one-dimensional integrals
 whose integrands are cheap only when evaluated on whole arrays at once.
 scipy's scalar quad interface forces one python call per abscissa, so this
 module keeps a small global-adaptive G7/K15 scheme that hands the integrand
 every active node in a single array and integrates half-line tails in
-doubling blocks.
+doubling blocks, and a Gauss-Legendre rule that takes a whole batch of
+integrals in each array pass.
 
 Integrands must accept and return float ndarrays of the same shape.
 """
@@ -46,6 +47,9 @@ G7_WEIGHTS = np.array([
 ])
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+# nodes per panel of the first batched Gauss-Legendre rule, and their cap
+GL_NODES, GL_MAX_NODES = 8, 256
 
 
 def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,3 +150,39 @@ def integrate_halfline(f: Callable, a: float, spec: QuadratureSpec,
         left = right
         width *= 2.0
     raise QuadratureNotConverged(total, bound, f"tail from {a:g} still contributing")
+
+
+def gauss_legendre(f: Callable, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """Panel integrals (shape (m, panels)) of a batch of m integrands.
+
+    Row i of ``edges`` holds the panel edges of integral i; ``f(x, rows)``
+    gives the integrands ``rows`` at the nodes x, shape (len(rows), panels, n).
+    Each integral is taken with n and 2n nodes per panel and again with
+    doubled n while the two differ by more than max(abs_tol, rel_tol *
+    |value|); past GL_MAX_NODES that raises QuadratureNotConverged.  A row's
+    result does not depend on the rest of the batch.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=1)
+
+    def rule(rows: np.ndarray, n: int) -> np.ndarray:
+        x, w = leggauss(n)
+        nodes = lo[rows, :, None] + half[rows, :, None] * (x + 1.0)
+        return (f(nodes, rows) @ w) * half[rows]
+
+    out = np.empty(lo.shape)
+    rows, n = np.arange(len(edges)), GL_NODES
+    coarse = rule(rows, n)
+    while rows.size:
+        n *= 2
+        fine = rule(rows, n)
+        total = fine.sum(axis=1)
+        err = np.abs(total - coarse.sum(axis=1))
+        done = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        out[rows[done]] = fine[done]
+        if n >= GL_MAX_NODES and not done.all():
+            i = int(np.argmax(np.where(done, -1.0, err)))
+            raise QuadratureNotConverged(float(total[i]), float(err[i]),
+                                         f"{n} Gauss-Legendre nodes per panel")
+        rows, coarse = rows[~done], fine[~done]
+    return out

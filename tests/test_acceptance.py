@@ -250,7 +250,7 @@ def test_criterion_6_independence_and_invariance(report):
     # speed randomisation must not move the cumulative coverage
     times = np.array([60.0, 180.0])
     fixed = montecarlo.estimate_af_cumulative(FIG7, times, n=20_000, seed=61)
-    jittered = montecarlo.randomized_speed_af(
+    jittered = montecarlo.estimate_af_cumulative(
         FIG7, times, n=20_000, seed=62, sigma=0.3 * FIG7.speed
     )
     for t, a, b in zip(times, fixed, jittered):

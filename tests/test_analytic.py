@@ -9,6 +9,7 @@ amplifies), and the tolerances below cover both sides.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,12 +60,43 @@ class TestLaplaceOracles:
         # exponent ~8 amplifies quadrature error on both sides
         assert laplace(P33, 0.05) == pytest.approx(3.05110220e-4, rel=2e-5)
 
+    def test_small_argument_low_power(self):
+        # perfbench/reference.json, transform_fig3 at s = 1e-4: the semicircle
+        # average peaks at u = -r with width b = nu / 10 here
+        assert laplace(FIG3, 1e-4) == pytest.approx(0.9597556236078933, rel=1e-6)
+
+    # nested scipy quad of the model, computed from the repository root with
+    # python3 -c "import sys; sys.path.insert(0, 'perfbench'); import oracle;
+    #   p = dict(oracle.FIG3, alpha=2.2);
+    #   print(oracle.Transform(p).checked(1e-3), oracle.coverage(p, 1.0))"
+    # and likewise with alpha=2.05 (about half an hour each)
+    @pytest.mark.parametrize("alpha, transform, p_c", [
+        (2.05, 0.950697467007392, 0.028640447083953878),
+        (2.2, 0.9641124192364591, 0.1005304971352726),
+    ])
+    def test_exponent_near_two(self, alpha, transform, p_c):
+        params = replace(FIG3, alpha=alpha)
+        assert laplace(params, 1e-3) == pytest.approx(transform, rel=1e-6)
+        assert coverage_probability(params, 1.0) == pytest.approx(p_c, rel=1e-6)
+
     def test_factor_split(self):
         # other-line and own-line factors, same oracle run as the midrange case
         f1, f2 = LaplaceEvaluator(P33).laplace_factors(0.002)
         assert f1 == pytest.approx(0.41531403718121607, rel=1e-5)
         assert f2 == pytest.approx(0.43310910169043354, rel=1e-6)
         assert f1 * f2 == pytest.approx(laplace(P33, 0.002), rel=1e-12)
+
+
+class TestBatched:
+    def test_array_matches_scalar_calls(self):
+        ev = LaplaceEvaluator(FIG3)
+        s = np.geomspace(1e-4, 1.0, 7)
+        assert isinstance(ev.laplace(1e-3), float)
+        for x, value in zip(s, ev.laplace(s)):
+            assert ev.laplace(x) == pytest.approx(value, rel=1e-14)
+        taus = np.array([0.0, 0.5, 1.0, 10.0, 100.0])
+        for t, value in zip(taus, coverage_probability(P33, taus)):
+            assert coverage_probability(P33, t) == pytest.approx(value, rel=1e-14)
 
 
 class TestLaplaceShape:

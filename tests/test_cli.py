@@ -42,6 +42,7 @@ BAD_INPUTS = {
     "negative_time_grid": (["af-cumulative", "--set", "grid.t=-5,1"], "[grid] t"),
     "negative_wait_grid": (["latency", "--set", "grid.w=-1"], "[grid] w"),
     "negative_threshold_grid": (["coverage", "--set", "grid.tau=-1"], "[grid] tau"),
+    "grid_key_not_read": (["laplace", "--set", "grid.tau=5"], "[grid] tau"),
     "negative_radius": (["geometry-dump", "--seed", "1", "--set", "run.radius=-1"],
                         "[run] radius"),
     "rel_tol_above_one": (["laplace", "--set", "run.rel_tol=2"], "[run] rel_tol"),

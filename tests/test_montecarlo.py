@@ -8,7 +8,6 @@ import pytest
 from linecox.core import Estimate, NetworkParams, ZeroSpeed, substream
 from linecox.geometry import Snapshot, palm_snapshot, place_devices
 from linecox.montecarlo import (
-    LatencySample,
     MissingDevices,
     SirSample,
     WindowNotConverged,
@@ -20,8 +19,6 @@ from linecox.montecarlo import (
     estimate_laplace,
     estimate_latency,
     interference_at_origin,
-    randomized_speed_af,
-    sample_latency,
 )
 from linecox import analytic
 from linecox.analytic import AFVariant
@@ -164,12 +161,6 @@ class TestStreamDiscipline:
         vals = [e.value for e in ests]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
-    def test_randomized_speed_delegates(self):
-        times = np.array([100.0])
-        a = estimate_af_cumulative(FIG7, times, n=3000, seed=23, sigma=0.3 * V)
-        b = randomized_speed_af(FIG7, times, n=3000, seed=23, sigma=0.3 * V)
-        assert a[0].value == b[0].value
-
     def test_latency_ccdf_complements_atom_exactly(self):
         res = estimate_latency(P33, np.array([0.0, 10.0]), n=2000, seed=24)
         assert res.ccdf[0].value == 1.0 - res.p_zero.value
@@ -253,14 +244,6 @@ class TestPreconditions:
 
 
 class TestSampleTypes:
-    def test_sample_latency(self):
-        rng = substream(700, 0)
-        sample = sample_latency(P33, rng)
-        assert isinstance(sample, LatencySample)
-        assert sample.line_count >= 1
-        assert sample.wait >= 0.0
-        assert sample.covered_at_zero == (sample.wait == 0.0)
-
     def test_sir_sample_edge_cases(self):
         empty = SirSample(signal=1.0, i1=0.0, i2=0.0)
         assert empty.sir == math.inf
