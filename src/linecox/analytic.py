@@ -33,7 +33,6 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import betainc, gammainc
 
 from .core import (
@@ -123,25 +122,76 @@ def _phi_direct(y: np.ndarray, alpha: float) -> np.ndarray:
 _PHI_SHIFT = 0.5
 
 
+def _pchip_slopes(h: float, v: np.ndarray) -> np.ndarray:
+    """PCHIP (Fritsch-Carlson) slopes at knots a uniform step h apart.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring secant
+    slopes, zero where those differ in sign or vanish; the end slopes are the
+    one-sided three-point estimate, clamped to preserve shape (Moler,
+    Numerical Computing with MATLAB, 3.6).  This is scipy's
+    PchipInterpolator rule.
+    """
+    m = np.diff(v) / h
+    d = np.zeros_like(v)
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 2.0 / (1.0 / m[:-1] + 1.0 / m[1:]))
+    for i, m0, m1 in ((0, m[0], m[1]), (-1, m[-1], m[-2])):
+        end = (3.0 * m0 - m1) / 2.0
+        if np.sign(end) != np.sign(m0):
+            end = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(end) > 3.0 * abs(m0):
+            end = 3.0 * m0
+        d[i] = end
+    return d
+
+
 @dataclass(frozen=True)
 class _PhiProfile:
+    """Phi_alpha from a table: for y <= _PHI_YMAX, log Phi as a monotone cubic
+    in log(y + _PHI_SHIFT) on uniform knots; beyond, two terms of the
+    large-y expansion.
+
+    ``coef`` holds each knot interval's cubic in the fraction t in [0, 1) of
+    the way across it, highest power first; a lookup finds the interval by
+    direct index, since the knots are uniform, and evaluates by Horner.
+    """
+
     alpha: float
-    knots: np.ndarray  # in log(y + shift)
-    interp: PchipInterpolator
+    knots: np.ndarray  # uniform in log(y + shift)
+    coef: np.ndarray  # shape (4, knots - 1)
     tail_a1: float  # leading coefficient of the large-y expansion
     tail_a2: float
 
+    @classmethod
+    def from_knots(cls, alpha: float, knots: np.ndarray, logv: np.ndarray) -> "_PhiProfile":
+        """The cubic Hermite interpolant of logv with PCHIP slopes."""
+        h = knots[1] - knots[0]
+        d = h * _pchip_slopes(h, logv)
+        rise = np.diff(logv)
+        coef = np.stack([d[:-1] + d[1:] - 2.0 * rise, 3.0 * rise - 2.0 * d[:-1] - d[1:],
+                         d[:-1], logv[:-1]])
+        return cls(alpha=alpha, knots=knots, coef=coef,
+                   tail_a1=2.0 * _half_line_moment(alpha),
+                   tail_a2=-2.0 * _half_line_moment(2.0 * alpha))
+
+    def log_near(self, x: np.ndarray) -> np.ndarray:
+        """log Phi at x = log(y + shift), x inside the knots."""
+        pos = (x - self.knots[0]) * ((self.knots.size - 1) / (self.knots[-1] - self.knots[0]))
+        i = np.minimum(pos.astype(np.intp), self.knots.size - 2)
+        t = pos - i
+        c = self.coef.take(i, axis=1)
+        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
+        # past _PHI_YMAX the lookup reads the last knot and is overwritten
+        out = np.exp(self.log_near(np.log(np.minimum(y, _PHI_YMAX) + _PHI_SHIFT)))
         far = y > _PHI_YMAX
-        near = ~far
-        if near.any():
-            out[near] = np.exp(self.interp(np.log(y[near] + _PHI_SHIFT)))
         if far.any():
             yf = y[far]
-            out[far] = (self.tail_a1 * yf ** (1.0 - self.alpha)
-                        + self.tail_a2 * yf ** (1.0 - 2.0 * self.alpha))
+            lead = yf ** (1.0 - self.alpha)
+            out[far] = lead * (self.tail_a1 + self.tail_a2 * lead / yf)
         return out
 
 
@@ -172,21 +222,16 @@ def _phi_profile(alpha: float, rel_tol: float) -> _PhiProfile:
         # neighbouring intervals through the shared derivative estimates.
         probes = np.array([0.25, 0.5, 0.75])
         for _ in range(7):
-            interp = PchipInterpolator(knots, logv, extrapolate=False)
+            prof = _PhiProfile.from_knots(alpha, knots, logv)
             h = np.diff(knots)
             pts = (knots[:-1, None] + h[:, None] * probes[None, :]).ravel()
             direct = np.log(_phi_direct(np.exp(pts) - _PHI_SHIFT, alpha))
-            if np.max(np.abs(interp(pts) - direct)) <= target:
+            if np.max(np.abs(prof.log_near(pts) - direct)) <= target:
                 break
-            knots = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
+            knots = np.linspace(knots[0], knots[-1], 2 * knots.size - 1)
             logv = np.log(_phi_direct(np.exp(knots) - _PHI_SHIFT, alpha))
         else:
-            interp = PchipInterpolator(knots, logv, extrapolate=False)
-        prof = _PhiProfile(
-            alpha=alpha, knots=knots, interp=interp,
-            tail_a1=2.0 * _half_line_moment(alpha),
-            tail_a2=-2.0 * _half_line_moment(2.0 * alpha),
-        )
+            prof = _PhiProfile.from_knots(alpha, knots, logv)
         _PHI_CACHE[key] = prof
         return prof
 

@@ -328,9 +328,11 @@ class QuadratureSpec:
 
     Each integral's error estimate must come below max(abs_tol, rel_tol *
     |value|).  The batched Gauss-Legendre integrals (the transform over an
-    array of s, coverage) compare an n-node and a 2n-node rule and double n
-    until they agree; the transform's exponent is held to rel_tol / 4 in
-    absolute terms.  Half-line integrals double their range until a whole
+    array of s, coverage) take each panel with an n-node and a 2n-node rule;
+    the sum of the panels' differences is the estimate, and only the panels
+    whose difference exceeds the tolerance's share are taken again with n
+    doubled.  The transform's exponent is held to rel_tol / 4 in absolute
+    terms.  Half-line integrals double their range until a whole
     block contributes less than rel_tol of the running total (with abs_tol
     as a floor); max_subdivisions caps the adaptive Gauss-Kronrod segments.
     """

@@ -144,6 +144,16 @@ def _argmax(cells: list[SurfaceCell]) -> Optional[SurfaceCell]:
     return best
 
 
+def _refinement_axis(values: np.ndarray, i: int) -> np.ndarray:
+    """Five points around values[i]: its coarse neighbours with the midpoints
+    between, so the even positions are coarse values; at an edge of the axis
+    the one neighbouring step is halved twice."""
+    axis = values[max(i - 1, 0):i + 2]
+    while axis.size < 5:
+        axis = np.insert(axis, np.arange(1, axis.size), 0.5 * (axis[:-1] + axis[1:]))
+    return axis
+
+
 def optimize_grid(
     base: NetworkParams,
     weights: UtilityWeights,
@@ -156,8 +166,9 @@ def optimize_grid(
 
     ``constraint`` excludes cells whose mean latency is not strictly below it.
     With ``refine`` the incumbent's neighbourhood is re-searched at half the
-    grid step; the reported optimum comes from the union of both passes while
-    ``surface`` always holds the full rectangular coarse grid.
+    grid step (a quarter at an edge of the grid), reusing the cells of the
+    coarse grid; the reported optimum comes from the union of both passes
+    while ``surface`` always holds the full rectangular coarse grid.
     """
     validate(base)
     if constraint is not None and constraint < 0:
@@ -174,18 +185,16 @@ def optimize_grid(
     coarse_nu, coarse_mu = best.nu, best.mu
 
     if refine:
-        i = int(np.argmin(np.abs(nus - best.nu)))
-        j = int(np.argmin(np.abs(mus - best.mu)))
-        nu_lo, nu_hi = nus[max(i - 1, 0)], nus[min(i + 1, len(nus) - 1)]
-        mu_lo, mu_hi = mus[max(j - 1, 0)], mus[min(j + 1, len(mus) - 1)]
-        fine_pairs = [
-            (float(nu), float(mu))
-            for nu in np.linspace(nu_lo, nu_hi, 5)
-            for mu in np.linspace(mu_lo, mu_hi, 5)
-        ]
-        fine = [_evaluate_cell(nu, mu, base, weights, quad, constraint)
-                for nu, mu in fine_pairs]
-        refined_best = _argmax(sorted(cells + fine, key=lambda c: (c.nu, c.mu)))
+        nu_axis = _refinement_axis(nus, int(np.argmin(np.abs(nus - best.nu))))
+        mu_axis = _refinement_axis(mus, int(np.argmin(np.abs(mus - best.mu))))
+        # a refinement cell on the coarse grid is taken from the first pass
+        known = {(c.nu, c.mu): c for c in cells}
+        for nu in nu_axis:
+            for mu in mu_axis:
+                key = (float(nu), float(mu))
+                if key not in known:
+                    known[key] = _evaluate_cell(*key, base, weights, quad, constraint)
+        refined_best = _argmax(sorted(known.values(), key=lambda c: (c.nu, c.mu)))
         if refined_best is not None:
             best = refined_best
 

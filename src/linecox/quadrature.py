@@ -156,33 +156,43 @@ def gauss_legendre(f: Callable, edges: np.ndarray, spec: QuadratureSpec) -> np.n
     """Panel integrals (shape (m, panels)) of a batch of m integrands.
 
     Row i of ``edges`` holds the panel edges of integral i; ``f(x, rows)``
-    gives the integrands ``rows`` at the nodes x, shape (len(rows), panels, n).
-    Each integral is taken with n and 2n nodes per panel and again with
-    doubled n while the two differ by more than max(abs_tol, rel_tol *
-    |value|); past GL_MAX_NODES that raises QuadratureNotConverged.  A row's
-    result does not depend on the rest of the batch.
+    gives the integrands ``rows`` at the nodes x, shape (len(rows), 1, n):
+    one panel of integrand rows[k] per x[k].  Every panel is taken with n and
+    2n nodes, and a row is accepted once the sum of its panels' differences
+    is within max(abs_tol, rel_tol * |value|).  Each further pass doubles n
+    and, in the rows not yet accepted, takes again only the panels whose
+    difference exceeds that tolerance over the panel count; past
+    GL_MAX_NODES that raises QuadratureNotConverged.  A row's result does
+    not depend on the rest of the batch.
     """
     edges = np.asarray(edges, dtype=float)
     lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=1)
+    panels = lo.shape[1]
 
-    def rule(rows: np.ndarray, n: int) -> np.ndarray:
+    def rule(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         x, w = leggauss(n)
-        nodes = lo[rows, :, None] + half[rows, :, None] * (x + 1.0)
-        return (f(nodes, rows) @ w) * half[rows]
+        nodes = lo[rows, cols, None, None] + half[rows, cols, None, None] * (x + 1.0)
+        return (f(nodes, rows) @ w)[:, 0] * half[rows, cols]
 
-    out = np.empty(lo.shape)
-    rows, n = np.arange(len(edges)), GL_NODES
-    coarse = rule(rows, n)
-    while rows.size:
-        n *= 2
-        fine = rule(rows, n)
-        total = fine.sum(axis=1)
-        err = np.abs(total - coarse.sum(axis=1))
-        done = err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        out[rows[done]] = fine[done]
-        if n >= GL_MAX_NODES and not done.all():
-            i = int(np.argmax(np.where(done, -1.0, err)))
+    rows, cols = np.divmod(np.arange(lo.size), panels)
+    n = 2 * GL_NODES
+    coarse = rule(rows, cols, GL_NODES).reshape(lo.shape)
+    value = rule(rows, cols, n).reshape(lo.shape)
+    diff = np.abs(value - coarse)
+    active = np.arange(len(edges))
+    while True:
+        total, err = value[active].sum(axis=1), diff[active].sum(axis=1)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        left = err > tol
+        if not left.any():
+            return value
+        if n >= GL_MAX_NODES:
+            i = int(np.argmax(np.where(left, err, -1.0)))
             raise QuadratureNotConverged(float(total[i]), float(err[i]),
                                          f"{n} Gauss-Legendre nodes per panel")
-        rows, coarse = rows[~done], fine[~done]
-    return out
+        active, n = active[left], 2 * n
+        k, cols = np.nonzero(diff[active] > tol[left, None] / panels)
+        rows = active[k]
+        fine = rule(rows, cols, n)
+        diff[rows, cols] = np.abs(fine - value[rows, cols])
+        value[rows, cols] = fine

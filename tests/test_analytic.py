@@ -34,6 +34,7 @@ from linecox.analytic import (
     latency_ccdf,
     mean_latency,
 )
+from linecox.analytic import _PHI_SHIFT, _PhiProfile, _pchip_slopes, _phi_direct, _phi_profile
 
 V = 30.0 / 3600.0
 P33 = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V)
@@ -119,6 +120,26 @@ class TestLaplaceShape:
             d1, d2 = ev.laplace_factors(s, use_table=False)
             assert t1 == pytest.approx(d1, rel=1e-5)
             assert t2 == pytest.approx(d2, rel=1e-5)
+
+    def test_table_is_scipy_pchip(self):
+        # the table evaluates scipy's PCHIP interpolant of its knots without scipy
+        from scipy.interpolate import PchipInterpolator
+        for alpha in (2.2, 3.0, 4.0):
+            knots = _phi_profile(alpha, 1e-6).knots
+            logv = np.log(_phi_direct(np.exp(knots) - _PHI_SHIFT, alpha))
+            x = np.linspace(knots[0], knots[-1], 20001)
+            got = _PhiProfile.from_knots(alpha, knots, logv).log_near(x)
+            assert np.allclose(got, PchipInterpolator(knots, logv)(x), rtol=0.0, atol=1e-13)
+
+    def test_pchip_slopes_match_scipy(self):
+        # sign changes, flat runs and both end clamps, which Phi's monotone profile never reaches
+        from scipy.interpolate import PchipInterpolator
+        x = np.linspace(0.0, 3.0, 13)
+        for v in (np.array([0, 1, -9, -9, 3, 2, -1, -1, 0, 4, 4.5, 9.5, 10.5]),
+                  np.array([5, 4, -6, 0.5, 0.5, 2, 3, 3.2, 3.2, 1, 0, 10, 9.0]),
+                  np.cos(3.0 * x)):
+            want = PchipInterpolator(x, v).derivative()(x)
+            assert np.allclose(_pchip_slopes(x[1] - x[0], v), want, rtol=1e-13, atol=1e-13)
 
     def test_fractional_alpha(self):
         p = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V, alpha=2.5)

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linecox
 from linecox import analytic
 from linecox.cli import main
 from linecox.core import NetworkParams
@@ -75,6 +80,16 @@ class TestExitCodes:
 # one named test per table row, so each case reports on its own
 for _name, (_argv, _field) in BAD_INPUTS.items():
     setattr(TestExitCodes, f"test_{_name}", _exits_2_naming(_argv, _field))
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_interpolate(self):
+        # scipy.interpolate took about half of every command's start-up
+        env = dict(os.environ, PYTHONPATH=str(Path(linecox.__file__).parents[1]))
+        code = "import sys, linecox.cli; print('scipy.interpolate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestAnalyticOutputs:

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from linecox import optimize
 from linecox.core import EmptyFeasibleSet, NetworkParams
 from linecox.optimize import (
     GridSpec,
     OptimizeResult,
     UtilityWeights,
+    _refinement_axis,
     feasible_domain,
     optimize_grid,
     utility,
@@ -99,6 +101,46 @@ class TestGridSearch:
         # refinement can only improve on the coarse incumbent
         coarse = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=False)
         assert res.value >= coarse.value
+
+
+class TestRefinementReuse:
+    def test_coarse_cells_evaluated_once(self, monkeypatch):
+        seen = []
+        evaluate = optimize._evaluate_cell
+
+        def counted(nu, mu, *args):
+            seen.append((nu, mu))
+            return evaluate(nu, mu, *args)
+
+        monkeypatch.setattr(optimize, "_evaluate_cell", counted)
+        optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=True)
+        # 8 x 4 coarse cells, then the 5 x 5 refinement less the 3 x 3 coarse cells in it
+        assert len(seen) == 32 + 16
+        assert len(set(seen)) == len(seen)
+
+    def test_reuse_changes_no_result(self):
+        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=True)
+        coarse = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=False)
+        assert res.surface == coarse.surface
+        nus, mus = FIG10_GRID.nu_values(), FIG10_GRID.mu_values()
+        assert nus[3] == res.coarse_nu_opt and mus[1] == res.coarse_mu_opt
+        # the same refinement cells, every one evaluated afresh
+        fresh = optimize_grid(BASE, FIG10_WEIGHTS,
+                              GridSpec(nu=_refinement_axis(nus, 3), mu=_refinement_axis(mus, 1)),
+                              constraint=30.0, refine=False).surface
+        cells = {(c.nu, c.mu): c for c in coarse.surface}
+        shared = [c for c in fresh if (c.nu, c.mu) in cells]
+        assert len(shared) == 9 and all(c == cells[(c.nu, c.mu)] for c in shared)
+        cells.update({(c.nu, c.mu): c for c in fresh})
+        # highest utility, ties to the smaller nu, then the smaller mu
+        best = max((c for c in cells.values() if c.feasible),
+                   key=lambda c: (c.utility, -c.nu, -c.mu))
+        assert (res.nu_opt, res.mu_opt, res.value) == (best.nu, best.mu, best.utility)
+
+    def test_refinement_axis(self):
+        values = np.array([0.1, 0.3, 0.4, 1.0])
+        assert np.array_equal(_refinement_axis(values, 1), [0.1, 0.2, 0.3, 0.35, 0.4])
+        assert np.array_equal(_refinement_axis(values, 3), [0.4, 0.55, 0.7, 0.85, 1.0])
 
 
 class TestConstraint:

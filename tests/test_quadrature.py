@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod integration against closed-form integrals."""
+"""Adaptive Gauss-Kronrod and batched Gauss-Legendre integration against
+closed-form integrals."""
 
 import math
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from linecox.core import QuadratureNotConverged, QuadratureSpec
-from linecox.quadrature import integrate, integrate_halfline, leggauss
+from linecox.quadrature import (GL_MAX_NODES, gauss_legendre, integrate, integrate_halfline,
+                                leggauss)
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -79,3 +81,55 @@ class TestNodes:
 
     def test_leggauss_cached(self):
         assert leggauss(32) is leggauss(32)
+
+
+# the transform's r-panels with c = 1: [0, 1], [1, 4], ..., [256, 1024]
+PANELS = np.append(0.0, 4.0 ** np.arange(6))
+
+
+def sqrt_at_edge(x, rows):
+    # sqrt(x - 1) on [1, 4], whose derivative blows up at the panel's left edge; 1 elsewhere
+    return np.where((x > 1.0) & (x < 4.0), np.sqrt(np.abs(x - 1.0)), 1.0)
+
+
+class TestGaussLegendre:
+    def test_polynomial_batch_exact_at_16_nodes(self):
+        # 16 nodes integrate degree 31 exactly, 8 nodes only degree 15
+        powers = np.array([3.0, 15.0, 24.0, 31.0])
+        edges = np.tile([0.0, 0.5, 1.0, 2.0], (powers.size, 1))
+        val = gauss_legendre(lambda x, rows: x ** powers[rows, None, None], edges, TIGHT)
+        exact = np.diff(edges ** (powers[:, None] + 1.0), axis=1) / (powers[:, None] + 1.0)
+        assert np.allclose(val, exact, rtol=1e-13, atol=0.0)
+
+    def test_row_independent_of_batch(self):
+        rates = np.array([0.5, 3.0, 40.0])
+        edges = np.tile(PANELS, (rates.size, 1)) / 64.0
+
+        def f(x, rows):
+            return np.exp(-rates[rows, None, None] * x) + np.sqrt(x)
+
+        batch = gauss_legendre(f, edges, TIGHT)
+        for i in range(rates.size):
+            alone = gauss_legendre(lambda x, rows: f(x, rows + i), edges[i:i + 1], TIGHT)
+            assert np.array_equal(alone[0], batch[i])
+
+    def test_only_the_unconverged_panel_refines(self):
+        spec = QuadratureSpec(rel_tol=1e-8, abs_tol=0.0)
+        most = {}
+
+        def f(x, rows):
+            for panel in np.searchsorted(PANELS, x[:, 0, 0]) - 1:
+                most[panel] = max(most.get(panel, 0), x.shape[-1])
+            return sqrt_at_edge(x, rows)
+
+        val = gauss_legendre(f, PANELS[None, :], spec).sum()
+        assert most.pop(1) > 16
+        assert set(most) == {0, 2, 3, 4, 5} and max(most.values()) == 16
+        exact = 2.0 / 3.0 * 3.0 ** 1.5 + (PANELS[-1] - 3.0)
+        assert abs(val - exact) <= spec.rel_tol * exact
+
+    def test_not_converged_past_max_nodes(self):
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0)
+        with pytest.raises(QuadratureNotConverged, match=f"{GL_MAX_NODES} Gauss-Legendre") as exc:
+            gauss_legendre(sqrt_at_edge, PANELS[None, :], spec)
+        assert exc.value.error_bound > spec.rel_tol * abs(exc.value.value)
