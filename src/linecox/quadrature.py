@@ -74,8 +74,7 @@ def _rule(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     return k15, err
 
 
-def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec,
-              min_intervals: int = 1) -> tuple[float, float]:
+def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec) -> tuple[float, float]:
     """Global-adaptive integral of ``f`` over [a, b].
 
     The worst segments are split in batches until the summed error estimate
@@ -85,8 +84,7 @@ def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec,
     """
     if a == b:
         return 0.0, 0.0
-    edges = np.linspace(a, b, min_intervals + 1)
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     vals, errs = _rule(f, lo, hi)
 
     while True:
@@ -155,11 +153,12 @@ def integrate_halfline(f: Callable, a: float, spec: QuadratureSpec,
 def gauss_legendre(f: Callable, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     """Panel integrals (shape (m, panels)) of a batch of m integrands.
 
-    Row i of ``edges`` holds the panel edges of integral i; ``f(x, rows)``
-    gives the integrands ``rows`` at the nodes x, shape (len(rows), 1, n):
-    one panel of integrand rows[k] per x[k].  Every panel is taken with n and
-    2n nodes, and a row is accepted once the sum of its panels' differences
-    is within max(abs_tol, rel_tol * |value|).  Each further pass doubles n
+    Row i of ``edges`` holds the panel edges of integral i; ``f(x, rows,
+    cols)`` gives the integrands ``rows`` at the nodes x, shape
+    (len(rows), 1, n): panel cols[k] of integrand rows[k] per x[k].  Every
+    panel is taken with n = GL_NODES, then 2n nodes, a call each, and a row
+    is accepted once the sum of its panels' differences is within
+    max(abs_tol, rel_tol * |value|).  Each further pass doubles n
     and, in the rows not yet accepted, takes again only the panels whose
     difference exceeds that tolerance over the panel count; past
     GL_MAX_NODES that raises QuadratureNotConverged.  A row's result does
@@ -172,7 +171,7 @@ def gauss_legendre(f: Callable, edges: np.ndarray, spec: QuadratureSpec) -> np.n
     def rule(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         x, w = leggauss(n)
         nodes = lo[rows, cols, None, None] + half[rows, cols, None, None] * (x + 1.0)
-        return (f(nodes, rows) @ w)[:, 0] * half[rows, cols]
+        return (f(nodes, rows, cols) @ w)[:, 0] * half[rows, cols]
 
     rows, cols = np.divmod(np.arange(lo.size), panels)
     n = 2 * GL_NODES

@@ -34,7 +34,9 @@ from linecox.analytic import (
     latency_ccdf,
     mean_latency,
 )
-from linecox.analytic import _PHI_SHIFT, _PhiProfile, _pchip_slopes, _phi_direct, _phi_profile
+from linecox.analytic import (_PHI_SHIFT, _U_NODES, _PhiProfile, _pchip_slopes, _phi_direct,
+                              _phi_profile)
+from linecox.quadrature import GL_NODES
 
 V = 30.0 / 3600.0
 P33 = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V)
@@ -98,6 +100,82 @@ class TestBatched:
         taus = np.array([0.0, 0.5, 1.0, 10.0, 100.0])
         for t, value in zip(taus, coverage_probability(P33, taus)):
             assert coverage_probability(P33, t) == pytest.approx(value, rel=1e-14)
+
+
+# (alpha, nu / b, lambda_l c, mu c, other-line factor, own-line factor) with
+# b = (s p)^(1/alpha) and c = max(nu, b); the densities put both factors near
+# 1/e.  The model has no length scale of its own, so the factors are the same
+# for every s.  They were computed at s = 1 with
+#   LaplaceEvaluator(_u_case(alpha, ratio, lc, mc, 1.0),
+#                    QuadratureSpec(rel_tol=1e-11, abs_tol=0.0)).laplace_factors(1.0)
+# except at nu / b = 1e3, where the r-rule stops converging below rel_tol
+# 1e-9 (alpha 2.2), 1e-8 (3) and 1e-7 (4), which those rows used instead.
+U_RULE_CASES = [
+    (2.2, 1e-3, 0.099, 0.35, 0.36742183038031584, 0.36426391769171534),
+    (2.2, 0.1, 0.099, 0.35, 0.36740999990952167, 0.36472748189044374),
+    (2.2, 1.0, 0.089, 0.39, 0.36908013321115724, 0.36480704643653294),
+    (2.2, 10.0, 0.31, 12.0, 0.3653757721244525, 0.36494736624073276),
+    (2.2, 1e3, 0.65, 64000.0, 0.36957643336898727, 0.3699145064689456),
+    (3.0, 1e-3, 0.41, 0.41, 0.3662120363241582, 0.371003594222403),
+    (3.0, 0.1, 0.41, 0.41, 0.3661280802681941, 0.37146749638462745),
+    (3.0, 1.0, 0.35, 0.48, 0.37160966195299094, 0.3641018183613872),
+    (3.0, 10.0, 0.84, 22.0, 0.3693211197110796, 0.375773908156634),
+    (3.0, 1e3, 0.93, 210000.0, 0.3680841797868323, 0.36244305818186234),
+    (4.0, 1e-3, 0.61, 0.45, 0.3666969130447928, 0.3680087602331663),
+    (4.0, 0.1, 0.61, 0.45, 0.3665147806732064, 0.36847056848773224),
+    (4.0, 1.0, 0.52, 0.53, 0.36611193764117256, 0.3649409268890534),
+    (4.0, 10.0, 0.92, 32.0, 0.3690496878630582, 0.3702747380698017),
+    (4.0, 1e3, 0.94, 320000.0, 0.3668789925435269, 0.36593227815758167),
+]
+
+
+def _u_case(alpha, ratio, lc, mc, s):
+    b = s ** (1.0 / alpha)
+    c = max(ratio * b, b)
+    return NetworkParams(lambda_l=lc / c, mu=mc / c, nu=ratio * b, speed=V, alpha=alpha)
+
+
+def _u_rule_calls(monkeypatch, params, s):
+    """(offsets, counts in, counts out) of every semicircle-rule call one transform makes."""
+    calls = []
+    rule = LaplaceEvaluator._u_rule
+
+    def spy(ev, r, b, nodes, *args):
+        call = [r, nodes]
+        calls.append(call)  # in the order the calls begin: the rule recurses
+        out = rule(ev, r, b, nodes, *args)
+        call.append(out[1])
+        return out
+
+    monkeypatch.setattr(LaplaceEvaluator, "_u_rule", spy)
+    LaplaceEvaluator(params).laplace_factors(s)
+    return calls
+
+
+class TestSemicircleRule:
+    @pytest.mark.parametrize("alpha, ratio, lc, mc, other, own", U_RULE_CASES)
+    def test_factors_within_rel_tol(self, alpha, ratio, lc, mc, other, own):
+        rel = QuadratureSpec().rel_tol
+        for s in (1e-6, 1e-3, 1.0, 1e3):
+            f1, f2 = LaplaceEvaluator(_u_case(alpha, ratio, lc, mc, s)).laplace_factors(s)
+            assert f1 == pytest.approx(other, rel=rel)
+            assert f2 == pytest.approx(own, rel=rel)
+
+    def test_far_panel_keeps_first_level(self, monkeypatch):
+        # the first r-pass takes all six panels of the one argument, in order
+        params = _u_case(3.0, 1.0, 0.35, 0.48, 1e-3)
+        r, _, counts = _u_rule_calls(monkeypatch, params, 1e-3)[0]
+        c = max(params.nu, 1e-3 ** (1.0 / 3.0))
+        assert r.shape == (6, GL_NODES) and np.all(r[2:] >= 4.0 * c)
+        assert np.all(counts[2:] == _U_NODES)
+
+    def test_panel_at_nu_refines_when_b_small(self, monkeypatch):
+        # b = nu / 1000: the panel [0, nu] ends at the peak's edge
+        calls = _u_rule_calls(monkeypatch, _u_case(3.0, 1e3, 0.93, 210000.0, 1e-3), 1e-3)
+        r, _, counts = calls[0]
+        assert r.shape[1] == GL_NODES and counts[0] > _U_NODES
+        # and a pass that refines r near nu checks its count again and raises it
+        assert any(r.shape[1] > 2 * GL_NODES and np.any(out > into) for r, into, out in calls)
 
 
 class TestLaplaceShape:
@@ -316,6 +394,22 @@ class TestMeanLatency:
             0.0, np.inf, epsabs=1e-10, epsrel=1e-8, limit=200,
         )
         assert value == pytest.approx(ref, rel=1e-5)
+
+    @pytest.mark.parametrize("lam, mu, nu, value", [
+        # mean_latency as the doubling-block integral of the conditioned CCDF
+        # gave it before the closed form (integrate_halfline at the default spec)
+        (3.0, 3.0, 0.1, 20.291630878838294),
+        (5.0, 5.0, 0.1, 7.396671691394162),
+        (9.0, 3.0, 0.1, 12.340741052219638),
+        (1.0, 2.0, 1.0, 1.4215122943658731),
+        (3.0, 0.25, 0.1, 392.39945921994394),
+        (3.0, 0.75, 0.1, 119.53000376088757),
+        (3.0, 0.25, 1.5, 2.374712744618767),
+        (3.0, 0.75, 1.5, 0.06020279089774416),
+    ])
+    def test_closed_form_matches_ccdf_integral(self, lam, mu, nu, value):
+        params = NetworkParams(lambda_l=lam, mu=mu, nu=nu, speed=V)
+        assert mean_latency(params) == pytest.approx(value, rel=1e-12)
 
     def test_blind_diverges(self):
         report = mean_latency(P33, variant=DB)

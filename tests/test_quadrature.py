@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from linecox.core import QuadratureNotConverged, QuadratureSpec
-from linecox.quadrature import (GL_MAX_NODES, gauss_legendre, integrate, integrate_halfline,
-                                leggauss)
+from linecox.quadrature import (GL_MAX_NODES, GL_NODES, gauss_legendre, integrate,
+                                integrate_halfline, leggauss)
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -87,7 +87,7 @@ class TestNodes:
 PANELS = np.append(0.0, 4.0 ** np.arange(6))
 
 
-def sqrt_at_edge(x, rows):
+def sqrt_at_edge(x, rows, cols):
     # sqrt(x - 1) on [1, 4], whose derivative blows up at the panel's left edge; 1 elsewhere
     return np.where((x > 1.0) & (x < 4.0), np.sqrt(np.abs(x - 1.0)), 1.0)
 
@@ -97,7 +97,7 @@ class TestGaussLegendre:
         # 16 nodes integrate degree 31 exactly, 8 nodes only degree 15
         powers = np.array([3.0, 15.0, 24.0, 31.0])
         edges = np.tile([0.0, 0.5, 1.0, 2.0], (powers.size, 1))
-        val = gauss_legendre(lambda x, rows: x ** powers[rows, None, None], edges, TIGHT)
+        val = gauss_legendre(lambda x, rows, cols: x ** powers[rows, None, None], edges, TIGHT)
         exact = np.diff(edges ** (powers[:, None] + 1.0), axis=1) / (powers[:, None] + 1.0)
         assert np.allclose(val, exact, rtol=1e-13, atol=0.0)
 
@@ -105,28 +105,44 @@ class TestGaussLegendre:
         rates = np.array([0.5, 3.0, 40.0])
         edges = np.tile(PANELS, (rates.size, 1)) / 64.0
 
-        def f(x, rows):
+        def f(x, rows, cols):
             return np.exp(-rates[rows, None, None] * x) + np.sqrt(x)
 
         batch = gauss_legendre(f, edges, TIGHT)
         for i in range(rates.size):
-            alone = gauss_legendre(lambda x, rows: f(x, rows + i), edges[i:i + 1], TIGHT)
+            alone = gauss_legendre(lambda x, rows, cols: f(x, rows + i, cols), edges[i:i + 1],
+                                   TIGHT)
             assert np.array_equal(alone[0], batch[i])
 
     def test_only_the_unconverged_panel_refines(self):
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=0.0)
         most = {}
 
-        def f(x, rows):
+        def f(x, rows, cols):
             for panel in np.searchsorted(PANELS, x[:, 0, 0]) - 1:
                 most[panel] = max(most.get(panel, 0), x.shape[-1])
-            return sqrt_at_edge(x, rows)
+            return sqrt_at_edge(x, rows, cols)
 
         val = gauss_legendre(f, PANELS[None, :], spec).sum()
         assert most.pop(1) > 16
         assert set(most) == {0, 2, 3, 4, 5} and max(most.values()) == 16
         exact = 2.0 / 3.0 * 3.0 ** 1.5 + (PANELS[-1] - 3.0)
         assert abs(val - exact) <= spec.rel_tol * exact
+
+    def test_integrand_told_its_panels(self):
+        # the first call takes every (row, panel) at GL_NODES; every call names
+        # the panels its nodes lie in
+        edges = np.stack([PANELS, 2.0 * PANELS])
+        calls = []
+
+        def f(x, rows, cols):
+            calls.append((x.shape[-1], rows.size))
+            lo, hi = edges[rows, cols], edges[rows, cols + 1]
+            assert np.all((x[:, 0, :] > lo[:, None]) & (x[:, 0, :] < hi[:, None]))
+            return np.sqrt(np.abs(x - edges[rows, 1, None, None]))
+
+        gauss_legendre(f, edges, QuadratureSpec(rel_tol=1e-8, abs_tol=0.0))
+        assert calls[0] == (GL_NODES, edges.size - 2) and len(calls) > 2
 
     def test_not_converged_past_max_nodes(self):
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0)
