@@ -78,7 +78,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 # every key a config may set: the defaulted ones plus those without a default
-_PARAM_KEYS = (*_DEFAULTS["params"], "device_density")
+_PARAM_KEYS = tuple(_DEFAULTS["params"])
 _RUN_KEYS = (*_DEFAULTS["run"], "seed", "threads", "target", "constraint")
 _GRID_KEYS = ("s", "tau", "tau_db", "t", "w", "nu", "mu")
 
@@ -235,11 +235,15 @@ def _quad(config: dict[str, dict[str, str]]) -> QuadratureSpec:
     )
 
 
-def _sampling(config: dict[str, dict[str, str]]) -> tuple[int, int]:
-    """(n, seed) of a random run."""
+def _seed(config: dict[str, dict[str, str]]) -> int:
     if "seed" not in config["run"]:
-        raise ConfigError("[run] seed: required for Monte Carlo runs (--seed)")
-    seed = _number(config, "run", "seed", int, _NONNEG)
+        raise ConfigError("[run] seed: required for Monte Carlo and geometry runs (--seed)")
+    return _number(config, "run", "seed", int, _NONNEG)
+
+
+def _sampling(config: dict[str, dict[str, str]]) -> tuple[int, int]:
+    """(n, seed) of a Monte Carlo run."""
+    seed = _seed(config)
     return _number(config, "run", "n", int, (lambda v: v >= 100, ">= 100")), seed
 
 
@@ -476,7 +480,7 @@ def _run_geometry(
     config: dict[str, dict[str, str]], out_dir: str
 ) -> tuple[list[str], dict, int]:
     params = _build_params(config)
-    _, seed = _sampling(config)
+    seed = _seed(config)
     radius = _number(config, "run", "radius", rule=_NONNEG)
     half_length = _number(config, "run", "half_length", rule=_NONNEG)
     rng = substream(seed, 0)

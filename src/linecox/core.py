@@ -12,7 +12,7 @@ import re
 import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# errors and warnings
+# errors
 # ---------------------------------------------------------------------------
 
 class LinecoxError(Exception):
@@ -64,10 +64,6 @@ class UnitParseError(ParameterError):
         self.raw = raw
 
 
-class MissingDevices(LinecoxError):
-    """Interference requested on a snapshot without placed devices."""
-
-
 class NumericalError(LinecoxError):
     """Base class for numerical-convergence failures (CLI exit code 1)."""
 
@@ -104,10 +100,6 @@ class EmptyFeasibleSet(NumericalError):
     """No grid cell satisfies the latency constraint."""
 
 
-class DeviceDensityWarning(UserWarning):
-    """Device layer too sparse: empty-disk probability above threshold."""
-
-
 # ---------------------------------------------------------------------------
 # units
 # ---------------------------------------------------------------------------
@@ -119,7 +111,6 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
     "length": {"km": 1.0, "m": 1e-3, "": 1.0},
     "speed": {"km/h": 1.0 / 3600.0, "km/s": 1.0, "m/s": 1e-3, "": 1.0 / 3600.0},
     "line_density": {"/km": 1.0, "1/km": 1.0, "per km": 1.0, "": 1.0},
-    "area_density": {"/km2": 1.0, "/km^2": 1.0, "1/km2": 1.0, "per km2": 1.0, "": 1.0},
     "plain": {"": 1.0},
 }
 
@@ -130,7 +121,6 @@ _FIELD_DIMENSION = {
     "speed": "speed",
     "power": "plain",
     "alpha": "plain",
-    "device_density": "area_density",
 }
 
 
@@ -187,8 +177,6 @@ class NetworkParams:
     speed           vehicle speed (km/s)
     power           transmit power (arbitrary linear unit; cancels in SIR)
     alpha           path-loss exponent, must exceed 2
-    device_density  optional device density (per km^2); only feeds the
-                    empty-disk sanity check in :func:`validate`
     """
 
     lambda_l: float
@@ -197,7 +185,6 @@ class NetworkParams:
     speed: float
     power: float = 1.0
     alpha: float = 3.0
-    device_density: Optional[float] = None
 
     def scaled(self, kappa: float) -> "NetworkParams":
         """Unit-rescaled copy: densities / kappa, lengths and speed * kappa.
@@ -245,28 +232,11 @@ def validate(params: NetworkParams) -> NetworkParams:
             bad("power", f"transmit power must be > 0, got {params.power}")
         if params.alpha <= 2:
             bad("alpha", f"path-loss exponent must exceed 2, got {params.alpha}", AlphaOutOfRange)
-        if params.device_density is not None:
-            if not math.isfinite(params.device_density) or params.device_density <= 0:
-                bad("device_density",
-                    f"device density must be > 0, got {params.device_density}",
-                    NonPositiveDensity)
 
     if violations:
         classes = {cls for _, _, cls in violations}
         err_cls = classes.pop() if len(classes) == 1 else ParameterError
         raise err_cls([(f, m) for f, m, _ in violations])
-
-    if params.device_density is not None:
-        import warnings
-
-        empty_disk = math.exp(-math.pi * params.device_density * params.nu ** 2)
-        if empty_disk > 1e-3:
-            warnings.warn(
-                f"empty-disk probability {empty_disk:.3e} exceeds 1e-3; "
-                f"a vehicle's disk is often empty at this device density",
-                DeviceDensityWarning,
-                stacklevel=2,
-            )
 
     return params
 
@@ -384,7 +354,8 @@ def params_digest(params: NetworkParams) -> str:
     """Short stable hash of a parameter set, for CSV provenance columns."""
     import hashlib
 
+    # the seventh slot held a since-removed field; None keeps every hash as it was
     fields = (params.lambda_l, params.mu, params.nu, params.speed,
-              params.power, params.alpha, params.device_density)
+              params.power, params.alpha, None)
     blob = repr(fields).encode()
     return hashlib.blake2b(blob, digest_size=6).hexdigest()

@@ -6,71 +6,52 @@ foot, so the line itself runs along (-sin angle, cos angle).  Angles live in
 [0, pi); the isotropic sampler stays strictly inside while the Manhattan
 variant uses exactly 0 and pi/2 for its two orientations.
 
-Sampling windows are explicit everywhere: a snapshot is complete for lines
-with |offset| <= window_radius and vehicles with |abscissa| <= half_length.
-Callers own the choice of window; the estimators in :mod:`montecarlo`
-document how they pick theirs.
+The samplers return numpy arrays, (offsets, angles) for lines and
+(abscissas, directions) for the vehicles of one line, and the snapshot
+builders concatenate them into one :class:`Snapshot`.  Sampling windows are
+explicit everywhere: a snapshot is complete for lines with |offset| <=
+window_radius and vehicles with |abscissa| <= half_length.  These snapshots
+serve plotting (``linecox geometry-dump``) and the motion checks; the
+interference estimators in :mod:`montecarlo` sample their own windows.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import IO, Optional, Union
 
 import numpy as np
 
-from .core import MissingDevices, NetworkParams, SCHEMA_VERSION
+from .core import NetworkParams, SCHEMA_VERSION
 
 __all__ = [
-    "Line", "Vehicle", "Snapshot",
+    "Snapshot",
     "sample_lines", "sample_manhattan_lines", "sample_vehicles_on_line",
     "snapshot_from_lines", "ordinary_snapshot", "palm_snapshot",
     "place_devices", "advance", "nearest_vehicle_distance", "snapshot_to_csv",
 ]
 
-
-@dataclass(frozen=True)
-class Line:
-    """A road, as signed perpendicular offset plus foot angle in [0, pi)."""
-
-    offset: float
-    angle: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.angle < math.pi):
-            raise ValueError(f"line angle must lie in [0, pi), got {self.angle}")
-
-    def point_at(self, abscissa: float) -> tuple[float, float]:
-        """Planar position of the point at ``abscissa`` along the line."""
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return (self.offset * c - abscissa * s, self.offset * s + abscissa * c)
-
-
-@dataclass(frozen=True)
-class Vehicle:
-    """A vehicle on line ``line_index`` at ``abscissa``, heading ``direction``."""
-
-    line_index: int
-    abscissa: float
-    direction: int  # +1 toward increasing abscissa, -1 the other way
-    speed: float    # km/s, may differ per vehicle
-
-    def __post_init__(self):
-        if self.direction not in (-1, 1):
-            raise ValueError(f"direction must be +1 or -1, got {self.direction}")
-        if self.speed < 0:
-            raise ValueError(f"vehicle speed must be >= 0, got {self.speed}")
+# array fields of a snapshot and the dtype each is stored in
+_ARRAY_FIELDS = {
+    "line_offset": float,
+    "line_angle": float,
+    "veh_line": np.intp,
+    "veh_abscissa": float,
+    "veh_direction": np.int8,  # +1 toward increasing abscissa, -1 the other way
+    "veh_speed": float,        # km/s, may differ per vehicle
+}
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """One realisation of the network, array-backed for bulk math.
 
-    Under Palm conditioning (``palm=True``) line 0 is the extra line through
-    the origin (offset exactly 0, angle ``typical_line_angle``) and vehicle 0
-    is the conditioned-on vehicle sitting at abscissa 0 on it.
+    Line angles must lie in [0, pi).  Under Palm conditioning (``palm=True``)
+    line 0 is the extra line through the origin (offset exactly 0, angle
+    ``typical_line_angle``) and vehicle 0 is the conditioned-on vehicle
+    sitting at abscissa 0 on it.
     """
 
     line_offset: np.ndarray
@@ -86,13 +67,15 @@ class Snapshot:
     device_xy: Optional[np.ndarray] = None  # (n_vehicles, 2) planar points
 
     def __post_init__(self):
-        for name in ("line_offset", "line_angle", "veh_line", "veh_abscissa",
-                     "veh_direction", "veh_speed"):
-            arr = np.asarray(getattr(self, name))
+        for name, dtype in _ARRAY_FIELDS.items():
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.line_offset.shape != self.line_angle.shape:
             raise ValueError("line arrays disagree in length")
+        # written so that a nan angle fails too
+        if not np.all((self.line_angle >= 0.0) & (self.line_angle < math.pi)):
+            raise ValueError(f"line angles must lie in [0, pi), got {self.line_angle}")
         n = self.veh_abscissa.size
         for name in ("veh_line", "veh_direction", "veh_speed"):
             if getattr(self, name).size != n:
@@ -133,8 +116,8 @@ class Snapshot:
 # first, then per-entity attributes in the listed order.
 
 def sample_lines(lambda_l: float, radius: float,
-                 rng: np.random.Generator) -> list[Line]:
-    """Lines of a motion-invariant Poisson line process with |offset| <= radius.
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, angles) of a motion-invariant Poisson line process, |offset| <= radius.
 
     The count is Poisson with mean 2 * lambda_l * radius; offsets are uniform
     on [-radius, radius] and angles uniform on (0, pi), matching a process of
@@ -143,11 +126,11 @@ def sample_lines(lambda_l: float, radius: float,
     n = int(rng.poisson(2.0 * lambda_l * radius))
     offsets = rng.uniform(-radius, radius, size=n)
     angles = rng.uniform(0.0, math.pi, size=n)
-    return [Line(float(r), float(a)) for r, a in zip(offsets, angles)]
+    return offsets, angles
 
 
 def sample_manhattan_lines(lambda_l: float, radius: float,
-                           rng: np.random.Generator) -> list[Line]:
+                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Same offsets as :func:`sample_lines` but only axis-aligned orientations.
 
     Angles are a fair coin over {0, pi/2}.  Meant for illustration and eyeball
@@ -156,48 +139,44 @@ def sample_manhattan_lines(lambda_l: float, radius: float,
     n = int(rng.poisson(2.0 * lambda_l * radius))
     offsets = rng.uniform(-radius, radius, size=n)
     angles = np.where(rng.integers(0, 2, size=n) == 1, math.pi / 2.0, 0.0)
-    return [Line(float(r), float(a)) for r, a in zip(offsets, angles)]
+    return offsets, angles
 
 
-def sample_vehicles_on_line(line_index: int, mu: float, half_length: float,
-                            speed: float, rng: np.random.Generator) -> list[Vehicle]:
-    """Poisson(mu) vehicles on |abscissa| <= half_length with coin directions.
+def sample_vehicles_on_line(mu: float, half_length: float,
+                            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(abscissas, directions) of Poisson(mu) vehicles on |abscissa| <= half_length.
 
-    The host line's geometry does not matter here, only which index the
-    vehicles should point back to.
+    Directions are a fair coin over {-1, +1}; the host line's geometry does
+    not enter.
     """
     n = int(rng.poisson(2.0 * mu * half_length))
     abscissas = rng.uniform(-half_length, half_length, size=n)
     directions = rng.choice(np.array([-1, 1]), size=n)
-    return [Vehicle(line_index, float(t), int(d), speed)
-            for t, d in zip(abscissas, directions)]
+    return abscissas, directions
 
 
-def _assemble(lines: list[Line], vehicles: list[Vehicle], radius: float,
-              half_length: float, palm: bool,
-              typical_line_angle: Optional[float]) -> Snapshot:
-    return Snapshot(
-        line_offset=np.array([l.offset for l in lines], dtype=float),
-        line_angle=np.array([l.angle for l in lines], dtype=float),
-        veh_line=np.array([v.line_index for v in vehicles], dtype=np.intp),
-        veh_abscissa=np.array([v.abscissa for v in vehicles], dtype=float),
-        veh_direction=np.array([v.direction for v in vehicles], dtype=np.int8),
-        veh_speed=np.array([v.speed for v in vehicles], dtype=float),
-        window_radius=radius,
-        half_length=half_length,
-        palm=palm,
-        typical_line_angle=typical_line_angle,
-    )
+def _vehicle_fields(per_line: list[tuple[np.ndarray, np.ndarray]],
+                    speed: float) -> dict[str, np.ndarray]:
+    """Snapshot vehicle arrays from each line's (abscissas, directions), in line order."""
+    # the empty leading arrays let a snapshot without lines concatenate
+    abscissas = np.concatenate([np.empty(0), *(t for t, _ in per_line)])
+    return {
+        "veh_line": np.repeat(np.arange(len(per_line)), [t.size for t, _ in per_line]),
+        "veh_abscissa": abscissas,
+        "veh_direction": np.concatenate([np.empty(0, np.int8), *(d for _, d in per_line)]),
+        "veh_speed": np.full(abscissas.size, speed),
+    }
 
 
-def snapshot_from_lines(lines: list[Line], params: NetworkParams, radius: float,
-                        half_length: float, rng: np.random.Generator) -> Snapshot:
-    """Populate an explicit set of lines with Poisson(mu) vehicles each."""
-    vehicles: list[Vehicle] = []
-    for i in range(len(lines)):
-        vehicles.extend(sample_vehicles_on_line(i, params.mu, half_length,
-                                                params.speed, rng))
-    return _assemble(lines, vehicles, radius, half_length, False, None)
+def snapshot_from_lines(lines: tuple[np.ndarray, np.ndarray], params: NetworkParams,
+                        radius: float, half_length: float,
+                        rng: np.random.Generator) -> Snapshot:
+    """Populate explicit (offsets, angles) lines with Poisson(mu) vehicles each."""
+    offsets, angles = lines
+    per_line = [sample_vehicles_on_line(params.mu, half_length, rng) for _ in offsets]
+    return Snapshot(line_offset=offsets, line_angle=angles,
+                    **_vehicle_fields(per_line, params.speed),
+                    window_radius=radius, half_length=half_length)
 
 
 def ordinary_snapshot(params: NetworkParams, radius: float, half_length: float,
@@ -219,17 +198,17 @@ def palm_snapshot(params: NetworkParams, radius: float, half_length: float,
     typical-line vehicles, then the ordinary part.
     """
     typical_angle = float(rng.uniform(0.0, math.pi))
-    typical_dir = int(rng.choice(np.array([-1, 1])))
-    lines = [Line(0.0, typical_angle)]
-    vehicles = [Vehicle(0, 0.0, typical_dir, params.speed)]
-    vehicles.extend(sample_vehicles_on_line(0, params.mu, half_length,
-                                            params.speed, rng))
-    rest = sample_lines(params.lambda_l, radius, rng)
-    for j, line in enumerate(rest, start=1):
-        lines.append(line)
-        vehicles.extend(sample_vehicles_on_line(j, params.mu, half_length,
-                                                params.speed, rng))
-    return _assemble(lines, vehicles, radius, half_length, True, typical_angle)
+    typical_dir = rng.choice(np.array([-1, 1]))
+    own_t, own_d = sample_vehicles_on_line(params.mu, half_length, rng)
+    offsets, angles = sample_lines(params.lambda_l, radius, rng)
+    # the typical vehicle leads line 0's vehicles, so it is vehicle 0
+    per_line = [(np.concatenate(([0.0], own_t)), np.concatenate(([typical_dir], own_d)))]
+    per_line += [sample_vehicles_on_line(params.mu, half_length, rng) for _ in offsets]
+    return Snapshot(line_offset=np.concatenate(([0.0], offsets)),
+                    line_angle=np.concatenate(([typical_angle], angles)),
+                    **_vehicle_fields(per_line, params.speed),
+                    window_radius=radius, half_length=half_length,
+                    palm=True, typical_line_angle=typical_angle)
 
 
 def place_devices(snapshot: Snapshot, nu: float,
@@ -244,14 +223,7 @@ def place_devices(snapshot: Snapshot, nu: float,
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     xy = snapshot.vehicle_xy() + np.column_stack([rho * np.cos(phi),
                                                   rho * np.sin(phi)])
-    return Snapshot(
-        line_offset=snapshot.line_offset, line_angle=snapshot.line_angle,
-        veh_line=snapshot.veh_line, veh_abscissa=snapshot.veh_abscissa,
-        veh_direction=snapshot.veh_direction, veh_speed=snapshot.veh_speed,
-        window_radius=snapshot.window_radius, half_length=snapshot.half_length,
-        palm=snapshot.palm, typical_line_angle=snapshot.typical_line_angle,
-        device_xy=xy,
-    )
+    return replace(snapshot, device_xy=xy)
 
 
 def advance(snapshot: Snapshot, dt: float) -> Snapshot:
@@ -265,15 +237,9 @@ def advance(snapshot: Snapshot, dt: float) -> Snapshot:
         raise ValueError(f"dt must be >= 0, got {dt}")
     moved = snapshot.veh_abscissa + snapshot.veh_direction * snapshot.veh_speed * dt
     max_step = float(np.max(snapshot.veh_speed)) * dt if snapshot.n_vehicles else 0.0
-    return Snapshot(
-        line_offset=snapshot.line_offset, line_angle=snapshot.line_angle,
-        veh_line=snapshot.veh_line, veh_abscissa=moved,
-        veh_direction=snapshot.veh_direction, veh_speed=snapshot.veh_speed,
-        window_radius=snapshot.window_radius,
-        half_length=max(0.0, snapshot.half_length - max_step),
-        palm=False, typical_line_angle=snapshot.typical_line_angle,
-        device_xy=None,
-    )
+    return replace(snapshot, veh_abscissa=moved,
+                   half_length=max(0.0, snapshot.half_length - max_step),
+                   palm=False, device_xy=None)
 
 
 def nearest_vehicle_distance(snapshot: Snapshot,

@@ -1,5 +1,10 @@
 """Monte Carlo estimators for the vehicular network model.
 
+The staged interference model (:func:`_stage_increment`) is the package's
+one simulator of the Palm interference seen by the typical vehicle: each
+realisation draws its own-line and other-line interferers, with their device
+offsets and fades, straight into arrays, one window stage at a time.
+
 Every estimator is a pure function of (params, grid, n, seed): results are
 bit-identical across runs and across machine configurations.  Randomness is
 organised in named substreams so that independent parts of a simulation never
@@ -27,22 +32,18 @@ import numpy as np
 
 from .core import (
     Estimate,
-    MissingDevices,
     NetworkParams,
     WindowNotConverged,
     ZeroSpeed,
     substream,
     validate,
 )
-from .geometry import Snapshot
 
 __all__ = [
-    "SirSample",
     "WindowPolicy",
     "WindowReport",
     "GridEstimate",
     "LatencyResult",
-    "interference_at_origin",
     "estimate_laplace",
     "estimate_coverage",
     "estimate_ase",
@@ -50,64 +51,6 @@ __all__ = [
     "estimate_af_cumulative",
     "estimate_latency",
 ]
-
-
-# ---------------------------------------------------------------------------
-# single-snapshot measurement
-
-
-@dataclass(frozen=True)
-class SirSample:
-    """Signal and interference powers measured at the origin of one snapshot.
-
-    ``i1`` collects interferers on lines other than the typical vehicle's
-    own line, ``i2`` the interferers sharing its line.
-    """
-
-    signal: float
-    i1: float
-    i2: float
-
-    @property
-    def interference(self) -> float:
-        return self.i1 + self.i2
-
-    @property
-    def sir(self) -> float:
-        total = self.i1 + self.i2
-        if total == 0.0:
-            return math.inf
-        return self.signal / total
-
-    @property
-    def rate(self) -> float:
-        """Shannon rate log2(1 + SIR) of the typical link."""
-        return math.log2(1.0 + self.sir)
-
-
-def interference_at_origin(
-    snapshot: Snapshot, params: NetworkParams, rng: np.random.Generator
-) -> SirSample:
-    """Measure the typical link of a palm snapshot with devices placed.
-
-    Each device transmits with power ``params.power`` through an independent
-    unit-mean exponential fade; the receiver sits at the origin.  One fade is
-    drawn per vehicle in index order (vehicle 0 first, its fade applies to
-    the signal).
-    """
-    if not snapshot.palm:
-        raise ValueError("interference_at_origin requires a palm snapshot")
-    if snapshot.device_xy is None:
-        raise MissingDevices("snapshot has no devices; call place_devices first")
-    xy = snapshot.device_xy
-    dist = np.hypot(xy[:, 0], xy[:, 1])
-    fades = rng.exponential(size=snapshot.n_vehicles)
-    power = params.power * fades * dist ** (-params.alpha)
-    own_line = snapshot.veh_line == 0
-    signal = float(power[0])
-    i2 = float(np.sum(power[1:][own_line[1:]]))
-    i1 = float(np.sum(power[1:][~own_line[1:]]))
-    return SirSample(signal=signal, i1=i1, i2=i2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,8 @@ from linecox.geometry import (
     advance,
     nearest_vehicle_distance,
     ordinary_snapshot,
-    palm_snapshot,
-    place_devices,
 )
-from linecox.montecarlo import interference_at_origin
+from linecox.montecarlo import WindowPolicy, _stage_increment
 
 V = 30.0 / 3600.0
 FIG3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
@@ -215,17 +213,17 @@ def test_criterion_5_variant_adjudication(report):
 def test_criterion_6_independence_and_invariance(report):
     problems = []
 
-    # empirical factorisation of the transform across line components
+    # empirical factorisation of the transform across line components, on
+    # the (i1, i2) of the estimators' own first window stage, radius 3
     s, n = 0.01, 2500
     f = np.empty(n)
     g = np.empty(n)
     h = np.empty(n)
     for i in range(n):
-        snap = palm_snapshot(P33, 3.0, 3.0, substream(610, i, 0))
-        snap = place_devices(snap, P33.nu, substream(610, i, 1))
-        sample = interference_at_origin(snap, P33, substream(610, i, 2))
-        g[i] = math.exp(-s * sample.i1)
-        h[i] = math.exp(-s * sample.i2)
+        i1, i2 = _stage_increment(substream(610, i, 1, 0), P33, 0,
+                                  WindowPolicy(initial_radius=3.0), [])
+        g[i] = math.exp(-s * i1)
+        h[i] = math.exp(-s * i2)
         f[i] = g[i] * h[i]
     gap = f.mean() - g.mean() * h.mean()
     influence = (f - f.mean()) - h.mean() * (g - g.mean()) - g.mean() * (h - h.mean())

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver, in process."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -34,6 +35,7 @@ BAD_INPUTS = {
     "alpha_at_boundary_names_the_field": (["laplace", "--set", "params.alpha=2"], "alpha"),
     "monte_carlo_requires_seed": (["laplace", "--mode", "montecarlo", "--n", "200"],
                                   "[run] seed"),
+    "geometry_requires_seed": (["geometry-dump"], "[run] seed"),
     "unknown_config_key": (["laplace", "--set", "run.bogus=1"], "bogus"),
     "malformed_grid": (["laplace", "--set", "grid.s=lin:1,2"], "[grid] s"),
     "unknown_mode": (["laplace", "--set", "run.mode=telepathy"], "[run] mode"),
@@ -48,6 +50,8 @@ BAD_INPUTS = {
     "negative_wait_grid": (["latency", "--set", "grid.w=-1"], "[grid] w"),
     "negative_threshold_grid": (["coverage", "--set", "grid.tau=-1"], "[grid] tau"),
     "grid_key_not_read": (["laplace", "--set", "grid.tau=5"], "[grid] tau"),
+    "removed_param_key": (["laplace", "--set", "params.device_density=1"],
+                          "[params] device_density"),
     "negative_radius": (["geometry-dump", "--seed", "1", "--set", "run.radius=-1"],
                         "[run] radius"),
     "rel_tol_above_one": (["laplace", "--set", "run.rel_tol=2"], "[run] rel_tol"),
@@ -248,6 +252,30 @@ class TestGeometryDump:
         rows = _read_csv(out / "geometry.csv")
         angles = {float(r["angle"]) for r in rows if r["section"] == "line"}
         assert angles <= {0.0, math.pi / 2}
+
+
+    def test_ignores_monte_carlo_sample_size(self, tmp_path):
+        # a dump draws one snapshot, so the realisation count is not read
+        code, out = _run(tmp_path, "geometry-dump", "--seed", "1", "--n", "5")
+        assert code == 0
+        assert (out / "geometry.csv").exists()
+
+    @pytest.mark.parametrize("settings, digest", [
+        ((), "40d571730a08a5d48b0aa6fc9ef8dd3c6c9bfe5ac2f9acfa9ffe48c2943a8b3e"),
+        (("run.palm=false",),
+         "e3b3568376c66d458d19a7a00c1a8eaac4f1c0961fef01596e85d216f3bff1d6"),
+        (("run.manhattan=true", "run.palm=false"),
+         "fb68e281f943801e59eb98d3d7ee75a3e5cae3cb1d7d1a5b5b8ec2e145a40f1b"),
+        (("run.devices=false",),
+         "3021e12ba99768c7a19f394ba16ac9cbfbfac44acb4be92e5f010325a0e2d417"),
+    ], ids=["palm", "ordinary", "manhattan", "no-devices"])
+    def test_pinned_bytes(self, tmp_path, settings, digest):
+        # the sampled geometry is part of the reproducibility contract:
+        # draw order, dtypes and formatting must not move a byte
+        sets = [arg for item in settings for arg in ("--set", item)]
+        code, out = _run(tmp_path, "geometry-dump", "--seed", "42", *sets)
+        assert code == 0
+        assert hashlib.sha256((out / "geometry.csv").read_bytes()).hexdigest() == digest
 
 
 class TestOptimizeCommand:

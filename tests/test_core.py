@@ -191,3 +191,7 @@ class TestDigest:
         assert params_digest(make_params(mu=3.1)) != base
         assert params_digest(make_params(power=0.5)) != base
         assert params_digest(make_params(alpha=4.0)) != base
+
+    def test_pinned_value(self):
+        # every CSV's params_hash column depends on this exact value
+        assert params_digest(NetworkParams(3.0, 3.0, 0.1, 30 / 3600)) == "f247fbcc9e97"

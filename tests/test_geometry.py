@@ -9,7 +9,6 @@ from scipy import stats
 
 from linecox.core import NetworkParams, substream
 from linecox.geometry import (
-    Line,
     Snapshot,
     advance,
     nearest_vehicle_distance,
@@ -31,11 +30,11 @@ def _pooled_lines(lambda_l, radius, reps, seed):
     rng = substream(seed, 900)
     counts, offs, angs = [], [], []
     for _ in range(reps):
-        lines = sample_lines(lambda_l, radius, rng)
-        counts.append(len(lines))
-        offs += [ln.offset for ln in lines]
-        angs += [ln.angle for ln in lines]
-    return np.array(counts), np.array(offs), np.array(angs)
+        offsets, angles = sample_lines(lambda_l, radius, rng)
+        counts.append(offsets.size)
+        offs.append(offsets)
+        angs.append(angles)
+    return np.array(counts), np.concatenate(offs), np.concatenate(angs)
 
 
 class TestLineLaw:
@@ -60,10 +59,8 @@ class TestLineLaw:
 
     def test_manhattan_axis_aligned(self):
         rng = substream(4, 901)
-        angs = []
-        for _ in range(200):
-            angs += [ln.angle for ln in sample_manhattan_lines(3.0, 2.0, rng)]
-        angs = np.array(angs)
+        angs = np.concatenate([sample_manhattan_lines(3.0, 2.0, rng)[1]
+                               for _ in range(200)])
         half_pi = math.pi / 2
         assert set(np.unique(angs)) <= {0.0, half_pi}
         # fair coin between the two orientations
@@ -76,18 +73,16 @@ class TestVehicleLaw:
         rng = substream(5, 902)
         counts, dirs = [], []
         for _ in range(400):
-            vs = sample_vehicles_on_line(7, 3.0, 2.0, V, rng)
-            counts.append(len(vs))
-            dirs += [v.direction for v in vs]
-            for v in vs:
-                assert v.line_index == 7
-                assert abs(v.abscissa) <= 2.0
-                assert v.speed == V
+            abscissas, directions = sample_vehicles_on_line(3.0, 2.0, rng)
+            assert abscissas.size == directions.size
+            assert np.all(np.abs(abscissas) <= 2.0)
+            counts.append(abscissas.size)
+            dirs.append(directions)
         counts = np.array(counts)
         mean = 2 * 3.0 * 2.0  # Poisson(2 mu half_length)
         z = (counts.mean() - mean) / (counts.std(ddof=1) / math.sqrt(counts.size))
         assert abs(z) < 3
-        dirs = np.array(dirs)
+        dirs = np.concatenate(dirs)
         assert set(np.unique(dirs)) <= {-1, 1}
         assert abs(np.mean(dirs == 1) - 0.5) < 3 * math.sqrt(0.25 / dirs.size)
 
@@ -121,13 +116,23 @@ class TestSnapshots:
         assert p > 1e-3
 
     def test_snapshot_from_lines_keeps_given_lines(self):
-        lines = [Line(0.3, 1.0), Line(-0.7, 2.2)]
+        lines = (np.array([0.3, -0.7]), np.array([1.0, 2.2]))
         snap = snapshot_from_lines(lines, PARAMS, 1.0, 1.5, substream(9, 905))
         assert snap.n_lines == 2
         assert list(snap.line_offset) == [0.3, -0.7]
         assert list(snap.line_angle) == [1.0, 2.2]
         assert np.all(snap.veh_line < 2)
         assert snap.half_length == 1.5
+        assert np.all(snap.veh_speed == PARAMS.speed)
+
+    @pytest.mark.parametrize("angle", [math.pi, -0.1, math.nan])
+    def test_line_angle_outside_half_turn_rejected(self, angle):
+        lines = (np.array([0.3, -0.7]), np.array([1.0, angle]))
+        with pytest.raises(ValueError, match="angles"):
+            snapshot_from_lines(lines, PARAMS, 1.0, 1.5, substream(9, 905))
+        with pytest.raises(ValueError, match="angles"):
+            Snapshot(line_offset=lines[0], line_angle=lines[1], veh_line=[], veh_abscissa=[],
+                     veh_direction=[], veh_speed=[], window_radius=1.0, half_length=1.0)
 
     def test_validation_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from linecox.core import Estimate, NetworkParams, ZeroSpeed, substream
-from linecox.geometry import Snapshot, palm_snapshot, place_devices
+from linecox.core import NetworkParams, ZeroSpeed, substream
 from linecox.montecarlo import (
-    MissingDevices,
-    SirSample,
     WindowNotConverged,
     WindowPolicy,
     estimate_af_cumulative,
@@ -18,7 +15,7 @@ from linecox.montecarlo import (
     estimate_coverage,
     estimate_laplace,
     estimate_latency,
-    interference_at_origin,
+    _stage_increment,
 )
 from linecox import analytic
 from linecox.analytic import AFVariant
@@ -26,64 +23,6 @@ from linecox.analytic import AFVariant
 V = 30.0 / 3600.0
 P33 = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V)
 FIG7 = NetworkParams(lambda_l=9.0, mu=3.0, nu=0.1, speed=V)
-
-
-def _hand_snapshot():
-    # typical line through the origin plus one other line; typical vehicle
-    # at the origin, one own-line interferer, one cross-line interferer
-    return Snapshot(
-        line_offset=np.array([0.0, 0.5]),
-        line_angle=np.array([0.2, 1.4]),
-        veh_line=np.array([0, 0, 1]),
-        veh_abscissa=np.array([0.0, 0.3, -0.2]),
-        veh_direction=np.array([1, -1, 1]),
-        veh_speed=np.array([V, V, V]),
-        window_radius=1.0,
-        half_length=1.0,
-        palm=True,
-        typical_line_angle=0.2,
-    )
-
-
-class TestInterferenceAtOrigin:
-    def test_component_split(self):
-        snap = _hand_snapshot()
-        devices = np.array([[0.03, 0.04], [0.3, 0.1], [0.45, 0.25]])
-        snap = Snapshot(
-            **{**{f: getattr(snap, f) for f in (
-                "line_offset", "line_angle", "veh_line", "veh_abscissa",
-                "veh_direction", "veh_speed", "window_radius", "half_length",
-                "palm", "typical_line_angle")},
-               "device_xy": devices},
-        )
-        params = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.6, speed=V, power=2.0)
-        sample = interference_at_origin(snap, params, substream(123, 77))
-        fades = substream(123, 77).exponential(size=3)
-        dist = np.hypot(devices[:, 0], devices[:, 1])
-        power = 2.0 * fades * dist ** (-3.0)
-        assert sample.signal == pytest.approx(power[0], rel=1e-14)
-        assert sample.i2 == pytest.approx(power[1], rel=1e-14)
-        assert sample.i1 == pytest.approx(power[2], rel=1e-14)
-        assert sample.interference == pytest.approx(power[1] + power[2], rel=1e-14)
-        assert sample.sir == pytest.approx(power[0] / (power[1] + power[2]), rel=1e-14)
-        assert sample.rate == pytest.approx(math.log2(1.0 + sample.sir), rel=1e-14)
-
-    def test_devices_required(self):
-        snap = _hand_snapshot()
-        with pytest.raises(MissingDevices):
-            interference_at_origin(snap, P33, substream(1, 1))
-
-    def test_palm_required(self):
-        snap = palm_snapshot(P33, 1.0, 1.0, substream(2, 1))
-        ordinary = Snapshot(
-            line_offset=snap.line_offset, line_angle=snap.line_angle,
-            veh_line=snap.veh_line, veh_abscissa=snap.veh_abscissa,
-            veh_direction=snap.veh_direction, veh_speed=snap.veh_speed,
-            window_radius=snap.window_radius, half_length=snap.half_length,
-        )
-        ordinary = place_devices(ordinary, P33.nu, substream(2, 2))
-        with pytest.raises(ValueError):
-            interference_at_origin(ordinary, P33, substream(2, 3))
 
 
 class TestAgreementWithAnalytic:
@@ -205,16 +144,16 @@ class TestWindowControl:
 class TestComponentIndependence:
     def test_cross_line_and_own_line_uncorrelated(self):
         # exp(-s I1) and exp(-s I2) factorise; their sample covariance must
-        # vanish within 3 SE of the covariance estimator
+        # vanish within 3 SE of the covariance estimator.  (I1, I2) is the
+        # estimators' own first window stage, radius 3, of each realisation
         s, n = 0.01, 1200
         g = np.empty(n)
         h = np.empty(n)
         for i in range(n):
-            snap = palm_snapshot(P33, 3.0, 3.0, substream(600, i, 0))
-            snap = place_devices(snap, P33.nu, substream(600, i, 1))
-            sample = interference_at_origin(snap, P33, substream(600, i, 2))
-            g[i] = math.exp(-s * sample.i1)
-            h[i] = math.exp(-s * sample.i2)
+            i1, i2 = _stage_increment(substream(600, i, 1, 0), P33, 0,
+                                      WindowPolicy(initial_radius=3.0), [])
+            g[i] = math.exp(-s * i1)
+            h[i] = math.exp(-s * i2)
         gc = g - g.mean()
         hc = h - h.mean()
         cov = float(np.mean(gc * hc))
@@ -242,9 +181,3 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             estimate_laplace(P33, np.array([-0.1]), n=500, seed=0)
 
-
-class TestSampleTypes:
-    def test_sir_sample_edge_cases(self):
-        empty = SirSample(signal=1.0, i1=0.0, i2=0.0)
-        assert empty.sir == math.inf
-        assert Estimate(0.5, 0.1, 10).n_samples == 10
