@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -81,6 +82,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
 _PARAM_KEYS = tuple(_DEFAULTS["params"])
 _RUN_KEYS = (*_DEFAULTS["run"], "seed", "threads", "target", "constraint")
 _GRID_KEYS = ("s", "tau", "tau_db", "t", "w", "nu", "mu")
+_KNOWN = {"params": _PARAM_KEYS, "run": _RUN_KEYS, "grid": _GRID_KEYS}
 
 # Canonical scenario presets; every value can be overridden per run.
 _PRESETS: dict[str, dict[str, dict[str, str]]] = {
@@ -122,16 +124,17 @@ def _merge(base: dict[str, dict[str, str]], extra: dict[str, dict[str, str]]) ->
 
 
 def _check_keys(config: dict[str, dict[str, str]],
-                grid_keys: tuple[str, ...] = _GRID_KEYS) -> None:
-    known = {"params": _PARAM_KEYS, "run": _RUN_KEYS, "grid": grid_keys}
+                known: dict[str, tuple[str, ...]] = _KNOWN) -> None:
     for section, values in config.items():
         if section not in known:
             raise ConfigError(f"unknown config section [{section}]")
         for key in values:
-            if key not in known[section]:
-                raise ConfigError(f"[{section}] {key}: unknown key" if section != "grid" else
-                                  f"[grid] {key}: not a grid this command reads "
-                                  f"({', '.join(grid_keys) or 'none'})")
+            if key in known[section]:
+                continue
+            if key not in _KNOWN[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            raise ConfigError(f"[{section}] {key}: not a key this command reads "
+                              f"({', '.join(known[section]) or 'none'})")
 
 
 def _load_config_file(path: str) -> dict[str, dict[str, str]]:
@@ -293,6 +296,7 @@ class _Quantity:
     montecarlo: Callable[[_Inputs, int, int], tuple[list, list]]
     variant: Callable[[str], Optional[Enum]] = lambda name: None
     reference: Callable[[_Inputs], list] = lambda x: []
+    run_keys: tuple[str, ...] = ()  # [run] keys read beyond those every quantity reads
 
 
 def _variant(kind: type[Enum], auto: Enum) -> Callable[[str], Enum]:
@@ -371,7 +375,8 @@ _TABLE: dict[str, _Quantity] = {
     "af-cumulative": _Quantity(
         ("t",), "lin:0,400,9",
         _af_cumulative, _af_cumulative_mc,
-        _variant(AFVariant, AFVariant.DIRECTION_AWARE)),
+        _variant(AFVariant, AFVariant.DIRECTION_AWARE),
+        run_keys=("variant", "sigma")),
     "latency": _Quantity(
         ("w",), "lin:0,100,11",
         lambda x: _curve("latency-ccdf", x,
@@ -379,7 +384,8 @@ _TABLE: dict[str, _Quantity] = {
         _latency_mc,
         _variant(LatencyVariant, LatencyVariant.DIRECTION_AWARE_CONDITIONED),
         # the sampled waits follow the conditioned law whatever the variant
-        lambda x: [("latency-mean", math.nan, analytic.mean_latency(x.params, x.quad))]),
+        lambda x: [("latency-mean", math.nan, analytic.mean_latency(x.params, x.quad))],
+        run_keys=("variant",)),
 }
 
 
@@ -541,15 +547,23 @@ _RUNNERS = {
 QUANTITIES = tuple(_RUNNERS)
 
 
-def _grid_reads(command: str, config: dict[str, dict[str, str]]) -> tuple[str, ...]:
-    """The grid keys ``command`` reads; validate reads those of its target."""
-    if command == "validate":
-        command = config["run"].get("target", "laplace")
-        if command not in _TABLE:  # _run_validate names the bad target
-            return _GRID_KEYS
+def _reads(command: str, config: dict[str, dict[str, str]]) -> dict[str, tuple[str, ...]]:
+    """The [run] and [grid] keys ``command`` reads; validate reads its target's."""
+    every = ("out", "threads")
     if command == "optimize":
-        return ("nu", "mu")
-    return _TABLE[command].grid_keys if command in _TABLE else ()
+        return {"run": (*every, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau", "refine",
+                        "constraint"), "grid": ("nu", "mu")}
+    if command == "geometry-dump":
+        return {"run": (*every, "seed", "radius", "half_length", "palm", "manhattan",
+                        "devices"), "grid": ()}
+    own = "mode"
+    if command == "validate":
+        command, own = config["run"].get("target", "laplace"), "target"
+        if command not in _TABLE:  # _run_validate names the bad target
+            return {"run": _RUN_KEYS, "grid": _GRID_KEYS}
+    quantity = _TABLE[command]
+    return {"run": (*every, own, "n", "seed", "rel_tol", "abs_tol", *quantity.run_keys),
+            "grid": quantity.grid_keys}
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +602,8 @@ def _write_manifest(
         "resolved_config": config,
         "outputs": [os.path.basename(p) for p in outputs],
         "wall_time_s": wall_time,
+        # the process high-water mark so far, in MB (ru_maxrss is in kB on Linux)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     manifest.update(extra)
     path = os.path.join(out_dir, f"{quantity}_manifest.json")
@@ -637,11 +653,11 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, dict[str, str]]:
         if getattr(args, key) is not None:
             config["run"][key] = str(getattr(args, key))
     _check_keys(config)
-    # a grid key given for a command that does not read it is an error, not a
-    # silent run of the default grid; a preset's grid keys may go unread
-    reads = _grid_reads(args.quantity, config)
+    # a run or grid key given for a command that does not read it is an error,
+    # not a silent run without it; preset keys and flags may go unread
+    reads = _reads(args.quantity, config)
     for part in given:
-        _check_keys({"grid": part.get("grid", {})}, reads)
+        _check_keys({section: part.get(section, {}) for section in reads}, reads)
     if "threads" in config["run"]:
         _number(config, "run", "threads", int, _POSITIVE)
     return config

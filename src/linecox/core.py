@@ -350,6 +350,27 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def skip_ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of Philox-backed ``rng`` that is k 64-bit draws further along.
+
+    The copy draws what ``rng`` would draw after
+    ``rng.bit_generator.random_raw(k)``, pending 32-bit half included, and
+    ``rng`` itself is left untouched.  The cost does not depend on k.
+    """
+    state = rng.bit_generator.state
+    bits = np.random.Philox(key=0)
+    bits.state = state
+    head = min(k, 4 - state["buffer_pos"])  # outputs left in the 4-word buffer
+    bits.random_raw(head)
+    if k > head:
+        bits.advance((k - head) // 4)  # whole blocks; this empties the buffer
+        bits.random_raw((k - head) % 4)
+    moved = bits.state
+    moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = moved
+    return np.random.Generator(bits)
+
+
 def params_digest(params: NetworkParams) -> str:
     """Short stable hash of a parameter set, for CSV provenance columns."""
     import hashlib

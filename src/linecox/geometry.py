@@ -17,7 +17,6 @@ interference estimators in :mod:`montecarlo` sample their own windows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import IO, Optional, Union
@@ -268,20 +267,18 @@ def snapshot_to_csv(snapshot: Snapshot, dest: Union[str, IO[str]]) -> None:
     """
     own = isinstance(dest, str)
     fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
+    v = SCHEMA_VERSION
     try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_CSV_COLUMNS)
-        for r, a in zip(snapshot.line_offset, snapshot.line_angle):
-            w.writerow([SCHEMA_VERSION, "line", repr(float(r)), repr(float(a)),
-                        "", "", "", "", ""])
-        for i, t, d in zip(snapshot.veh_line, snapshot.veh_abscissa,
-                           snapshot.veh_direction):
-            w.writerow([SCHEMA_VERSION, "vehicle", "", "",
-                        int(i), repr(float(t)), int(d), "", ""])
+        # one formatted line per entity; repr of a float round-trips exactly
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        fh.writelines(f"{v},line,{r!r},{a!r},,,,,\n" for r, a in zip(
+            snapshot.line_offset.tolist(), snapshot.line_angle.tolist()))
+        fh.writelines(f"{v},vehicle,,,{i},{t!r},{d},,\n" for i, t, d in zip(
+            snapshot.veh_line.tolist(), snapshot.veh_abscissa.tolist(),
+            snapshot.veh_direction.tolist()))
         if snapshot.device_xy is not None:
-            for x, y in snapshot.device_xy:
-                w.writerow([SCHEMA_VERSION, "device", "", "", "", "", "",
-                            repr(float(x)), repr(float(y))])
+            fh.writelines(f"{v},device,,,,,,{x!r},{y!r}\n"
+                          for x, y in snapshot.device_xy.tolist())
     finally:
         if own:
             fh.close()

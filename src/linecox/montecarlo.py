@@ -15,6 +15,12 @@ share draws:
     substream(seed, 3)         availability / connectivity realisations
     substream(seed, 4)         latency realisations
 
+The availability and latency samplers draw from one stream each across all
+realisations.  They read their per-vehicle (per-line) draws in pieces of
+``_CHUNK`` and fold each piece into per-realisation results at once, so their
+working memory is O(n + lines) plus one piece; the stream layout, and hence
+every output, is the same as drawing each array whole.
+
 Interference estimators grow the simulation window adaptively: stage k adds
 the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k, and extends all
 existing lines from half-length L_{k-1} to L_k = R_k.  Because every stage
@@ -35,6 +41,7 @@ from .core import (
     NetworkParams,
     WindowNotConverged,
     ZeroSpeed,
+    skip_ahead,
     substream,
     validate,
 )
@@ -328,6 +335,31 @@ def estimate_ase(
 # ---------------------------------------------------------------------------
 # availability
 
+# per-vehicle (per-line) draws the bulk samplers read at a time
+_CHUNK = 2**18
+
+
+def _pieces(ends: np.ndarray, labels: Optional[np.ndarray] = None):
+    """``np.repeat(labels, counts)`` in consecutive pieces of ``_CHUNK`` items.
+
+    ``ends`` is ``np.cumsum(counts)``; without ``labels`` each item is
+    labelled with the index of its group.
+    """
+    total = int(ends[-1]) if ends.size else 0
+    for a in range(0, total, _CHUNK):
+        b = min(a + _CHUNK, total)
+        lo = int(np.searchsorted(ends, a, side="right"))
+        hi = int(np.searchsorted(ends, b, side="left")) + 1
+        sizes = np.diff(np.concatenate(([a], np.minimum(ends[lo:hi], b))))
+        yield np.repeat(np.arange(lo, hi) if labels is None else labels[lo:hi], sizes)
+
+
+def _record_hits(first: np.ndarray, rid: np.ndarray, gap: np.ndarray,
+                 speeds: np.ndarray) -> None:
+    # gap is inf for a vehicle heading away; a stopped vehicle never arrives
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.minimum.at(first, rid, np.where(speeds > 0.0, gap / speeds, np.inf))
+
 
 def _af_event_times(
     params: NetworkParams,
@@ -340,9 +372,15 @@ def _af_event_times(
 
     Draws live in substream(seed, 3) in a fixed order: line counts, line
     offsets, on-disk vehicle counts, then (only when t_max > 0) approach-zone
-    vehicle data.  A run with t_max = 0 therefore consumes a prefix of the
-    draws of a longer run, which makes snapshot and time-window estimates
-    exactly consistent under a shared seed.
+    vehicle counts, all gaps, all headings, all speed normals and the
+    redraws of negative speeds.  A run with t_max = 0 therefore consumes a
+    prefix of the draws of a longer run, which makes snapshot and time-window
+    estimates exactly consistent under a shared seed.
+
+    The per-vehicle draws are read in pieces of ``_CHUNK``: gaps and headings
+    take a fixed number of 64-bit outputs each, so :func:`skip_ahead` starts
+    the heading and normal sections where they begin in the stream.  Working
+    memory is O(n + lines) plus one piece, whatever the number of vehicles.
 
     Vehicles faster than speed + 6 sigma that start beyond the sampled
     approach zone are ignored; the chance any exist is below 1e-8 per run.
@@ -363,21 +401,34 @@ def _af_event_times(
     first = np.full(n, np.inf)
     reach = (v + 6.0 * sigma) * t_max
     if reach > 0.0 and total:
-        m = rng.poisson(2.0 * params.mu * reach, size=total)
-        ntail = int(m.sum())
-        gap = rng.uniform(0.0, reach, size=ntail)
-        toward = rng.integers(0, 2, size=ntail) == 1
-        z = rng.standard_normal(size=ntail)
-        speeds = v + sigma * z
-        bad = speeds < 0.0
-        while np.any(bad):  # truncate the speed law at zero by redrawing
-            z = rng.standard_normal(size=int(bad.sum()))
-            speeds[bad] = v + sigma * z
+        ends = np.cumsum(rng.poisson(2.0 * params.mu * reach, size=total))
+        ntail = int(ends[-1])
+        # a gap takes one 64-bit output and a heading one 32-bit half, the
+        # first heading the half left pending, if any: both sections have
+        # known lengths, so the heading and normal sections start known too
+        pending = int(rng.bit_generator.state["has_uint32"])
+        heads = skip_ahead(rng, ntail)
+        normals = skip_ahead(rng, ntail + (ntail + 1 - pending) // 2)
+        slow_rid, slow_gap = [], []
+        for veh_rid in _pieces(ends, rid):
+            gap = rng.uniform(0.0, reach, size=veh_rid.size)
+            gap[heads.integers(0, 2, size=veh_rid.size) == 0] = np.inf
+            speeds = v + sigma * normals.standard_normal(size=veh_rid.size)
             bad = speeds < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hit = np.where(toward & (speeds > 0.0), gap / speeds, np.inf)
-        veh_rid = np.repeat(rid, m)
-        np.minimum.at(first, veh_rid, t_hit)
+            if bad.any():
+                slow_rid.append(veh_rid[bad])
+                slow_gap.append(gap[bad])
+            _record_hits(first, veh_rid, gap, speeds)
+        if slow_rid:
+            # truncate the speed law at zero: once every first draw is made,
+            # redraw the negative speeds in vehicle order until none is left
+            gap = np.concatenate(slow_gap)
+            speeds = np.full(gap.size, -1.0)
+            bad = speeds < 0.0
+            while np.any(bad):
+                speeds[bad] = v + sigma * normals.standard_normal(size=int(bad.sum()))
+                bad = speeds < 0.0
+            _record_hits(first, np.concatenate(slow_rid), gap, speeds)
     return covered0, first
 
 
@@ -450,29 +501,32 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     A line at offset r is covered immediately with the on-chord vacancy
     probability; otherwise the nearest approaching device-carrier on either
     side sits an Exp(mu) gap beyond the chord, independent of the vacancy.
+
+    Draws live in substream(seed, 4): line counts, then all offsets, all
+    vacancy uniforms and two exponentials per line.  Lines are read in pieces
+    of ``_CHUNK``, each section from its own :func:`skip_ahead` start, so
+    working memory is O(n + lines) plus one piece.
     """
     validate(params)
     nu, v = params.nu, params.speed
     rng = substream(seed, 4)
-    counts = _conditioned_line_counts(rng, 2.0 * params.lambda_l * nu, n)
-    total = int(counts.sum())
-    rid = np.repeat(np.arange(n), counts)
-    offsets = rng.uniform(-nu, nu, size=total)
-    chord = np.sqrt(np.maximum(nu * nu - offsets * offsets, 0.0))
-    vacant = rng.uniform(size=total) < np.exp(-2.0 * params.mu * chord)
-    # nearest approaching carrier beyond each chord end: Exp(mu/2) per side
-    gaps = rng.exponential(scale=2.0 / params.mu, size=(total, 2)).min(axis=1)
-    if v <= 0.0:
-        covered_now = np.zeros(n, dtype=bool)
-        np.logical_or.at(covered_now, rid, ~vacant)
-        if bool(np.all(covered_now)):
-            return np.zeros(n)
+    ends = np.cumsum(_conditioned_line_counts(rng, 2.0 * params.lambda_l * nu, n))
+    total = int(ends[-1])
+    vacancy = skip_ahead(rng, total)
+    exponentials = skip_ahead(rng, 2 * total)
+    waits = np.full(n, np.inf)
+    for rid in _pieces(ends):
+        offsets = rng.uniform(-nu, nu, size=rid.size)
+        chord = np.sqrt(np.maximum(nu * nu - offsets * offsets, 0.0))
+        vacant = vacancy.uniform(size=rid.size) < np.exp(-2.0 * params.mu * chord)
+        # nearest approaching carrier beyond each chord end: Exp(mu/2) per side
+        gaps = exponentials.exponential(scale=2.0 / params.mu, size=(rid.size, 2)).min(axis=1)
+        # at zero speed a vacant line never covers the origin
+        np.minimum.at(waits, rid, np.where(vacant, gaps / v if v > 0.0 else np.inf, 0.0))
+    if v <= 0.0 and not np.all(waits == 0.0):
         raise ZeroSpeed(
             [("speed", "latency diverges at zero speed when not covered at t=0")]
         )
-    line_wait = np.where(vacant, gaps / v, 0.0)
-    waits = np.full(n, np.inf)
-    np.minimum.at(waits, rid, line_wait)
     return waits
 
 

@@ -57,6 +57,9 @@ BAD_INPUTS = {
     "rel_tol_above_one": (["laplace", "--set", "run.rel_tol=2"], "[run] rel_tol"),
     "negative_sigma": (["af-cumulative", "--mode", "montecarlo", "--seed", "1", "--n", "200",
                         "--set", "run.sigma=-1"], "[run] sigma"),
+    "run_key_not_read": (["laplace", "--set", "run.sigma=-1"], "[run] sigma"),
+    "sample_size_not_read_by_dump": (["geometry-dump", "--seed", "1", "--set", "run.n=5"],
+                                     "[run] n"),
 }
 
 
@@ -217,6 +220,8 @@ class TestConfigResolution:
         assert manifest["quantity"] == "laplace"
         assert manifest["outputs"] == ["laplace_analytic.csv"]
         assert manifest["wall_time_s"] >= 0
+        # the process high-water mark: at least what numpy alone holds
+        assert 10 < manifest["peak_rss_mb"] < 10_000
         assert "tool_version" in manifest
         assert "window" not in manifest
 

@@ -1,11 +1,14 @@
 """Estimator correctness, stream discipline and window control."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from linecox.core import NetworkParams, ZeroSpeed, substream
+from linecox import montecarlo
+from linecox.core import NetworkParams, ZeroSpeed, skip_ahead, substream
 from linecox.montecarlo import (
     WindowNotConverged,
     WindowPolicy,
@@ -15,6 +18,8 @@ from linecox.montecarlo import (
     estimate_coverage,
     estimate_laplace,
     estimate_latency,
+    _af_event_times,
+    _latency_waits,
     _stage_increment,
 )
 from linecox import analytic
@@ -105,6 +110,90 @@ class TestStreamDiscipline:
         assert res.ccdf[0].value == 1.0 - res.p_zero.value
 
 
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+class TestBulkStreams:
+    """The bulk samplers read their streams in pieces without moving a draw.
+
+    The digests were taken from the samplers as they were before they read
+    in pieces, when every per-vehicle array was drawn whole.  At sigma =
+    0.004 about 5000 speeds come out negative and are redrawn, and the
+    count of headings (277061) is odd, so the last one uses half of a 64-bit
+    output and the normals start at the next.
+    """
+
+    AF = {
+        0.0: (20_000, "bca51318aef44c984c20aa2feae5869b99e918c24dfbcca198f2ec081c1bd1a0"),
+        0.004: (2_004, "e21997ab1c7431edd221d0effa2e2f5198d13c1b893dd9dc162575e896f8e608"),
+    }
+    LATENCY = "d3579ed5a9f5885505e08ba4bbb913832282f1d01aec7f44f60aabfcbe5aaa12"
+
+    # None keeps the default piece size (a few pieces per run); 1009 crosses
+    # hundreds of piece edges, inside lines and realisations
+    @pytest.mark.parametrize("chunk", [None, 1009])
+    @pytest.mark.parametrize("sigma", [0.0, 0.004])
+    def test_af_event_times_pinned(self, monkeypatch, chunk, sigma):
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        n, digest = self.AF[sigma]
+        assert _sha256(*_af_event_times(FIG7, 400.0, n, 7, sigma)) == digest
+
+    @pytest.mark.parametrize("chunk", [None, 1009])
+    def test_latency_waits_pinned(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        assert _sha256(_latency_waits(P33, 300_000, 7)) == self.LATENCY
+
+    @pytest.mark.parametrize("buffer_pos", range(5))
+    def test_skip_ahead_matches_sequential_draws(self, buffer_pos):
+        for k in [*range(10), 100_001]:
+            for halves in (0, 3):  # three 32-bit draws leave one half pending
+                rng = substream(5, 9)
+                rng.integers(0, 2, size=halves)
+                state = rng.bit_generator.state
+                state["buffer_pos"] = buffer_pos
+                rng.bit_generator.state = state
+                jumped = skip_ahead(rng, k)
+                rng.bit_generator.random_raw(k)
+                draws = [(gen.integers(0, 2, size=5), gen.standard_normal(size=7),
+                          gen.bit_generator.random_raw(6)) for gen in (rng, jumped)]
+                for a, b in zip(*draws):
+                    np.testing.assert_array_equal(a, b, err_msg=f"k={k} halves={halves}")
+
+
+def _traced_peak(run):
+    """Peak bytes traced while ``run()`` executes, above what was held before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    # drawn whole, the per-vehicle arrays peaked at 312 MiB and 70 MiB here
+    def test_af_cumulative_fig7(self):
+        peak = _traced_peak(lambda: estimate_af_cumulative(
+            FIG7, np.linspace(0.0, 400.0, 9), n=200_000, seed=1))
+        assert peak < 64 * 2**20
+
+    def test_latency_fig8(self):
+        peak = _traced_peak(lambda: estimate_latency(
+            P33, np.linspace(0.0, 100.0, 11), n=1_000_000, seed=1))
+        assert peak < 40 * 2**20
+
+
 class TestSpeedScaling:
     def test_waits_halve_when_speed_doubles(self):
         fast = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=2 * V)
@@ -176,6 +265,12 @@ class TestPreconditions:
         frozen = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=0.0)
         with pytest.raises(ZeroSpeed):
             estimate_latency(frozen, np.array([1.0]), n=500, seed=0)
+
+    def test_zero_speed_latency_when_always_covered(self):
+        # dense enough that no line's chord is vacant: every wait is zero
+        crowded = NetworkParams(lambda_l=3.0, mu=1000.0, nu=0.1, speed=0.0)
+        res = estimate_latency(crowded, np.array([0.0, 1.0]), n=200, seed=0)
+        assert res.mean.value == 0.0 and res.p_zero.value == 1.0
 
     def test_negative_transform_grid_rejected(self):
         with pytest.raises(ValueError):
