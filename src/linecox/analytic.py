@@ -14,10 +14,10 @@ distance a.  Q scales: with b = (s p)^(1/alpha),
 
     Q(a) = b * Phi_alpha(a / b),   Phi_alpha(y) = 2 * int_0^inf dx / (1 + (y^2+x^2)^(alpha/2)),
 
-so a single profile Phi_alpha, tabulated once per exponent and interpolated
-with a monotone cubic (transparency: table and direct evaluation agree to the
-requested relative tolerance), serves every (s, p, mu, nu) combination.  The
-full transform is then
+so a single profile Phi_alpha, tabulated once per exponent as a cubic Hermite
+on its own slope Phi' (table and direct evaluation agree to the requested
+relative tolerance, or the build raises), serves every (s, p, mu, nu)
+combination.  The full transform is then
 
     L(s) = exp(-2 lambda_l * int_0^inf (1 - e^(-J(r))) dr) * exp(-J(0)),
 
@@ -89,8 +89,10 @@ def _half_line_moment(alpha: float) -> float:
     return 0.5 * math.sqrt(math.pi) * math.gamma((alpha - 1.0) / 2.0) / math.gamma(alpha / 2.0)
 
 
-def _phi_direct(y: np.ndarray, alpha: float) -> np.ndarray:
-    """Phi_alpha by brute panel quadrature, vectorised over y.
+def _phi_direct(y: np.ndarray, alpha: float, slope: bool = False):
+    """Phi_alpha by brute panel quadrature, vectorised over y; with slope=True,
+    (Phi, Phi') with Phi'(y) = -2 alpha y int_0^inf rho^(alpha-2) / (1 + rho^alpha)^2 dx,
+    rho^2 = y^2 + x^2, taken on the same nodes.
 
     Substituting x = S sinh(u) with S = max(y, 1) puts the knee of the
     integrand at u = O(1) for every y, so one fixed panel layout (fine up to
@@ -110,47 +112,26 @@ def _phi_direct(y: np.ndarray, alpha: float) -> np.ndarray:
     wt = (half[:, None] * np.broadcast_to(GK15_WEIGHTS, (lo.size, 15))).ravel()
     sh, ch = np.sinh(u), np.cosh(u)
     # integrand (batch, nodes)
-    x = s_scale[:, None] * sh[None, :]
-    d2 = y[:, None] ** 2 + x ** 2
-    integrand = (s_scale[:, None] * ch[None, :]) / (1.0 + d2 ** (alpha / 2.0))
-    return 2.0 * integrand @ wt
+    d2 = y[:, None] ** 2 + (s_scale[:, None] * sh[None, :]) ** 2
+    rho_a = d2 ** (alpha / 2.0)
+    integrand = (s_scale[:, None] * ch[None, :]) / (1.0 + rho_a)
+    phi = 2.0 * integrand @ wt
+    if not slope:
+        return phi
+    return phi, -2.0 * alpha * y * ((integrand * rho_a / (d2 * (1.0 + rho_a))) @ wt)
 
 
-# the table interpolates log Phi against log(y + _PHI_SHIFT): the profile is
-# close to linear there (flat head, power-law tail), so a monotone cubic
-# reaches tight tolerances with a few hundred knots
+# the table interpolates log Phi against x = log(y + _PHI_SHIFT): the profile is
+# close to linear there (flat head, power-law tail), so a cubic Hermite on the
+# exact slopes reaches tight tolerances with a few hundred knots
 _PHI_SHIFT = 0.5
-
-
-def _pchip_slopes(h: float, v: np.ndarray) -> np.ndarray:
-    """PCHIP (Fritsch-Carlson) slopes at knots a uniform step h apart.
-
-    Interior slopes are the weighted harmonic mean of the neighbouring secant
-    slopes, zero where those differ in sign or vanish; the end slopes are the
-    one-sided three-point estimate, clamped to preserve shape (Moler,
-    Numerical Computing with MATLAB, 3.6).  This is scipy's
-    PchipInterpolator rule.
-    """
-    m = np.diff(v) / h
-    d = np.zeros_like(v)
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 2.0 / (1.0 / m[:-1] + 1.0 / m[1:]))
-    for i, m0, m1 in ((0, m[0], m[1]), (-1, m[-1], m[-2])):
-        end = (3.0 * m0 - m1) / 2.0
-        if np.sign(end) != np.sign(m0):
-            end = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(end) > 3.0 * abs(m0):
-            end = 3.0 * m0
-        d[i] = end
-    return d
 
 
 @dataclass(frozen=True)
 class _PhiProfile:
-    """Phi_alpha from a table: for y <= _PHI_YMAX, log Phi as a monotone cubic
-    in log(y + _PHI_SHIFT) on uniform knots; beyond, two terms of the
-    large-y expansion.
+    """Phi_alpha from a table: for y <= _PHI_YMAX, log Phi as the cubic Hermite
+    interpolant of its values and exact slopes in log(y + _PHI_SHIFT) on
+    uniform knots; beyond, two terms of the large-y expansion.
 
     ``coef`` holds each knot interval's cubic in the fraction t in [0, 1) of
     the way across it, highest power first; a lookup finds the interval by
@@ -164,10 +145,10 @@ class _PhiProfile:
     tail_a2: float
 
     @classmethod
-    def from_knots(cls, alpha: float, knots: np.ndarray, logv: np.ndarray) -> "_PhiProfile":
-        """The cubic Hermite interpolant of logv with PCHIP slopes."""
-        h = knots[1] - knots[0]
-        d = h * _pchip_slopes(h, logv)
+    def from_knots(cls, alpha: float, knots: np.ndarray, logv: np.ndarray,
+                   slope: np.ndarray) -> "_PhiProfile":
+        """The cubic Hermite interpolant of logv with slopes d logv / d knot."""
+        d = (knots[1] - knots[0]) * slope
         rise = np.diff(logv)
         coef = np.stack([d[:-1] + d[1:] - 2.0 * rise, 3.0 * rise - 2.0 * d[:-1] - d[1:],
                          d[:-1], logv[:-1]])
@@ -199,8 +180,9 @@ def _phi_profile(alpha: float, rel_tol: float) -> _PhiProfile:
     """Build (or fetch) the tabulated profile for one path-loss exponent.
 
     Knots are refined until the interpolant reproduces direct evaluation at
-    every midpoint to rel_tol / 4, which keeps interpolation invisible at the
-    tolerances callers see.
+    1/4, 1/2 and 3/4 of every interval to rel_tol / 4, which keeps interpolation
+    invisible at the tolerances callers see; a table still short of that at
+    10241 knots raises QuadratureNotConverged.
     """
     key = (float(alpha), float(rel_tol))
     prof = _PHI_CACHE.get(key)
@@ -208,25 +190,22 @@ def _phi_profile(alpha: float, rel_tol: float) -> _PhiProfile:
         return prof
     knots = np.linspace(math.log(_PHI_SHIFT),
                         math.log(_PHI_YMAX + _PHI_SHIFT), 161)
-    logv = np.log(_phi_direct(np.exp(knots) - _PHI_SHIFT, alpha))
-    target = rel_tol / 4.0
     # probes off-centre too (the cubic's leading error is antisymmetric in an
-    # interval); resolution doubles globally, as uneven spacing would feed
-    # error into neighbouring intervals through the shared slopes
+    # interval); resolution doubles globally, which keeps the knots uniform
     probes = np.array([0.25, 0.5, 0.75])
     for _ in range(7):
-        prof = _PhiProfile.from_knots(alpha, knots, logv)
-        h = np.diff(knots)
-        pts = (knots[:-1, None] + h[:, None] * probes[None, :]).ravel()
+        # d log Phi / dx = (y + shift) Phi'(y) / Phi(y) at x = log(y + shift)
+        phi, dphi = _phi_direct(np.exp(knots) - _PHI_SHIFT, alpha, slope=True)
+        prof = _PhiProfile.from_knots(alpha, knots, np.log(phi), np.exp(knots) * dphi / phi)
+        pts = (knots[:-1, None] + (knots[1] - knots[0]) * probes[None, :]).ravel()
         direct = np.log(_phi_direct(np.exp(pts) - _PHI_SHIFT, alpha))
-        if np.max(np.abs(prof.log_near(pts) - direct)) <= target:
-            break
+        err = float(np.max(np.abs(prof.log_near(pts) - direct)))
+        if err <= rel_tol / 4.0:
+            _PHI_CACHE[key] = prof
+            return prof
         knots = np.linspace(knots[0], knots[-1], 2 * knots.size - 1)
-        logv = np.log(_phi_direct(np.exp(knots) - _PHI_SHIFT, alpha))
-    else:
-        prof = _PhiProfile.from_knots(alpha, knots, logv)
-    _PHI_CACHE[key] = prof
-    return prof
+    raise QuadratureNotConverged(math.nan, err, f"Phi table for alpha={alpha:g} at "
+                                                f"{prof.knots.size} knots")
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +216,10 @@ def _phi_profile(alpha: float, rel_tol: float) -> _PhiProfile:
 # with c = max(nu, b); past R = 4^5 c its integrand is expanded in closed form
 _R_PANELS = 6
 _R_RATIO = 4.0
-# (s, r, u) elements per batched pass: the working arrays stay near 0.5 MB each
-_MAX_ELEMENTS = 2 ** 16
+# (s, r, u) elements per batched pass: the working arrays stay near 128 KB each,
+# so the dozen or so a pass holds fit in the heap malloc keeps between passes
+# (at 2^16, 40k page faults per fig5 coverage curve)
+_MAX_ELEMENTS = 2 ** 14
 _U_NODES = 8  # semicircle nodes per side at the u-rule's first level
 _HALF_PI = 0.5 * math.pi
 
@@ -312,9 +293,9 @@ class LaplaceEvaluator:
 
     def _u_rule(self, r: np.ndarray, b: np.ndarray, nodes: np.ndarray, g, weight: np.ndarray,
                 tol: float, check: np.ndarray, use_table: bool = True, value=None):
-        """(g(J_n), n) at the offsets r (shape (k, m)), value = g(J_n) if known: from
-        nodes[i] per side, row i's n doubles until the sum over the columns
-        ``check`` of weight * |g(J_n) - g(J_2n)| is within tol."""
+        """(g(J_n), n, g(J_2n) at the columns ``check``) at the offsets r (shape (k, m)),
+        value = g(J_n) if known: from nodes[i] per side, row i's n doubles until the
+        sum over ``check`` of weight * |g(J_n) - g(J_2n)| is within tol."""
         if value is None:
             value = g(self._line_exponent(r, b, nodes, use_table))
         fine = (g(self._line_exponent(r[:, check], b, 2 * nodes, use_table)) if check.size
@@ -324,10 +305,10 @@ class LaplaceEvaluator:
         if redo.any() and 4 * nodes[redo].max() > GL_MAX_NODES:
             raise QuadratureNotConverged(float(fine.sum()), float(err.max()), "semicircle")
         if redo.any():
-            value[redo], nodes[redo] = self._u_rule(
+            value[redo], nodes[redo], fine[redo] = self._u_rule(
                 r[redo], b[redo], 2 * nodes[redo], g, weight[redo], tol, check, use_table,
                 fine[redo] if check.size == r.shape[1] else None)
-        return value, nodes
+        return value, nodes, fine
 
     def _tail(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
         """int_r^inf (1 - exp(-J)) dr for the large-r form of J.
@@ -357,7 +338,8 @@ class LaplaceEvaluator:
         tolerance over the panel count: at all nodes of the first r-pass, and
         past the second (where panels resolved at the first pass's nodes end)
         at the nodes nearer the panel edges, where an edge layer (r near nu,
-        b << nu) shows.  J(0) keeps J_2n: a count changing with s would step L(s).
+        b << nu) shows.  J(0) is the rule's last J_2n: a count changing with s
+        would step L(s).
         """
         flat, shaped = _batch(s, "transform argument")
         other, own = np.zeros(flat.size), np.zeros(flat.size)
@@ -375,7 +357,7 @@ class LaplaceEvaluator:
                 # u-differences checked: all, none, then beyond the first pass's reach
                 reach = {GL_NODES: 0.0, 2 * GL_NODES: 1.0}.get(
                     len(x), np.abs(leggauss(GL_NODES)[0]).max())
-                val, u_nodes[rows, cols] = self._u_rule(
+                val, u_nodes[rows, cols], _ = self._u_rule(
                     r.reshape(len(rows), -1), b[rows], u_nodes[rows, cols],
                     lambda j: -np.expm1(-j), half[rows, cols, None] * w, r_tol / _R_PANELS,
                     np.flatnonzero(np.abs(x) > reach), use_table)
@@ -384,9 +366,9 @@ class LaplaceEvaluator:
             near = gauss_legendre(outer, edges, replace(q, abs_tol=r_tol)).sum(axis=1)
             other[pos] = 2.0 * p.lambda_l * (near + self._tail(flat[pos], edges[:, -1]))
             zero = np.zeros((pos.size, 1))
-            _, n0 = self._u_rule(zero, b, np.full(pos.size, _U_NODES), lambda j: j, zero + 1.0,
-                                 max(q.abs_tol, 0.25 * q.rel_tol), np.array([0]), use_table)
-            own[pos] = self._line_exponent(zero, b, 2 * n0, use_table)[:, 0]
+            _, _, j0 = self._u_rule(zero, b, np.full(pos.size, _U_NODES), lambda j: j, zero + 1.0,
+                                    max(q.abs_tol, 0.25 * q.rel_tol), np.array([0]), use_table)
+            own[pos] = j0[:, 0]
         return shaped(np.exp(-other)), shaped(np.exp(-own))
 
     def laplace(self, s, use_table: bool = True):

@@ -413,7 +413,9 @@ def _af_event_times(
         for veh_rid in _pieces(ends, rid):
             gap = rng.uniform(0.0, reach, size=veh_rid.size)
             gap[heads.integers(0, 2, size=veh_rid.size) == 0] = np.inf
-            speeds = v + sigma * normals.standard_normal(size=veh_rid.size)
+            # at sigma = 0 the speed is v exactly, so the normals (drawn last) are skipped
+            speeds = (v + sigma * normals.standard_normal(size=veh_rid.size) if sigma > 0.0
+                      else np.full(veh_rid.size, v))
             bad = speeds < 0.0
             if bad.any():
                 slow_rid.append(veh_rid[bad])

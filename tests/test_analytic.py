@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from linecox.core import (
     LatencyVariant,
     NetworkParams,
+    QuadratureNotConverged,
     QuadratureSpec,
     ZeroSpeed,
 )
@@ -34,8 +35,8 @@ from linecox.analytic import (
     latency_ccdf,
     mean_latency,
 )
-from linecox.analytic import (_PHI_SHIFT, _U_NODES, _PhiProfile, _pchip_slopes, _phi_direct,
-                              _phi_profile)
+from linecox import analytic
+from linecox.analytic import _PHI_SHIFT, _U_NODES, _phi_direct, _phi_profile
 from linecox.quadrature import GL_NODES
 
 V = 30.0 / 3600.0
@@ -199,25 +200,45 @@ class TestLaplaceShape:
             assert t1 == pytest.approx(d1, rel=1e-5)
             assert t2 == pytest.approx(d2, rel=1e-5)
 
-    def test_table_is_scipy_pchip(self):
-        # the table evaluates scipy's PCHIP interpolant of its knots without scipy
-        from scipy.interpolate import PchipInterpolator
-        for alpha in (2.2, 3.0, 4.0):
-            knots = _phi_profile(alpha, 1e-6).knots
-            logv = np.log(_phi_direct(np.exp(knots) - _PHI_SHIFT, alpha))
-            x = np.linspace(knots[0], knots[-1], 20001)
-            got = _PhiProfile.from_knots(alpha, knots, logv).log_near(x)
-            assert np.allclose(got, PchipInterpolator(knots, logv)(x), rtol=0.0, atol=1e-13)
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 6.0])
+    def test_table_meets_tight_tolerance(self, alpha):
+        # off the probe points too: 0.1 and 0.9 of every interval, at rel_tol 1e-9
+        prof = _phi_profile(alpha, 1e-9)
+        k = prof.knots
+        x = (k[:-1, None] + (k[1] - k[0]) * np.array([0.1, 0.9])).ravel()
+        direct = np.log(_phi_direct(np.exp(x) - _PHI_SHIFT, alpha))
+        assert np.max(np.abs(prof.log_near(x) - direct)) <= 2.5e-10
 
-    def test_pchip_slopes_match_scipy(self):
-        # sign changes, flat runs and both end clamps, which Phi's monotone profile never reaches
-        from scipy.interpolate import PchipInterpolator
-        x = np.linspace(0.0, 3.0, 13)
-        for v in (np.array([0, 1, -9, -9, 3, 2, -1, -1, 0, 4, 4.5, 9.5, 10.5]),
-                  np.array([5, 4, -6, 0.5, 0.5, 2, 3, 3.2, 3.2, 1, 0, 10, 9.0]),
-                  np.cos(3.0 * x)):
-            want = PchipInterpolator(x, v).derivative()(x)
-            assert np.allclose(_pchip_slopes(x[1] - x[0], v), want, rtol=1e-13, atol=1e-13)
+    def test_table_raises_when_not_converged(self, monkeypatch):
+        # a kink at y = 1: a cubic's error across it shrinks only like the knot step
+        def kinked(y, alpha, slope=False):
+            v = 2.0 + np.abs(y - 1.0)
+            return (v, np.sign(y - 1.0)) if slope else v
+
+        monkeypatch.setattr(analytic, "_phi_direct", kinked)
+        monkeypatch.setattr(analytic, "_PHI_CACHE", {})
+        with pytest.raises(QuadratureNotConverged):
+            _phi_profile(3.0, 1e-6)
+        assert analytic._PHI_CACHE == {}
+
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 6.0])
+    def test_table_slopes_are_phi_derivative(self, alpha):
+        # the slope in x = log(y + shift) of each knot against a central difference
+        prof = _phi_profile(alpha, 1e-6)
+        k, dx = prof.knots[:-1], 1e-5
+        diff = (np.log(_phi_direct(np.exp(k + dx) - _PHI_SHIFT, alpha))
+                - np.log(_phi_direct(np.exp(k - dx) - _PHI_SHIFT, alpha))) / (2.0 * dx)
+        assert np.allclose(prof.coef[2] / (k[1] - k[0]), diff, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.2, 3.0, 4.0, 6.0])
+    def test_table_cubics_are_monotone(self, alpha):
+        # Fritsch & Carlson (1980): a cubic Hermite is monotone on an interval when
+        # both end slopes a, b (over the secant) are >= 0 and a^2 + b^2 <= 9
+        c = _phi_profile(alpha, 1e-6).coef
+        rise = c[0] + c[1] + c[2]
+        a, b = c[2] / rise, (3.0 * c[0] + 2.0 * c[1] + c[2]) / rise
+        assert np.all(rise < 0) and np.all(a >= 0) and np.all(b >= 0)
+        assert np.max(a ** 2 + b ** 2) <= 9.0
 
     def test_fractional_alpha(self):
         p = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V, alpha=2.5)
