@@ -69,7 +69,7 @@ class NumericalError(LinecoxError):
 
 
 class QuadratureNotConverged(NumericalError):
-    """Adaptive integration hit its subdivision cap before the tolerance.
+    """An integral hit its node cap before the tolerance.
 
     Carries the best value and the achieved error bound so callers can decide
     whether the partial answer is still useful.
@@ -297,27 +297,24 @@ class QuadratureSpec:
     """Tolerances shared by the analytic evaluators.
 
     Each integral's error estimate must come below max(abs_tol, rel_tol *
-    |value|).  The batched Gauss-Legendre integrals (the transform over an
-    array of s, coverage) take each panel with an n-node and a 2n-node rule;
-    the sum of the panels' differences is the estimate, and only the panels
-    whose difference exceeds the tolerance's share are taken again with n
-    doubled.  The transform's exponent is held to rel_tol / 4 in absolute
-    terms.  Half-line integrals double their range until a whole
-    block contributes less than rel_tol of the running total (with abs_tol
-    as a floor); max_subdivisions caps the adaptive Gauss-Kronrod segments.
+    |value|).  Every integral is taken by Gauss-Legendre panels (a batch of
+    integrals at a time for the transform over an array of s and coverage),
+    each panel with an n-node and a 2n-node rule; the sum of the panels'
+    differences is the estimate, and only the panels whose difference exceeds
+    the tolerance's share are taken again with n doubled.  The transform's
+    exponent is held to rel_tol / 4 in absolute terms.  Half-line integrals
+    add doubling blocks until a whole block contributes less than rel_tol of
+    the running total (with abs_tol as a floor).
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-10
-    max_subdivisions: int = 60
 
     def __post_init__(self):
         if not (0 < self.rel_tol < 1):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not (0 <= self.abs_tol < 1):
             raise ValueError(f"abs_tol must lie in [0, 1), got {self.abs_tol}")
-        if self.max_subdivisions < 4:
-            raise ValueError("max_subdivisions must be at least 4")
 
 
 class LatencyVariant(Enum):

@@ -37,7 +37,9 @@ from linecox.analytic import (
 )
 from linecox import analytic
 from linecox.analytic import _PHI_SHIFT, _U_NODES, _phi_direct, _phi_profile
+from linecox.montecarlo import estimate_ase
 from linecox.quadrature import GL_NODES
+from test_montecarlo import _traced_peak
 
 V = 30.0 / 3600.0
 P33 = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V)
@@ -240,6 +242,12 @@ class TestLaplaceShape:
         assert np.all(rise < 0) and np.all(a >= 0) and np.all(b >= 0)
         assert np.max(a ** 2 + b ** 2) <= 9.0
 
+    def test_table_build_memory(self, monkeypatch):
+        # 5121 knots; with all its probes in one direct evaluation the build peaked
+        # at 120 MiB under tracemalloc
+        monkeypatch.setattr(analytic, "_PHI_CACHE", {})
+        assert _traced_peak(lambda: _phi_profile(3.0, 1e-12)) < 16 * 2**20
+
     def test_fractional_alpha(self):
         p = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V, alpha=2.5)
         val = laplace(p, 0.01)
@@ -266,8 +274,9 @@ class TestCoverage:
         assert coverage_probability(P33, tau) == pytest.approx(ref, rel=1e-8)
 
     def test_scale_invariant(self):
-        # not bit-exact: the adaptive subdivision pattern shifts with units,
-        # so agreement is only to the quadrature tolerance
+        # not bit-exact: abs_tol and the transform's exponent tolerance do not
+        # scale with the units, so the node counts the rules settle on may shift,
+        # and agreement is only to the quadrature tolerance
         for tau in (0.5, 2.0):
             a = coverage_probability(P33, tau)
             b = coverage_probability(P33.scaled(2.0), tau)
@@ -287,6 +296,36 @@ class TestAse:
 
     def test_positive(self):
         assert area_spectral_efficiency(P33) > 0
+
+    @pytest.mark.parametrize("alpha", [8.0, 12.0])
+    def test_steep_path_loss_matches_monte_carlo(self, alpha):
+        # the G7/K15 half-line rule this replaced raised here, and at rel_tol 1e-9
+        # kept a stalled block's partial value: 1.48 and 1.50, against about 60 and 92
+        params = replace(P33, alpha=alpha)
+        est, _ = estimate_ase(params, n=20_000, seed=5)
+        for rel_tol in (1e-6, 1e-9):
+            got = area_spectral_efficiency(params, QuadratureSpec(rel_tol=rel_tol))
+            assert abs(got - est.value) <= 3.0 * est.std_error
+
+    # area_spectral_efficiency(replace(P33, alpha=alpha), QuadratureSpec(rel_tol=1e-9))
+    # by the G7/K15 half-line rule this replaced, at commit 9f68041, with PYTHONPATH=src:
+    #   python -c "from dataclasses import replace; from linecox.core import *;
+    #   from linecox.analytic import area_spectral_efficiency as f
+    #   p = NetworkParams(3.0, 3.0, 0.1, 30 / 3600)
+    #   print([f(replace(p, alpha=a), QuadratureSpec(rel_tol=1e-9))
+    #          for a in (2.05, 2.2, 3.0, 4.0, 6.0)])"
+    @pytest.mark.parametrize("alpha, value", [
+        (2.05, 3.159513775025395),
+        (2.2, 7.193145581987091),
+        (3.0, 17.57304175799205),
+        (4.0, 27.042877061933726),
+        (6.0, 44.00033579850124),
+    ])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    def test_pinned_values(self, alpha, value, rel_tol):
+        params = replace(P33, alpha=alpha)
+        got = area_spectral_efficiency(params, QuadratureSpec(rel_tol=rel_tol))
+        assert got == pytest.approx(value, rel=rel_tol)
 
 
 def _af_oracle(params, t, sweep):
