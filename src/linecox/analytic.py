@@ -48,7 +48,7 @@ from .quadrature import (GL_MAX_NODES, GL_NODES, gauss_legendre, integrate, inte
 
 __all__ = [
     "AFVariant", "DivergenceReport", "LaplaceEvaluator",
-    "laplace", "coverage_probability", "area_spectral_efficiency",
+    "laplace", "coverage_probability", "area_spectral_efficiency", "CoverageSurface",
     "af_snapshot", "af_cumulative", "af_limit",
     "latency_ccdf", "mean_latency",
 ]
@@ -322,8 +322,10 @@ class LaplaceEvaluator:
                 fine[redo] if check.size == r.shape[1] else None)
         return value, nodes, fine
 
-    def _tail(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """int_r^inf (1 - exp(-J)) dr for the large-r form of J.
+    def _tail(self, s: np.ndarray, r: np.ndarray, mu: float, nu: float) -> np.ndarray:
+        """int_r^inf (1 - exp(-J)) dr for the large-r form of J, at vehicle
+        density mu and disk radius nu (the transform passes its own; the
+        coverage surface, working in units of nu, passes mu nu and 1).
 
         Phi's large-y terms and E[u^2] = nu^2 / 4 give J = A r^(1-alpha)
         (1 + alpha (alpha-1) nu^2 / (8 r^2)) + B r^(1-2 alpha), A = mu a1 s p,
@@ -334,11 +336,11 @@ class LaplaceEvaluator:
         T (nu / r)^2 and (b / r)^alpha.
         """
         p, alpha = self.params, self.params.alpha
-        a = p.mu * self._profile.tail_a1 * s * p.power
+        a = mu * self._profile.tail_a1 * s * p.power
         k, t = 1.0 / (alpha - 1.0), a * r ** (1.0 - alpha)
         return (a ** k * (math.gamma(1.0 - k) * gammainc(1.0 - k, t) + np.expm1(-t) * t ** -k)
-                + a * (alpha - 1.0) * p.nu ** 2 * r ** -alpha / 8.0
-                + p.mu * self._profile.tail_a2 * (s * p.power) ** 2 * r ** (2.0 - 2.0 * alpha)
+                + a * (alpha - 1.0) * nu ** 2 * r ** -alpha / 8.0
+                + mu * self._profile.tail_a2 * (s * p.power) ** 2 * r ** (2.0 - 2.0 * alpha)
                 / (2.0 * alpha - 2.0))
 
     def laplace_factors(self, s, use_table: bool = True):
@@ -376,7 +378,7 @@ class LaplaceEvaluator:
                 return val[:, None, :]
 
             near = gauss_legendre(outer, edges, replace(q, abs_tol=r_tol))[0].sum(axis=1)
-            other[pos] = 2.0 * p.lambda_l * (near + self._tail(flat[pos], edges[:, -1]))
+            other[pos] = 2.0 * p.lambda_l * (near + self._tail(flat[pos], edges[:, -1], p.mu, p.nu))
             zero = np.zeros((pos.size, 1))
             _, _, j0 = self._u_rule(zero, b, np.full(pos.size, _U_NODES), lambda j: j, zero + 1.0,
                                     max(q.abs_tol, 0.25 * q.rel_tol), np.array([0]), use_table)
@@ -445,6 +447,95 @@ def coverage_probability(params: NetworkParams, tau, quad: QuadratureSpec = Quad
 def area_spectral_efficiency(params: NetworkParams,
                              quad: QuadratureSpec = QuadratureSpec()) -> float:
     return LaplaceEvaluator(params, quad).ase()
+
+
+# the coverage surface's ladder: a level takes n nodes in x, per r-panel and per
+# semicircle side, n doubling from _SURFACE_NODES to _SURFACE_MAX_NODES
+_SURFACE_NODES, _SURFACE_MAX_NODES = 16, 128
+
+
+class CoverageSurface:
+    """P(SIR > tau) at many (nu, mu) cells that share every other parameter of
+    ``base``, all from one inner exponent.
+
+    In units of nu, with x = rho / nu, xi = r / nu and beta = b / nu =
+    tau^(1/alpha) x (transmit power cancels), the line exponent is
+    J = mu nu k(xi; beta), and k, the costly part, depends on (alpha, tau)
+    alone.  So
+
+        p_c = int_0^1 2x exp(-2 lambda_l nu [int_0^inf (1 - e^(-mu nu k(xi; beta))) dxi]
+                             - mu nu k(0; beta)) dx.
+
+    Each level of a fixed node ladder holds k once for every cell: n
+    Gauss-Legendre nodes in x on [0, 1], the transform's six r-panels scaled by
+    max(1, beta) with n nodes each, and n semicircle nodes per side; past the
+    last panel ``_tail`` gives the rest.  A cell adds only a pass over mu nu k.
+    It takes the first n whose value at 2n lies within max(abs_tol, rel_tol *
+    |value|) of its value at n, and reports the value at 2n with that
+    difference; a cell short of that at _SURFACE_MAX_NODES raises
+    QuadratureNotConverged.  The ladder depends only on (alpha, tau, quad), so
+    no cell's value depends on the rest of the grid, and the levels one call
+    builds serve the next.
+    """
+
+    def __init__(self, base: NetworkParams, tau: float, quad: QuadratureSpec = QuadratureSpec()):
+        if tau < 0:
+            raise ValueError(f"tau must be >= 0, got {tau}")
+        self.base, self.tau, self.quad = validate(base), float(tau), quad
+        # at mu = nu = 1 and unit power, _line_exponent gives k(xi; beta) at b = beta
+        self._unit = LaplaceEvaluator(replace(base, mu=1.0, nu=1.0, power=1.0), quad)
+        self._levels: dict[int, tuple] = {}
+
+    def _level(self, n: int) -> tuple:
+        """(x-rule weights times 2x, x-nodes with beta > 0, their r-weights, k at the
+        r-nodes, k(0), (beta^alpha, last r-edge) for ``_tail``) of level n."""
+        if n not in self._levels:
+            t, w = leggauss(n)
+            x = 0.5 * (t + 1.0)
+            beta = self.tau ** (1.0 / self.base.alpha) * x
+            pos = np.flatnonzero(beta)  # at beta = 0 (tau = 0) there is no interference
+            beta = beta[pos]
+            edges = (np.maximum(1.0, beta)[:, None]
+                     * np.append(0.0, _R_RATIO ** np.arange(_R_PANELS)))
+            half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+            xi = (edges[:, :-1, None] + half * (t + 1.0)).reshape(pos.size, _R_PANELS * n)
+            nodes = np.full(pos.size, n)
+            k = self._unit._line_exponent(xi, beta, nodes)
+            k0 = self._unit._line_exponent(np.zeros((pos.size, 1)), beta, nodes)[:, 0]
+            self._levels[n] = (x * w, pos, (half * w).reshape(xi.shape), k, k0,
+                               beta ** self.base.alpha, edges[:, -1])
+        return self._levels[n]
+
+    def _value(self, n: int, nu: float, mu: float) -> float:
+        weight, pos, r_weight, k, k0, sp, far = self._level(n)
+        mn = mu * nu
+        near = (r_weight * -np.expm1(-mn * k)).sum(axis=1)
+        exponent = np.zeros(weight.size)
+        exponent[pos] = (2.0 * self.base.lambda_l * nu * (near + self._unit._tail(sp, far, mn, 1.0))
+                         + mn * k0)
+        return float(weight @ np.exp(-exponent))
+
+    def __call__(self, nu, mu) -> tuple[np.ndarray, np.ndarray]:
+        """(p_c, difference estimate) per cell, over nu and mu broadcast together."""
+        nu, mu = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(mu, dtype=float))
+        value, diff = np.empty(nu.shape), np.full(nu.shape, math.nan)
+        q = self.quad
+        # a cell at a time: its arrays, and so its roundings, are the same in any grid
+        for i, (cell_nu, cell_mu) in enumerate(zip(nu.flat, mu.flat)):
+            validate(replace(self.base, nu=float(cell_nu), mu=float(cell_mu)))
+            n, coarse = _SURFACE_NODES, self._value(_SURFACE_NODES, cell_nu, cell_mu)
+            while True:
+                if 2 * n > _SURFACE_MAX_NODES:
+                    raise QuadratureNotConverged(
+                        coarse, diff.flat[i], f"coverage surface at tau={self.tau:g}, cell "
+                        f"nu={cell_nu:g}, mu={cell_mu:g}: {n} nodes")
+                fine = self._value(2 * n, cell_nu, cell_mu)
+                diff.flat[i] = abs(fine - coarse)
+                if diff.flat[i] <= max(q.abs_tol, q.rel_tol * abs(fine)):
+                    break
+                n, coarse = 2 * n, fine
+            value.flat[i] = min(1.0, fine)
+        return value, diff
 
 
 # ---------------------------------------------------------------------------

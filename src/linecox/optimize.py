@@ -1,9 +1,10 @@
 """Utility surface evaluation and grid maximisation over (nu, mu).
 
 The objective combines coverage, the long-run covered area fraction and an
-optional mean-latency penalty.  Cells of the search grid are independent
-analytic evaluations, reduced in (nu, mu) order so the argmax is
-deterministic.
+optional mean-latency penalty.  The coverage of every cell of the search grid
+comes from one ``CoverageSurface``, which shares one inner exponent across
+the cells; no cell's value depends on the rest of the grid.  Cells are
+reduced in (nu, mu) order so the argmax is deterministic.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .core import (
     QuadratureSpec,
     validate,
 )
-from .analytic import af_limit, coverage_probability, mean_latency
+from .analytic import CoverageSurface, af_limit, coverage_probability, mean_latency
 
 __all__ = [
     "UtilityWeights",
@@ -28,7 +29,6 @@ __all__ = [
     "OptimizeResult",
     "utility",
     "optimize_grid",
-    "feasible_domain",
 ]
 
 
@@ -106,20 +106,22 @@ def utility(
     """Aggregate objective at one (nu, mu), other parameters from ``base``."""
     if nu <= 0 or mu <= 0:
         raise ValueError(f"nu and mu must be positive, got ({nu}, {mu})")
-    validate(replace(base, nu=nu, mu=mu))
-    return _evaluate_cell(nu, mu, base, weights, quad, None).utility
+    params = validate(replace(base, nu=nu, mu=mu))
+    p_c = coverage_probability(params, weights.tau, quad) if weights.w1 > 0 else math.nan
+    return _evaluate_cell(nu, mu, p_c, base, weights, quad, None).utility
 
 
 def _evaluate_cell(
     nu: float,
     mu: float,
+    p_c: float,
     base: NetworkParams,
     weights: UtilityWeights,
     quad: QuadratureSpec,
     constraint: Optional[float],
 ) -> SurfaceCell:
+    """The cell (nu, mu) with its coverage p_c (NaN when w1 = 0) given."""
     params = replace(base, nu=nu, mu=mu)
-    p_c = coverage_probability(params, weights.tau, quad) if weights.w1 > 0 else math.nan
     af = af_limit(params)
     need_latency = weights.w3 > 0 or constraint is not None
     latency = mean_latency(params, quad) if need_latency else math.nan
@@ -175,8 +177,16 @@ def optimize_grid(
         raise ValueError(f"constraint must be >= 0, got {constraint}")
     nus = grid.nu_values()
     mus = grid.mu_values()
-    pairs = [(float(nu), float(mu)) for nu in nus for mu in mus]
-    cells = [_evaluate_cell(nu, mu, base, weights, quad, constraint) for nu, mu in pairs]
+    surface = CoverageSurface(base, weights.tau, quad) if weights.w1 > 0 else None
+
+    def evaluate(pairs: list[tuple[float, float]]) -> list[SurfaceCell]:
+        """The cells at ``pairs``, their coverage taken in one surface call."""
+        nu, mu = np.array(pairs).T
+        p_c = surface(nu, mu)[0] if surface is not None else np.full(nu.size, math.nan)
+        return [_evaluate_cell(float(a), float(b), float(c), base, weights, quad, constraint)
+                for a, b, c in zip(nu, mu, p_c)]
+
+    cells = evaluate([(float(nu), float(mu)) for nu in nus for mu in mus])
     best = _argmax(cells)
     if best is None:
         raise EmptyFeasibleSet(
@@ -189,11 +199,9 @@ def optimize_grid(
         mu_axis = _refinement_axis(mus, int(np.argmin(np.abs(mus - best.mu))))
         # a refinement cell on the coarse grid is taken from the first pass
         known = {(c.nu, c.mu): c for c in cells}
-        for nu in nu_axis:
-            for mu in mu_axis:
-                key = (float(nu), float(mu))
-                if key not in known:
-                    known[key] = _evaluate_cell(*key, base, weights, quad, constraint)
+        fresh = [(float(nu), float(mu)) for nu in nu_axis for mu in mu_axis
+                 if (float(nu), float(mu)) not in known]
+        known.update({(c.nu, c.mu): c for c in evaluate(fresh)})
         refined_best = _argmax(sorted(known.values(), key=lambda c: (c.nu, c.mu)))
         if refined_best is not None:
             best = refined_best
@@ -206,19 +214,3 @@ def optimize_grid(
         coarse_nu_opt=coarse_nu,
         coarse_mu_opt=coarse_mu,
     )
-
-
-def feasible_domain(
-    base: NetworkParams,
-    grid: GridSpec,
-    constraint: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """Boolean mask over (nu, mu) cells with mean latency below the bound."""
-    validate(base)
-    if constraint <= 0:
-        raise ValueError(f"constraint must be > 0, got {constraint}")
-    nus = grid.nu_values()
-    mus = grid.mu_values()
-    return np.array([[mean_latency(replace(base, nu=float(nu), mu=float(mu)), quad) < constraint
-                      for mu in mus] for nu in nus])

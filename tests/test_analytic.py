@@ -24,6 +24,7 @@ from linecox.core import (
 )
 from linecox.analytic import (
     AFVariant,
+    CoverageSurface,
     DivergenceReport,
     LaplaceEvaluator,
     af_cumulative,
@@ -281,6 +282,63 @@ class TestCoverage:
             a = coverage_probability(P33, tau)
             b = coverage_probability(P33.scaled(2.0), tau)
             assert b == pytest.approx(a, rel=1e-6)
+
+
+# the fig10 optimiser's base parameters and its coarse (nu, mu) grid, flattened
+FIG10 = NetworkParams(lambda_l=3.0, mu=0.5, nu=0.5, speed=V)
+FIG10_NU, FIG10_MU = (a.ravel() for a in np.meshgrid(
+    np.linspace(0.1, 1.5, 8), np.linspace(0.25, 0.75, 4), indexing="ij"))
+
+
+@pytest.fixture(scope="module", params=[(2.2, 10.0), (3.0, 1.0), (4.0, 0.1)],
+                ids=lambda p: f"alpha={p[0]:g}-tau={p[1]:g}")
+def fig10_reference(request):
+    """(base, tau, per-cell coverage_probability at rel_tol 1e-10) on the fig10 grid."""
+    alpha, tau = request.param
+    base = replace(FIG10, alpha=alpha)
+    tight = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
+    return base, tau, np.array([coverage_probability(replace(base, nu=nu, mu=mu), tau, tight)
+                                for nu, mu in zip(FIG10_NU, FIG10_MU)])
+
+
+class TestCoverageSurface:
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+    def test_matches_per_cell_reference(self, fig10_reference, rel_tol):
+        base, tau, ref = fig10_reference
+        q = QuadratureSpec(rel_tol=rel_tol)
+        value, _ = CoverageSurface(base, tau, q)(FIG10_NU, FIG10_MU)
+        assert np.all(np.abs(value - ref) <= np.maximum(q.abs_tol, q.rel_tol * np.abs(value)))
+
+    def test_cell_independent_of_grid(self):
+        grid = CoverageSurface(FIG10, 1.0)(FIG10_NU, FIG10_MU)
+        backwards = CoverageSurface(FIG10, 1.0)(FIG10_NU[::-1], FIG10_MU[::-1])
+        alone = CoverageSurface(FIG10, 1.0)
+        cells = np.array([alone(nu, mu) for nu, mu in zip(FIG10_NU, FIG10_MU)]).T
+        for other in (cells, [a[::-1] for a in backwards]):
+            assert np.array_equal(grid[0], other[0]) and np.array_equal(grid[1], other[1])
+
+    def test_zero_threshold(self, monkeypatch):
+        line_exponent = LaplaceEvaluator._line_exponent
+
+        def checked(self, r, b, nodes, *args):
+            assert np.all(b > 0), "beta = 0 reached the line exponent"
+            return line_exponent(self, r, b, nodes, *args)
+
+        monkeypatch.setattr(LaplaceEvaluator, "_line_exponent", checked)
+        value, diff = CoverageSurface(FIG10, 0.0)(FIG10_NU, FIG10_MU)
+        # P(SIR > 0) = 1: the surface gives it exactly; the per-cell Gauss-Legendre
+        # sum of 2 rho / nu^2 rounds to 1 - 2^-53 at some nu
+        assert np.all(value == 1.0) and np.all(diff == 0.0)
+        for nu, mu in zip(FIG10_NU, FIG10_MU):
+            per_cell = coverage_probability(replace(FIG10, nu=nu, mu=mu), 0.0)
+            assert abs(per_cell - 1.0) <= math.ulp(1.0)
+
+    def test_ladder_cap_raises(self, monkeypatch):
+        # at rel_tol 1e-9 this cell needs the 32- and 64-node levels to agree
+        monkeypatch.setattr(analytic, "_SURFACE_MAX_NODES", 32)
+        surface = CoverageSurface(FIG10, 1.0, QuadratureSpec(rel_tol=1e-9))
+        with pytest.raises(QuadratureNotConverged, match="nu=0.5, mu=0.5"):
+            surface(0.5, 0.5)
 
 
 class TestAse:

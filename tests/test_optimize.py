@@ -12,7 +12,6 @@ from linecox.optimize import (
     OptimizeResult,
     UtilityWeights,
     _refinement_axis,
-    feasible_domain,
     optimize_grid,
     utility,
 )
@@ -165,7 +164,8 @@ class TestConstraint:
                           refine=False)
 
     def test_feasible_domain_monotone(self):
-        mask = feasible_domain(BASE, FIG10_GRID, 30.0)
+        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=False)
+        mask = np.array([c.feasible for c in res.surface]).reshape(len(FIG10_GRID.nu), -1)
         assert mask.shape == (len(FIG10_GRID.nu), len(FIG10_GRID.mu))
         assert mask.any()
         # latency falls as either knob grows, so feasibility is upward-closed
@@ -175,6 +175,8 @@ class TestConstraint:
                     assert mask[i:, j:].all()
 
     def test_feasible_domain_extremes(self):
-        assert feasible_domain(BASE, FIG10_GRID, 1e9).all()
+        loose = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=1e9, refine=False)
+        assert all(c.feasible for c in loose.surface)
         small = GridSpec(nu=np.linspace(0.1, 0.2, 2), mu=np.linspace(0.25, 0.5, 2))
-        assert not feasible_domain(BASE, small, 1e-6).any()
+        with pytest.raises(EmptyFeasibleSet):
+            optimize_grid(BASE, FIG10_WEIGHTS, small, constraint=1e-6, refine=False)
