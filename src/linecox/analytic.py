@@ -3,26 +3,26 @@ probability, spectral efficiency, swept-coverage area fractions and latency
 tails.
 
 The interference functional reduces to nested one-dimensional integrals.
-For a line at perpendicular distance ``r`` from the receiver, averaging one
-interferer's fading and device scatter and integrating its position along
-the line gives a per-line exponent
+The along-line integral of sp / (d^alpha + sp) at perpendicular distance a is
+b Phi_alpha(a / b), with b = (s p)^(1/alpha) and
 
-    J(r) = mu * E_u[ Q(|r + u|) ],      u ~ semicircle(nu),
+    Phi_alpha(y) = 2 * int_0^inf dx / (1 + (y^2+x^2)^(alpha/2)),
 
-where Q(a) is the along-line integral of sp / (d^alpha + sp) at perpendicular
-distance a.  Q scales: with b = (s p)^(1/alpha),
+tabulated once per exponent to the requested relative tolerance (see
+``_phi_profile``).  Averaging over the device scatter, a line at distance
+r = xi nu has the exponent m k(xi; beta), with m = mu nu, beta = b / nu and
 
-    Q(a) = b * Phi_alpha(a / b),   Phi_alpha(y) = 2 * int_0^inf dx / (1 + (y^2+x^2)^(alpha/2)),
+    k(xi; beta) = beta * E_v[ Phi_alpha(|xi + v| / beta) ],   v ~ semicircle(1),
 
-so a single profile Phi_alpha, tabulated once per exponent as a cubic Hermite
-on its own slope Phi' (table and direct evaluation agree to the requested
-relative tolerance, or the build raises), serves every (s, p, mu, nu)
-combination.  The full transform is then
+and the transform, with other-line and own-line factors, is
 
-    L(s) = exp(-2 lambda_l * int_0^inf (1 - e^(-J(r))) dr) * exp(-J(0)),
+    L(s) = exp(-2 lambda_l nu * int_0^inf (1 - e^(-m k(xi; beta))) dxi) * exp(-m k(0; beta)).
 
-the two factors being other-line and own-line interference.  The semicircle
-average picks its own node count per (s, r-panel) pair (see ``laplace_factors``).
+So every result here depends on lengths only through lambda_l nu, mu nu and
+beta.  One kernel, ``_line_exponent``, gives k to the transform and to
+``CoverageSurface``, on the same xi-panels (``_r_edges``) and with the same
+far tail (``_tail``).  The transform's semicircle average picks its own node
+count per (s, r-panel) pair (see ``laplace_factors``).
 """
 
 from __future__ import annotations
@@ -221,11 +221,11 @@ def _phi_profile(alpha: float, rel_tol: float) -> _PhiProfile:
 
 
 # ---------------------------------------------------------------------------
-# Laplace transform of the interference
+# the line exponent in units of nu, and the Laplace transform of the interference
 # ---------------------------------------------------------------------------
 
-# the outer r-integral runs over the panels [0, c], [c, 4c], ..., [4^4 c, 4^5 c]
-# with c = max(nu, b); past R = 4^5 c its integrand is expanded in closed form
+# the outer integral runs over the panels [0, c], [c, 4c], ..., [4^4 c, 4^5 c] in
+# xi = r / nu, with c = max(1, beta); past 4^5 c its integrand is expanded in closed form
 _R_PANELS = 6
 _R_RATIO = 4.0
 # (s, r, u) elements per batched pass: the working arrays stay near 128 KB each,
@@ -234,6 +234,70 @@ _R_RATIO = 4.0
 _MAX_ELEMENTS = 2 ** 14
 _U_NODES = 8  # semicircle nodes per side at the u-rule's first level
 _HALF_PI = 0.5 * math.pi
+
+
+def _r_edges(beta: np.ndarray) -> np.ndarray:
+    """The r-panel edges in xi of each beta, shape (beta.size, _R_PANELS + 1)."""
+    return np.maximum(1.0, beta)[:, None] * np.append(0.0, _R_RATIO ** np.arange(_R_PANELS))
+
+
+def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
+                   nodes: np.ndarray) -> np.ndarray:
+    """k(xi; beta) = beta E_v[Phi(|xi + v| / beta)], v ~ semicircle(1), at the offsets
+    xi (shape (k, m)) of k arguments, row i's average taken on nodes[i] nodes per side.
+
+    After v = sin(phi), which removes the semicircle's endpoint singularities,
+    the average takes its nodes on each of two sides.  Phi(|xi + v| / beta)
+    peaks at v = -xi with width beta, so for xi < 1 both sides end there (else
+    they are [-pi/2, 0] and [0, pi/2]), and each side's nodes are graded
+    exponentially toward its end nearest the peak.
+    """
+    out = np.empty(xi.shape)
+    for n in np.unique(nodes):
+        sel = np.flatnonzero(nodes == n)
+        v, w = 0.5 * (leggauss(int(n))[0] + 1.0), 0.5 * leggauss(int(n))[1]
+        x_flat, b_flat = (a.ravel() for a in np.broadcast_arrays(xi[sel], beta[sel, None]))
+        k = np.empty(x_flat.size)
+        step = max(1, _MAX_ELEMENTS // (2 * int(n)))
+        for i in range(0, x_flat.size, step):
+            # arrays are (side, node, element), so that loops run along the elements
+            xc, bc = x_flat[i:i + step], b_flat[i:i + step]
+            inside = xc < 1.0
+            anchor = np.where(inside, -np.arcsin(np.minimum(xc, 1.0)),
+                              np.array([[-_HALF_PI], [0.0]]))
+            width = np.where(inside, np.array([[-_HALF_PI], [_HALF_PI]]),
+                             np.array([[0.0], [_HALF_PI]])) - anchor
+            c = np.log1p(np.abs(width) / (bc + np.abs(xc + np.sin(anchor))))
+            grow = np.expm1(c)
+            # nodes anchor + width (e^(c v) - 1) / grow, with dphi/dv =
+            # |width| c e^(c v) / grow; v = sin(phi) brings cos^2(phi)
+            rise = np.exp(c[:, None] * v[:, None])
+            scale = (width / grow)[:, None]
+            sin = np.sin((anchor[:, None] - scale) + scale * rise)
+            cos2 = rise * (1.0 - sin * sin)
+            phi = profile(np.abs(xc + sin) / bc)
+            k[i:i + step] = ((w @ (phi * cos2)) * (np.abs(width) * c / grow)).sum(axis=0)
+        out[sel] = k.reshape(sel.size, -1)
+    return beta[:, None] * out / _HALF_PI
+
+
+def _tail(profile: _PhiProfile, m: float, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """int_xi^inf (1 - exp(-m k(x; beta))) dx for the large-x form of k, m = mu nu.
+
+    Phi's large-y terms and E[v^2] = 1/4 give m k = A x^(1-alpha) (1 + alpha
+    (alpha-1) / (8 x^2)) + B x^(1-2 alpha), A = m a1 beta^alpha, B = m a2
+    beta^(2 alpha).  The A term integrates exactly: with k = 1 / (alpha-1) and
+    T = A x^(1-alpha) to A^k [Gamma(1-k) P(1-k, T) - (1 - e^-T) T^-k], P the
+    regularised lower incomplete gamma function; the others enter to first
+    order.  What is left out is of relative order xi^-4, T xi^-2 and
+    (beta / xi)^alpha.
+    """
+    alpha, sp = profile.alpha, beta ** profile.alpha
+    a = m * profile.tail_a1 * sp
+    k, t = 1.0 / (alpha - 1.0), a * xi ** (1.0 - alpha)
+    return (a ** k * (math.gamma(1.0 - k) * gammainc(1.0 - k, t) + np.expm1(-t) * t ** -k)
+            + a * (alpha - 1.0) * xi ** -alpha / 8.0
+            + m * profile.tail_a2 * sp ** 2 * xi ** (2.0 - 2.0 * alpha) / (2.0 * alpha - 2.0))
 
 
 def _batch(x, name: str):
@@ -254,63 +318,17 @@ class LaplaceEvaluator:
     """
 
     def __init__(self, params: NetworkParams, quad: QuadratureSpec = QuadratureSpec()):
-        self.params = validate(params)
-        self.quad = quad
+        self.params, self.quad = validate(params), quad
         self._profile = _phi_profile(params.alpha, quad.rel_tol)
 
-    # -- exponent profile ---------------------------------------------------
-
-    def _line_exponent(self, r: np.ndarray, b: np.ndarray, nodes: np.ndarray,
-                       use_table: bool = True) -> np.ndarray:
-        """J at the offsets r (shape (k, m)) of k arguments with b = (s p)^(1/alpha),
-        row i's semicircle average taken on nodes[i] nodes per side.
-
-        After u = nu sin(phi), which removes the semicircle's endpoint
-        singularities, the average takes its nodes on each of two sides.
-        Phi(|r + u| / b) peaks at u = -r with width b, so for r < nu both
-        sides end there (else they are [-pi/2, 0] and [0, pi/2]), and each
-        side's nodes are graded exponentially toward its end nearest the peak.
-        """
-        p = self.params
-        out = np.empty(r.shape)
-        for n in np.unique(nodes):
-            sel = np.flatnonzero(nodes == n)
-            v, w = 0.5 * (leggauss(int(n))[0] + 1.0), 0.5 * leggauss(int(n))[1]
-            r_flat, b_flat = (a.ravel() for a in np.broadcast_arrays(r[sel], b[sel, None]))
-            j = np.empty(r_flat.size)
-            # _phi_direct expands each of its arguments over 255 nodes
-            step = max(1, _MAX_ELEMENTS // (2 * int(n) * (1 if use_table else 255)))
-            for i in range(0, r_flat.size, step):
-                # arrays are (side, node, element), so that loops run along the elements
-                rc, bc = r_flat[i:i + step], b_flat[i:i + step]
-                inside = rc < p.nu
-                anchor = np.where(inside, -np.arcsin(np.minimum(rc / p.nu, 1.0)),
-                                  np.array([[-_HALF_PI], [0.0]]))
-                width = np.where(inside, np.array([[-_HALF_PI], [_HALF_PI]]),
-                                 np.array([[0.0], [_HALF_PI]])) - anchor
-                c = np.log1p(np.abs(width) * p.nu / (bc + np.abs(rc + p.nu * np.sin(anchor))))
-                grow = np.expm1(c)
-                # nodes anchor + width (e^(c v) - 1) / grow, with dphi/dv =
-                # |width| c e^(c v) / grow; u = nu sin(phi) brings cos^2(phi)
-                rise = np.exp(c[:, None] * v[:, None])
-                scale = (width / grow)[:, None]
-                sin = np.sin((anchor[:, None] - scale) + scale * rise)
-                cos2 = rise * (1.0 - sin * sin)
-                arg = np.abs(rc + p.nu * sin) / bc
-                phi = (self._profile(arg) if use_table
-                       else _phi_direct(arg.ravel(), p.alpha).reshape(arg.shape))
-                j[i:i + step] = ((w @ (phi * cos2)) * (np.abs(width) * c / grow)).sum(axis=0)
-            out[sel] = j.reshape(sel.size, -1)
-        return p.mu * b[:, None] * out / _HALF_PI
-
-    def _u_rule(self, r: np.ndarray, b: np.ndarray, nodes: np.ndarray, g, weight: np.ndarray,
-                tol: float, check: np.ndarray, use_table: bool = True, value=None):
-        """(g(J_n), n, g(J_2n) at the columns ``check``) at the offsets r (shape (k, m)),
-        value = g(J_n) if known: from nodes[i] per side, row i's n doubles until the
-        sum over ``check`` of weight * |g(J_n) - g(J_2n)| is within tol."""
+    def _u_rule(self, xi: np.ndarray, beta: np.ndarray, nodes: np.ndarray, g,
+                weight: np.ndarray, tol: float, check: np.ndarray, value=None):
+        """(g(k_n), n, g(k_2n) at the columns ``check``) at the offsets xi (shape (k, m)),
+        value = g(k_n) if known: from nodes[i] per side, row i's n doubles until the
+        sum over ``check`` of weight * |g(k_n) - g(k_2n)| is within tol."""
         if value is None:
-            value = g(self._line_exponent(r, b, nodes, use_table))
-        fine = (g(self._line_exponent(r[:, check], b, 2 * nodes, use_table)) if check.size
+            value = g(_line_exponent(self._profile, xi, beta, nodes))
+        fine = (g(_line_exponent(self._profile, xi[:, check], beta, 2 * nodes)) if check.size
                 else value[:, check])
         err = (weight[:, check] * np.abs(fine - value[:, check])).sum(axis=1)
         redo, nodes = err > tol, nodes.copy()
@@ -318,76 +336,58 @@ class LaplaceEvaluator:
             raise QuadratureNotConverged(float(fine.sum()), float(err.max()), "semicircle")
         if redo.any():
             value[redo], nodes[redo], fine[redo] = self._u_rule(
-                r[redo], b[redo], 2 * nodes[redo], g, weight[redo], tol, check, use_table,
-                fine[redo] if check.size == r.shape[1] else None)
+                xi[redo], beta[redo], 2 * nodes[redo], g, weight[redo], tol, check,
+                fine[redo] if check.size == xi.shape[1] else None)
         return value, nodes, fine
 
-    def _tail(self, s: np.ndarray, r: np.ndarray, mu: float, nu: float) -> np.ndarray:
-        """int_r^inf (1 - exp(-J)) dr for the large-r form of J, at vehicle
-        density mu and disk radius nu (the transform passes its own; the
-        coverage surface, working in units of nu, passes mu nu and 1).
-
-        Phi's large-y terms and E[u^2] = nu^2 / 4 give J = A r^(1-alpha)
-        (1 + alpha (alpha-1) nu^2 / (8 r^2)) + B r^(1-2 alpha), A = mu a1 s p,
-        B = mu a2 (s p)^2.  The A term integrates exactly: with k = 1 / (alpha-1)
-        and T = A r^(1-alpha) to A^k [Gamma(1-k) P(1-k, T) - (1 - e^-T) T^-k],
-        P the regularised lower incomplete gamma function; the others enter
-        to first order.  What is left out is of relative order (nu / r)^4,
-        T (nu / r)^2 and (b / r)^alpha.
-        """
-        p, alpha = self.params, self.params.alpha
-        a = mu * self._profile.tail_a1 * s * p.power
-        k, t = 1.0 / (alpha - 1.0), a * r ** (1.0 - alpha)
-        return (a ** k * (math.gamma(1.0 - k) * gammainc(1.0 - k, t) + np.expm1(-t) * t ** -k)
-                + a * (alpha - 1.0) * nu ** 2 * r ** -alpha / 8.0
-                + mu * self._profile.tail_a2 * (s * p.power) ** 2 * r ** (2.0 - 2.0 * alpha)
-                / (2.0 * alpha - 2.0))
-
-    def laplace_factors(self, s, use_table: bool = True):
+    def laplace_factors(self, s):
         """(other-line factor, own-line factor) of L(s), elementwise over s;
         their product is laplace(s).
 
-        Each exponent is held to rel_tol / 4.  An (s, r-panel) pair's u-count
-        passes ``_u_rule`` on 1 - e^(-J), weighted by the r-rule, within the r
-        tolerance over the panel count: at all nodes of the first r-pass, and
-        past the second (where panels resolved at the first pass's nodes end)
-        at the nodes nearer the panel edges, where an edge layer (r near nu,
-        b << nu) shows.  J(0) is the rule's last J_2n: a count changing with s
-        would step L(s).
+        Power enters only through beta = (s p)^(1/alpha) / nu.  Each exponent
+        is held to rel_tol / 4, so the xi-integral to max(abs_tol, rel_tol /
+        (8 lambda_l nu)).  An (s, r-panel) pair's u-count passes ``_u_rule`` on
+        1 - e^(-mu nu k), weighted by the r-rule, within that tolerance over
+        the panel count: at all nodes of the first r-pass, and past the second
+        (where panels resolved at the first pass's nodes end) at the nodes
+        nearer the panel edges, where an edge layer (xi near 1, beta << 1)
+        shows.  k(0) is the rule's last k_2n: a count changing with s would
+        step L(s).
         """
         flat, shaped = _batch(s, "transform argument")
         other, own = np.zeros(flat.size), np.zeros(flat.size)
         pos = np.flatnonzero(flat)
         if pos.size:
             p, q = self.params, self.quad
-            b = (flat[pos] * p.power) ** (1.0 / p.alpha)
-            edges = np.maximum(p.nu, b)[:, None] * np.append(0.0, _R_RATIO ** np.arange(_R_PANELS))
+            m, span = p.mu * p.nu, 2.0 * p.lambda_l * p.nu
+            beta = (flat[pos] * p.power) ** (1.0 / p.alpha) / p.nu
+            edges = _r_edges(beta)
             half = 0.5 * np.diff(edges, axis=1)
-            r_tol = max(q.abs_tol, 0.25 * q.rel_tol / (2.0 * p.lambda_l))
+            xi_tol = max(q.abs_tol, 0.25 * q.rel_tol / span)
             u_nodes = np.full(half.shape, _U_NODES)  # per (s, r-panel)
 
-            def outer(r: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-                x, w = leggauss(r.shape[-1])
+            def outer(xi: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+                x, w = leggauss(xi.shape[-1])
                 # u-differences checked: all, none, then beyond the first pass's reach
                 reach = {GL_NODES: 0.0, 2 * GL_NODES: 1.0}.get(
                     len(x), np.abs(leggauss(GL_NODES)[0]).max())
                 val, u_nodes[rows, cols], _ = self._u_rule(
-                    r.reshape(len(rows), -1), b[rows], u_nodes[rows, cols],
-                    lambda j: -np.expm1(-j), half[rows, cols, None] * w, r_tol / _R_PANELS,
-                    np.flatnonzero(np.abs(x) > reach), use_table)
+                    xi.reshape(len(rows), -1), beta[rows], u_nodes[rows, cols],
+                    lambda k: -np.expm1(-m * k), half[rows, cols, None] * w, xi_tol / _R_PANELS,
+                    np.flatnonzero(np.abs(x) > reach))
                 return val[:, None, :]
 
-            near = gauss_legendre(outer, edges, replace(q, abs_tol=r_tol))[0].sum(axis=1)
-            other[pos] = 2.0 * p.lambda_l * (near + self._tail(flat[pos], edges[:, -1], p.mu, p.nu))
+            near = gauss_legendre(outer, edges, replace(q, abs_tol=xi_tol))[0].sum(axis=1)
+            other[pos] = span * (near + _tail(self._profile, m, beta, edges[:, -1]))
             zero = np.zeros((pos.size, 1))
-            _, _, j0 = self._u_rule(zero, b, np.full(pos.size, _U_NODES), lambda j: j, zero + 1.0,
-                                    max(q.abs_tol, 0.25 * q.rel_tol), np.array([0]), use_table)
+            _, _, j0 = self._u_rule(zero, beta, np.full(pos.size, _U_NODES), lambda k: m * k,
+                                    zero + 1.0, max(q.abs_tol, 0.25 * q.rel_tol), np.array([0]))
             own[pos] = j0[:, 0]
         return shaped(np.exp(-other)), shaped(np.exp(-own))
 
-    def laplace(self, s, use_table: bool = True):
+    def laplace(self, s):
         """L(s) = E[exp(-s I)] for the total interference power I, elementwise over s."""
-        other, own = self.laplace_factors(s, use_table)
+        other, own = self.laplace_factors(s)
         return other * own
 
     # -- functionals --------------------------------------------------------
@@ -408,7 +408,8 @@ class LaplaceEvaluator:
             return 2.0 * rho / p.nu ** 2 * self.laplace(s)
 
         val = gauss_legendre(f, np.tile([0.0, p.nu], (taus.size, 1)), self.quad)[0][:, 0]
-        return shaped(np.minimum(1.0, val))
+        # P(SIR > 0) = 1, where the rule's sum of 2 rho / nu^2 may round below 1
+        return shaped(np.where(taus > 0.0, np.minimum(1.0, val), 1.0))
 
     def ase(self) -> float:
         """Mean spatial throughput density, bit/s/Hz per km^2.
@@ -458,61 +459,57 @@ class CoverageSurface:
     """P(SIR > tau) at many (nu, mu) cells that share every other parameter of
     ``base``, all from one inner exponent.
 
-    In units of nu, with x = rho / nu, xi = r / nu and beta = b / nu =
-    tau^(1/alpha) x (transmit power cancels), the line exponent is
-    J = mu nu k(xi; beta), and k, the costly part, depends on (alpha, tau)
-    alone.  So
+    With x = rho / nu the transform's beta is tau^(1/alpha) x (power cancels),
+    so k(xi; beta) of ``_line_exponent``, the costly part, depends on (alpha,
+    tau) alone:
 
         p_c = int_0^1 2x exp(-2 lambda_l nu [int_0^inf (1 - e^(-mu nu k(xi; beta))) dxi]
                              - mu nu k(0; beta)) dx.
 
     Each level of a fixed node ladder holds k once for every cell: n
-    Gauss-Legendre nodes in x on [0, 1], the transform's six r-panels scaled by
-    max(1, beta) with n nodes each, and n semicircle nodes per side; past the
-    last panel ``_tail`` gives the rest.  A cell adds only a pass over mu nu k.
-    It takes the first n whose value at 2n lies within max(abs_tol, rel_tol *
-    |value|) of its value at n, and reports the value at 2n with that
-    difference; a cell short of that at _SURFACE_MAX_NODES raises
-    QuadratureNotConverged.  The ladder depends only on (alpha, tau, quad), so
-    no cell's value depends on the rest of the grid, and the levels one call
-    builds serve the next.
+    Gauss-Legendre nodes in x on [0, 1], n on each of the transform's r-panels
+    (``_r_edges``) and n semicircle nodes per side, with ``_tail`` past the
+    last panel; a cell adds only a pass over mu nu k.  A cell takes the first
+    n whose value at 2n lies within max(abs_tol, rel_tol * |value|) of its
+    value at n and reports the 2n value with that difference; past
+    _SURFACE_MAX_NODES it raises QuadratureNotConverged.  The ladder depends
+    only on (alpha, tau, quad), so no cell's value depends on the rest of the
+    grid, and the levels one call builds serve the next.
     """
 
     def __init__(self, base: NetworkParams, tau: float, quad: QuadratureSpec = QuadratureSpec()):
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         self.base, self.tau, self.quad = validate(base), float(tau), quad
-        # at mu = nu = 1 and unit power, _line_exponent gives k(xi; beta) at b = beta
-        self._unit = LaplaceEvaluator(replace(base, mu=1.0, nu=1.0, power=1.0), quad)
+        self._profile = _phi_profile(base.alpha, quad.rel_tol)
         self._levels: dict[int, tuple] = {}
 
     def _level(self, n: int) -> tuple:
         """(x-rule weights times 2x, x-nodes with beta > 0, their r-weights, k at the
-        r-nodes, k(0), (beta^alpha, last r-edge) for ``_tail``) of level n."""
+        r-nodes, k(0), (beta, last r-edge) for ``_tail``) of level n."""
         if n not in self._levels:
             t, w = leggauss(n)
             x = 0.5 * (t + 1.0)
             beta = self.tau ** (1.0 / self.base.alpha) * x
             pos = np.flatnonzero(beta)  # at beta = 0 (tau = 0) there is no interference
             beta = beta[pos]
-            edges = (np.maximum(1.0, beta)[:, None]
-                     * np.append(0.0, _R_RATIO ** np.arange(_R_PANELS)))
+            edges = _r_edges(beta)
             half = 0.5 * np.diff(edges, axis=1)[:, :, None]
             xi = (edges[:, :-1, None] + half * (t + 1.0)).reshape(pos.size, _R_PANELS * n)
             nodes = np.full(pos.size, n)
-            k = self._unit._line_exponent(xi, beta, nodes)
-            k0 = self._unit._line_exponent(np.zeros((pos.size, 1)), beta, nodes)[:, 0]
-            self._levels[n] = (x * w, pos, (half * w).reshape(xi.shape), k, k0,
-                               beta ** self.base.alpha, edges[:, -1])
+            k = _line_exponent(self._profile, xi, beta, nodes)
+            k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta, nodes)[:, 0]
+            self._levels[n] = (x * w, pos, (half * w).reshape(xi.shape), k, k0, beta,
+                               edges[:, -1])
         return self._levels[n]
 
     def _value(self, n: int, nu: float, mu: float) -> float:
-        weight, pos, r_weight, k, k0, sp, far = self._level(n)
-        mn = mu * nu
-        near = (r_weight * -np.expm1(-mn * k)).sum(axis=1)
+        weight, pos, r_weight, k, k0, beta, far = self._level(n)
+        m = mu * nu
+        near = (r_weight * -np.expm1(-m * k)).sum(axis=1)
         exponent = np.zeros(weight.size)
-        exponent[pos] = (2.0 * self.base.lambda_l * nu * (near + self._unit._tail(sp, far, mn, 1.0))
-                         + mn * k0)
+        exponent[pos] = (2.0 * self.base.lambda_l * nu
+                         * (near + _tail(self._profile, m, beta, far)) + m * k0)
         return float(weight @ np.exp(-exponent))
 
     def __call__(self, nu, mu) -> tuple[np.ndarray, np.ndarray]:

@@ -302,9 +302,11 @@ class QuadratureSpec:
     each panel with an n-node and a 2n-node rule; the sum of the panels'
     differences is the estimate, and only the panels whose difference exceeds
     the tolerance's share are taken again with n doubled.  The transform's
-    exponent is held to rel_tol / 4 in absolute terms.  Half-line integrals
-    add doubling blocks until a whole block contributes less than rel_tol of
-    the running total (with abs_tol as a floor).
+    exponents are dimensionless and each held to rel_tol / 4 (abs_tol a
+    floor): mu nu k(0; beta) directly, and 2 lambda_l nu times an integral
+    over xi = r / nu by holding that integral to rel_tol / (8 lambda_l nu).
+    Half-line integrals add doubling blocks until a whole block contributes
+    less than rel_tol of the running total (with abs_tol as a floor).
     """
 
     rel_tol: float = 1e-6

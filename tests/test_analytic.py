@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from linecox.core import (
@@ -140,14 +141,15 @@ def _u_case(alpha, ratio, lc, mc, s):
 
 
 def _u_rule_calls(monkeypatch, params, s):
-    """(offsets, counts in, counts out) of every semicircle-rule call one transform makes."""
+    """(offsets xi = r / nu, counts in, counts out) of every semicircle-rule call one
+    transform makes."""
     calls = []
     rule = LaplaceEvaluator._u_rule
 
-    def spy(ev, r, b, nodes, *args):
-        call = [r, nodes]
+    def spy(ev, xi, beta, nodes, *args):
+        call = [xi, nodes]
         calls.append(call)  # in the order the calls begin: the rule recurses
-        out = rule(ev, r, b, nodes, *args)
+        out = rule(ev, xi, beta, nodes, *args)
         call.append(out[1])
         return out
 
@@ -168,18 +170,18 @@ class TestSemicircleRule:
     def test_far_panel_keeps_first_level(self, monkeypatch):
         # the first r-pass takes all six panels of the one argument, in order
         params = _u_case(3.0, 1.0, 0.35, 0.48, 1e-3)
-        r, _, counts = _u_rule_calls(monkeypatch, params, 1e-3)[0]
-        c = max(params.nu, 1e-3 ** (1.0 / 3.0))
-        assert r.shape == (6, GL_NODES) and np.all(r[2:] >= 4.0 * c)
+        xi, _, counts = _u_rule_calls(monkeypatch, params, 1e-3)[0]
+        beta = 1e-3 ** (1.0 / 3.0) / params.nu
+        assert xi.shape == (6, GL_NODES) and np.all(xi[2:] >= 4.0 * max(1.0, beta))
         assert np.all(counts[2:] == _U_NODES)
 
     def test_panel_at_nu_refines_when_b_small(self, monkeypatch):
-        # b = nu / 1000: the panel [0, nu] ends at the peak's edge
+        # beta = 1 / 1000: the panel [0, 1] in xi ends at the peak's edge
         calls = _u_rule_calls(monkeypatch, _u_case(3.0, 1e3, 0.93, 210000.0, 1e-3), 1e-3)
-        r, _, counts = calls[0]
-        assert r.shape[1] == GL_NODES and counts[0] > _U_NODES
-        # and a pass that refines r near nu checks its count again and raises it
-        assert any(r.shape[1] > 2 * GL_NODES and np.any(out > into) for r, into, out in calls)
+        xi, _, counts = calls[0]
+        assert xi.shape[1] == GL_NODES and counts[0] > _U_NODES
+        # and a pass that refines xi near 1 checks its count again and raises it
+        assert any(xi.shape[1] > 2 * GL_NODES and np.any(out > into) for xi, into, out in calls)
 
 
 class TestLaplaceShape:
@@ -196,10 +198,18 @@ class TestLaplaceShape:
             laplace(P33, -1.0)
 
     def test_table_matches_direct_evaluation(self):
-        ev = LaplaceEvaluator(P33)
+        # the same transform with every Phi lookup made by direct quadrature;
+        # the table's large-y coefficients still give the closed-form far tail
+        class DirectProfile(analytic._PhiProfile):
+            def __call__(self, y):
+                y = np.asarray(y, dtype=float)
+                return _phi_direct(y.ravel(), self.alpha).reshape(y.shape)
+
+        table, direct = LaplaceEvaluator(P33), LaplaceEvaluator(P33)
+        direct._profile = DirectProfile(**vars(table._profile))
         for s in (1e-3, 1e-2, 1e-1):
-            t1, t2 = ev.laplace_factors(s, use_table=True)
-            d1, d2 = ev.laplace_factors(s, use_table=False)
+            t1, t2 = table.laplace_factors(s)
+            d1, d2 = direct.laplace_factors(s)
             assert t1 == pytest.approx(d1, rel=1e-5)
             assert t2 == pytest.approx(d2, rel=1e-5)
 
@@ -257,7 +267,7 @@ class TestLaplaceShape:
 
 class TestCoverage:
     def test_at_zero_threshold(self):
-        assert coverage_probability(P33, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert coverage_probability(P33, 0.0) == 1.0
 
     def test_decreasing_in_threshold(self):
         taus = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -275,13 +285,13 @@ class TestCoverage:
         assert coverage_probability(P33, tau) == pytest.approx(ref, rel=1e-8)
 
     def test_scale_invariant(self):
-        # not bit-exact: abs_tol and the transform's exponent tolerance do not
-        # scale with the units, so the node counts the rules settle on may shift,
-        # and agreement is only to the quadrature tolerance
+        # every tolerance is set on a dimensionless integral, so the rules take
+        # the same nodes in any units and only rounding differs (see
+        # TestScaleInvariance for the other quantities and a range of scales)
         for tau in (0.5, 2.0):
             a = coverage_probability(P33, tau)
             b = coverage_probability(P33.scaled(2.0), tau)
-            assert b == pytest.approx(a, rel=1e-6)
+            assert b == pytest.approx(a, rel=1e-12)
 
 
 # the fig10 optimiser's base parameters and its coarse (nu, mu) grid, flattened
@@ -318,20 +328,18 @@ class TestCoverageSurface:
             assert np.array_equal(grid[0], other[0]) and np.array_equal(grid[1], other[1])
 
     def test_zero_threshold(self, monkeypatch):
-        line_exponent = LaplaceEvaluator._line_exponent
+        line_exponent = analytic._line_exponent
 
-        def checked(self, r, b, nodes, *args):
-            assert np.all(b > 0), "beta = 0 reached the line exponent"
-            return line_exponent(self, r, b, nodes, *args)
+        def checked(profile, xi, beta, nodes):
+            assert np.all(beta > 0), "beta = 0 reached the line exponent"
+            return line_exponent(profile, xi, beta, nodes)
 
-        monkeypatch.setattr(LaplaceEvaluator, "_line_exponent", checked)
+        monkeypatch.setattr(analytic, "_line_exponent", checked)
         value, diff = CoverageSurface(FIG10, 0.0)(FIG10_NU, FIG10_MU)
-        # P(SIR > 0) = 1: the surface gives it exactly; the per-cell Gauss-Legendre
-        # sum of 2 rho / nu^2 rounds to 1 - 2^-53 at some nu
+        # P(SIR > 0) = 1, exactly, from the surface and from the per-cell path
         assert np.all(value == 1.0) and np.all(diff == 0.0)
         for nu, mu in zip(FIG10_NU, FIG10_MU):
-            per_cell = coverage_probability(replace(FIG10, nu=nu, mu=mu), 0.0)
-            assert abs(per_cell - 1.0) <= math.ulp(1.0)
+            assert coverage_probability(replace(FIG10, nu=nu, mu=mu), 0.0) == 1.0
 
     def test_ladder_cap_raises(self, monkeypatch):
         # at rel_tol 1e-9 this cell needs the 32- and 64-node levels to agree
@@ -339,6 +347,38 @@ class TestCoverageSurface:
         surface = CoverageSurface(FIG10, 1.0, QuadratureSpec(rel_tol=1e-9))
         with pytest.raises(QuadratureNotConverged, match="nu=0.5, mu=0.5"):
             surface(0.5, 0.5)
+
+
+class TestScaleInvariance:
+    """The analytic results depend on lengths only through lambda_l nu, mu nu
+    and beta = b / nu, so ``NetworkParams.scaled`` changes them by rounding
+    alone: the transform at s kappa^alpha, coverage, ASE times kappa^2 and the
+    coverage surface's cells at (nu kappa, mu / kappa)."""
+
+    S = np.geomspace(1e-4, 0.1, 4)
+    TAUS = np.array([0.5, 2.0])
+    CELLS = (np.array([0.05, 0.1, 0.5]), np.array([0.5, 3.0, 5.0]))
+
+    def _results(self, params, kappa):
+        nu, mu = self.CELLS
+        return np.concatenate([
+            laplace(params, self.S * kappa ** params.alpha),
+            coverage_probability(params, self.TAUS),
+            [area_spectral_efficiency(params) * kappa ** 2],
+            CoverageSurface(params, 1.0)(nu * kappa, mu / kappa)[0],
+        ])
+
+    # at kappa = 1e-4, lambda_l exceeds rel_tol / (8 abs_tol): an r-tolerance
+    # floored in km rather than in units of nu would show there
+    @example(log_kappa=-4.0, alpha=3.0)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(st.floats(-4.0, 4.0), st.sampled_from([2.2, 3.0, 6.0]))
+    def test_results_unchanged_by_units(self, log_kappa, alpha):
+        kappa = 10.0 ** log_kappa
+        for base in (P33, FIG3):
+            params = replace(base, alpha=alpha)
+            np.testing.assert_allclose(self._results(params.scaled(kappa), kappa),
+                                       self._results(params, 1.0), rtol=1e-12, atol=0.0)
 
 
 class TestAse:
