@@ -21,8 +21,8 @@ and the transform, with other-line and own-line factors, is
 So every result here depends on lengths only through lambda_l nu, mu nu and
 beta.  One kernel, ``_line_exponent``, gives k to the transform and to
 ``CoverageSurface``, on the same xi-panels (``_r_edges``) and with the same
-far tail (``_tail``).  The transform's semicircle average picks its own node
-count per (s, r-panel) pair (see ``laplace_factors``).
+far tail (``_tail``), and both take the semicircle average on as many nodes
+per side as the xi-rule takes on the panel (see ``laplace_factors``).
 """
 
 from __future__ import annotations
@@ -232,7 +232,6 @@ _R_RATIO = 4.0
 # so the dozen or so a pass holds fit in the heap malloc keeps between passes
 # (at 2^16, 40k page faults per fig5 coverage curve)
 _MAX_ELEMENTS = 2 ** 14
-_U_NODES = 8  # semicircle nodes per side at the u-rule's first level
 _HALF_PI = 0.5 * math.pi
 
 
@@ -242,9 +241,9 @@ def _r_edges(beta: np.ndarray) -> np.ndarray:
 
 
 def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
-                   nodes: np.ndarray) -> np.ndarray:
+                   n: int) -> np.ndarray:
     """k(xi; beta) = beta E_v[Phi(|xi + v| / beta)], v ~ semicircle(1), at the offsets
-    xi (shape (k, m)) of k arguments, row i's average taken on nodes[i] nodes per side.
+    xi (shape (k, m)) of k arguments, on n nodes per side.
 
     After v = sin(phi), which removes the semicircle's endpoint singularities,
     the average takes its nodes on each of two sides.  Phi(|xi + v| / beta)
@@ -252,33 +251,29 @@ def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
     they are [-pi/2, 0] and [0, pi/2]), and each side's nodes are graded
     exponentially toward its end nearest the peak.
     """
-    out = np.empty(xi.shape)
-    for n in np.unique(nodes):
-        sel = np.flatnonzero(nodes == n)
-        v, w = 0.5 * (leggauss(int(n))[0] + 1.0), 0.5 * leggauss(int(n))[1]
-        x_flat, b_flat = (a.ravel() for a in np.broadcast_arrays(xi[sel], beta[sel, None]))
-        k = np.empty(x_flat.size)
-        step = max(1, _MAX_ELEMENTS // (2 * int(n)))
-        for i in range(0, x_flat.size, step):
-            # arrays are (side, node, element), so that loops run along the elements
-            xc, bc = x_flat[i:i + step], b_flat[i:i + step]
-            inside = xc < 1.0
-            anchor = np.where(inside, -np.arcsin(np.minimum(xc, 1.0)),
-                              np.array([[-_HALF_PI], [0.0]]))
-            width = np.where(inside, np.array([[-_HALF_PI], [_HALF_PI]]),
-                             np.array([[0.0], [_HALF_PI]])) - anchor
-            c = np.log1p(np.abs(width) / (bc + np.abs(xc + np.sin(anchor))))
-            grow = np.expm1(c)
-            # nodes anchor + width (e^(c v) - 1) / grow, with dphi/dv =
-            # |width| c e^(c v) / grow; v = sin(phi) brings cos^2(phi)
-            rise = np.exp(c[:, None] * v[:, None])
-            scale = (width / grow)[:, None]
-            sin = np.sin((anchor[:, None] - scale) + scale * rise)
-            cos2 = rise * (1.0 - sin * sin)
-            phi = profile(np.abs(xc + sin) / bc)
-            k[i:i + step] = ((w @ (phi * cos2)) * (np.abs(width) * c / grow)).sum(axis=0)
-        out[sel] = k.reshape(sel.size, -1)
-    return beta[:, None] * out / _HALF_PI
+    v, w = 0.5 * (leggauss(n)[0] + 1.0), 0.5 * leggauss(n)[1]
+    x_flat, b_flat = (a.ravel() for a in np.broadcast_arrays(xi, beta[:, None]))
+    k = np.empty(x_flat.size)
+    step = max(1, _MAX_ELEMENTS // (2 * n))
+    for i in range(0, x_flat.size, step):
+        # arrays are (side, node, element), so that loops run along the elements
+        xc, bc = x_flat[i:i + step], b_flat[i:i + step]
+        inside = xc < 1.0
+        anchor = np.where(inside, -np.arcsin(np.minimum(xc, 1.0)),
+                          np.array([[-_HALF_PI], [0.0]]))
+        width = np.where(inside, np.array([[-_HALF_PI], [_HALF_PI]]),
+                         np.array([[0.0], [_HALF_PI]])) - anchor
+        c = np.log1p(np.abs(width) / (bc + np.abs(xc + np.sin(anchor))))
+        grow = np.expm1(c)
+        # nodes anchor + width (e^(c v) - 1) / grow, with dphi/dv =
+        # |width| c e^(c v) / grow; v = sin(phi) brings cos^2(phi)
+        rise = np.exp(c[:, None] * v[:, None])
+        scale = (width / grow)[:, None]
+        sin = np.sin((anchor[:, None] - scale) + scale * rise)
+        cos2 = rise * (1.0 - sin * sin)
+        phi = profile(np.abs(xc + sin) / bc)
+        k[i:i + step] = ((w @ (phi * cos2)) * (np.abs(width) * c / grow)).sum(axis=0)
+    return beta[:, None] * k.reshape(xi.shape) / _HALF_PI
 
 
 def _tail(profile: _PhiProfile, m: float, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -321,38 +316,15 @@ class LaplaceEvaluator:
         self.params, self.quad = validate(params), quad
         self._profile = _phi_profile(params.alpha, quad.rel_tol)
 
-    def _u_rule(self, xi: np.ndarray, beta: np.ndarray, nodes: np.ndarray, g,
-                weight: np.ndarray, tol: float, check: np.ndarray, value=None):
-        """(g(k_n), n, g(k_2n) at the columns ``check``) at the offsets xi (shape (k, m)),
-        value = g(k_n) if known: from nodes[i] per side, row i's n doubles until the
-        sum over ``check`` of weight * |g(k_n) - g(k_2n)| is within tol."""
-        if value is None:
-            value = g(_line_exponent(self._profile, xi, beta, nodes))
-        fine = (g(_line_exponent(self._profile, xi[:, check], beta, 2 * nodes)) if check.size
-                else value[:, check])
-        err = (weight[:, check] * np.abs(fine - value[:, check])).sum(axis=1)
-        redo, nodes = err > tol, nodes.copy()
-        if redo.any() and 4 * nodes[redo].max() > GL_MAX_NODES:
-            raise QuadratureNotConverged(float(fine.sum()), float(err.max()), "semicircle")
-        if redo.any():
-            value[redo], nodes[redo], fine[redo] = self._u_rule(
-                xi[redo], beta[redo], 2 * nodes[redo], g, weight[redo], tol, check,
-                fine[redo] if check.size == xi.shape[1] else None)
-        return value, nodes, fine
-
     def laplace_factors(self, s):
         """(other-line factor, own-line factor) of L(s), elementwise over s;
         their product is laplace(s).
 
         Power enters only through beta = (s p)^(1/alpha) / nu.  Each exponent
         is held to rel_tol / 4, so the xi-integral to max(abs_tol, rel_tol /
-        (8 lambda_l nu)).  An (s, r-panel) pair's u-count passes ``_u_rule`` on
-        1 - e^(-mu nu k), weighted by the r-rule, within that tolerance over
-        the panel count: at all nodes of the first r-pass, and past the second
-        (where panels resolved at the first pass's nodes end) at the nodes
-        nearer the panel edges, where an edge layer (xi near 1, beta << 1)
-        shows.  k(0) is the rule's last k_2n: a count changing with s would
-        step L(s).
+        (8 lambda_l nu)).  At each xi-node the semicircle average takes as
+        many nodes per side as the xi-rule takes on that panel, so the rule's
+        n-to-2n differences, and its refinement, cover both.
         """
         flat, shaped = _batch(s, "transform argument")
         other, own = np.zeros(flat.size), np.zeros(flat.size)
@@ -362,28 +334,33 @@ class LaplaceEvaluator:
             m, span = p.mu * p.nu, 2.0 * p.lambda_l * p.nu
             beta = (flat[pos] * p.power) ** (1.0 / p.alpha) / p.nu
             edges = _r_edges(beta)
-            half = 0.5 * np.diff(edges, axis=1)
             xi_tol = max(q.abs_tol, 0.25 * q.rel_tol / span)
-            u_nodes = np.full(half.shape, _U_NODES)  # per (s, r-panel)
 
             def outer(xi: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-                x, w = leggauss(xi.shape[-1])
-                # u-differences checked: all, none, then beyond the first pass's reach
-                reach = {GL_NODES: 0.0, 2 * GL_NODES: 1.0}.get(
-                    len(x), np.abs(leggauss(GL_NODES)[0]).max())
-                val, u_nodes[rows, cols], _ = self._u_rule(
-                    xi.reshape(len(rows), -1), beta[rows], u_nodes[rows, cols],
-                    lambda k: -np.expm1(-m * k), half[rows, cols, None] * w, xi_tol / _R_PANELS,
-                    np.flatnonzero(np.abs(x) > reach))
-                return val[:, None, :]
+                k = _line_exponent(self._profile, xi[:, 0], beta[rows], xi.shape[-1])
+                return -np.expm1(-m * k)[:, None, :]
 
             near = gauss_legendre(outer, edges, replace(q, abs_tol=xi_tol))[0].sum(axis=1)
             other[pos] = span * (near + _tail(self._profile, m, beta, edges[:, -1]))
-            zero = np.zeros((pos.size, 1))
-            _, _, j0 = self._u_rule(zero, beta, np.full(pos.size, _U_NODES), lambda k: m * k,
-                                    zero + 1.0, max(q.abs_tol, 0.25 * q.rel_tol), np.array([0]))
-            own[pos] = j0[:, 0]
+            own[pos] = self._own_exponent(beta, max(q.abs_tol, 0.25 * q.rel_tol))
         return shaped(np.exp(-other)), shaped(np.exp(-own))
+
+    def _own_exponent(self, beta: np.ndarray, tol: float) -> np.ndarray:
+        """mu nu k(0; beta): the count per side doubles from GL_NODES until
+        mu nu |k_2n - k_n| <= tol, and the last k_2n is kept (a count changing
+        with s would step L(s)); past GL_MAX_NODES it raises."""
+        m, zero = self.params.mu * self.params.nu, np.zeros((beta.size, 1))
+        out, left, n = np.empty(beta.size), np.arange(beta.size), GL_NODES
+        coarse = m * _line_exponent(self._profile, zero, beta, n)[:, 0]
+        while left.size:
+            if 2 * n > GL_MAX_NODES:
+                raise QuadratureNotConverged(float(coarse[0]), float(err.max()), "semicircle")
+            fine = m * _line_exponent(self._profile, zero[left], beta[left], 2 * n)[:, 0]
+            err = np.abs(fine - coarse)
+            done = err <= tol
+            out[left[done]] = fine[done]
+            left, coarse, err, n = left[~done], fine[~done], err[~done], 2 * n
+        return out
 
     def laplace(self, s):
         """L(s) = E[exp(-s I)] for the total interference power I, elementwise over s."""
@@ -496,9 +473,8 @@ class CoverageSurface:
             edges = _r_edges(beta)
             half = 0.5 * np.diff(edges, axis=1)[:, :, None]
             xi = (edges[:, :-1, None] + half * (t + 1.0)).reshape(pos.size, _R_PANELS * n)
-            nodes = np.full(pos.size, n)
-            k = _line_exponent(self._profile, xi, beta, nodes)
-            k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta, nodes)[:, 0]
+            k = _line_exponent(self._profile, xi, beta, n)
+            k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta, n)[:, 0]
             self._levels[n] = (x * w, pos, (half * w).reshape(xi.shape), k, k0, beta,
                                edges[:, -1])
         return self._levels[n]

@@ -305,6 +305,8 @@ class QuadratureSpec:
     exponents are dimensionless and each held to rel_tol / 4 (abs_tol a
     floor): mu nu k(0; beta) directly, and 2 lambda_l nu times an integral
     over xi = r / nu by holding that integral to rel_tol / (8 lambda_l nu).
+    The semicircle average inside takes as many nodes per side as the
+    xi-rule takes on its panel, so the panel's difference estimates both.
     Half-line integrals add doubling blocks until a whole block contributes
     less than rel_tol of the running total (with abs_tol as a floor).
     """

@@ -19,6 +19,8 @@ _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # nodes per panel of the first pass, and their cap
 GL_NODES, GL_MAX_NODES = 8, 256
+# doubling blocks integrate_halfline takes before it raises
+_HALFLINE_BLOCKS = 80
 
 
 def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +92,7 @@ def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec) -> tuple[fl
 
 
 def integrate_halfline(f: Callable, a: float, spec: QuadratureSpec,
-                       scale: float = 1.0, max_blocks: int = 80) -> tuple[float, float]:
+                       scale: float = 1.0) -> tuple[float, float]:
     """Integral of ``f`` over [a, inf) for positive, eventually-decaying f.
 
     ``integrate`` takes the blocks [a, a+scale], [a+scale, a+3*scale], ...,
@@ -101,7 +103,7 @@ def integrate_halfline(f: Callable, a: float, spec: QuadratureSpec,
     """
     total = bound = 0.0
     left, width = a, scale
-    for _ in range(max_blocks):
+    for _ in range(_HALFLINE_BLOCKS):
         val, err = integrate(f, left, left + width, spec)
         total, bound = total + val, bound + err
         if abs(val) <= max(spec.abs_tol, spec.rel_tol * abs(total)):

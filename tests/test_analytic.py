@@ -38,7 +38,7 @@ from linecox.analytic import (
     mean_latency,
 )
 from linecox import analytic
-from linecox.analytic import _PHI_SHIFT, _U_NODES, _phi_direct, _phi_profile
+from linecox.analytic import _PHI_SHIFT, _phi_direct, _phi_profile
 from linecox.montecarlo import estimate_ase
 from linecox.quadrature import GL_NODES
 from test_montecarlo import _traced_peak
@@ -140,20 +140,16 @@ def _u_case(alpha, ratio, lc, mc, s):
     return NetworkParams(lambda_l=lc / c, mu=mc / c, nu=ratio * b, speed=V, alpha=alpha)
 
 
-def _u_rule_calls(monkeypatch, params, s):
-    """(offsets xi = r / nu, counts in, counts out) of every semicircle-rule call one
-    transform makes."""
+def _line_exponent_calls(monkeypatch, params, s):
+    """(offsets xi = r / nu, nodes per side) of every line-exponent call one transform makes."""
     calls = []
-    rule = LaplaceEvaluator._u_rule
+    line_exponent = analytic._line_exponent
 
-    def spy(ev, xi, beta, nodes, *args):
-        call = [xi, nodes]
-        calls.append(call)  # in the order the calls begin: the rule recurses
-        out = rule(ev, xi, beta, nodes, *args)
-        call.append(out[1])
-        return out
+    def spy(profile, xi, beta, n):
+        calls.append((xi, n))
+        return line_exponent(profile, xi, beta, n)
 
-    monkeypatch.setattr(LaplaceEvaluator, "_u_rule", spy)
+    monkeypatch.setattr(analytic, "_line_exponent", spy)
     LaplaceEvaluator(params).laplace_factors(s)
     return calls
 
@@ -167,21 +163,16 @@ class TestSemicircleRule:
             assert f1 == pytest.approx(other, rel=rel)
             assert f2 == pytest.approx(own, rel=rel)
 
-    def test_far_panel_keeps_first_level(self, monkeypatch):
-        # the first r-pass takes all six panels of the one argument, in order
-        params = _u_case(3.0, 1.0, 0.35, 0.48, 1e-3)
-        xi, _, counts = _u_rule_calls(monkeypatch, params, 1e-3)[0]
-        beta = 1e-3 ** (1.0 / 3.0) / params.nu
-        assert xi.shape == (6, GL_NODES) and np.all(xi[2:] >= 4.0 * max(1.0, beta))
-        assert np.all(counts[2:] == _U_NODES)
-
     def test_panel_at_nu_refines_when_b_small(self, monkeypatch):
-        # beta = 1 / 1000: the panel [0, 1] in xi ends at the peak's edge
-        calls = _u_rule_calls(monkeypatch, _u_case(3.0, 1e3, 0.93, 210000.0, 1e-3), 1e-3)
-        xi, _, counts = calls[0]
-        assert xi.shape[1] == GL_NODES and counts[0] > _U_NODES
-        # and a pass that refines xi near 1 checks its count again and raises it
-        assert any(xi.shape[1] > 2 * GL_NODES and np.any(out > into) for xi, into, out in calls)
+        # beta = 1 / 1000: the panel [1, 4] in xi starts at the peak's edge, so the
+        # r-rule takes it, and its semicircle averages, past the first pass
+        params = _u_case(3.0, 1e3, 0.93, 210000.0, 1e-3)
+        beta = 1e-3 ** (1.0 / 3.0) / params.nu
+        refined = [xi for xi, n in _line_exponent_calls(monkeypatch, params, 1e-3)
+                   if n > 2 * GL_NODES]
+        assert any(np.all((xi >= 1.0) & (xi <= 4.0), axis=1).any() for xi in refined)
+        # while no panel from 4 max(1, beta) on needs more than the first pass
+        assert all(np.all(xi.min(axis=1) < 4.0 * max(1.0, beta)) for xi in refined)
 
 
 class TestLaplaceShape:
@@ -330,9 +321,9 @@ class TestCoverageSurface:
     def test_zero_threshold(self, monkeypatch):
         line_exponent = analytic._line_exponent
 
-        def checked(profile, xi, beta, nodes):
+        def checked(profile, xi, beta, n):
             assert np.all(beta > 0), "beta = 0 reached the line exponent"
-            return line_exponent(profile, xi, beta, nodes)
+            return line_exponent(profile, xi, beta, n)
 
         monkeypatch.setattr(analytic, "_line_exponent", checked)
         value, diff = CoverageSurface(FIG10, 0.0)(FIG10_NU, FIG10_MU)
@@ -424,6 +415,12 @@ class TestAse:
         params = replace(P33, alpha=alpha)
         got = area_spectral_efficiency(params, QuadratureSpec(rel_tol=rel_tol))
         assert got == pytest.approx(value, rel=rel_tol)
+
+    def test_tight_tolerance_near_two(self):
+        # a semicircle rule held to an absolute share of the xi-tolerance raised here
+        got = area_spectral_efficiency(replace(P33, alpha=2.2),
+                                       QuadratureSpec(rel_tol=1e-10, abs_tol=0.0))
+        assert got == pytest.approx(7.193145581987091, rel=1e-9)
 
 
 def _af_oracle(params, t, sweep):

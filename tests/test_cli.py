@@ -114,6 +114,15 @@ class TestAnalyticOutputs:
             assert float(row["value"]) == pytest.approx(expect, rel=1e-12)
             assert row["schema_version"] == "1"
 
+    @pytest.mark.parametrize("command, setting", [("laplace", "grid.s=1e8"),
+                                                  ("coverage", "grid.tau_db=100")])
+    def test_far_argument_computes(self, tmp_path, command, setting):
+        # b >> nu there: the exponents are large, and L has long underflowed
+        code, out = _run(tmp_path, command, "--mode", "analytic", "--set", setting)
+        assert code == 0
+        rows = _read_csv(out / f"{command}_analytic.csv")
+        assert len(rows) == 1 and 0.0 <= float(rows[0]["value"]) <= 1e-20
+
     def test_fig5_preset_coverage_in_db(self, tmp_path):
         code, out = _run(tmp_path, "coverage", "--preset", "fig5",
                          "--mode", "analytic")
