@@ -21,8 +21,9 @@ and the transform, with other-line and own-line factors, is
 So every result here depends on lengths only through lambda_l nu, mu nu and
 beta.  One kernel, ``_line_exponent``, gives k to the transform and to
 ``CoverageSurface``, on the same xi-panels (``_r_edges``) and with the same
-far tail (``_tail``), and both take the semicircle average on as many nodes
-per side as the xi-rule takes on the panel (see ``laplace_factors``).
+far tail (``_tail``).  Both refine by ``gauss_legendre`` (the transform in xi,
+the surface in x = rho / nu), and both take the semicircle average on as
+many nodes per side as that rule takes on the panel.
 """
 
 from __future__ import annotations
@@ -276,8 +277,9 @@ def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
     return beta[:, None] * k.reshape(xi.shape) / _HALF_PI
 
 
-def _tail(profile: _PhiProfile, m: float, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """int_xi^inf (1 - exp(-m k(x; beta))) dx for the large-x form of k, m = mu nu.
+def _tail(profile: _PhiProfile, m, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """int_xi^inf (1 - exp(-m k(x; beta))) dx for the large-x form of k, m = mu nu
+    (a float, or an array broadcast against beta and xi).
 
     Phi's large-y terms and E[v^2] = 1/4 give m k = A x^(1-alpha) (1 + alpha
     (alpha-1) / (8 x^2)) + B x^(1-2 alpha), A = m a1 beta^alpha, B = m a2
@@ -296,10 +298,11 @@ def _tail(profile: _PhiProfile, m: float, beta: np.ndarray, xi: np.ndarray) -> n
 
 
 def _batch(x, name: str):
-    """``x`` flat, checked >= 0, and the map giving a result x's shape (a float for a scalar)."""
+    """``x`` flat, checked finite and >= 0, and the map giving a result x's shape (a
+    float for a scalar)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be >= 0, got {x}")
+    if not np.all((arr >= 0) & (arr < math.inf)):
+        raise ValueError(f"{name} must be finite and >= 0, got {x}")
     return arr.ravel(), lambda v: float(v[0]) if arr.ndim == 0 else v.reshape(arr.shape)
 
 
@@ -427,11 +430,6 @@ def area_spectral_efficiency(params: NetworkParams,
     return LaplaceEvaluator(params, quad).ase()
 
 
-# the coverage surface's ladder: a level takes n nodes in x, per r-panel and per
-# semicircle side, n doubling from _SURFACE_NODES to _SURFACE_MAX_NODES
-_SURFACE_NODES, _SURFACE_MAX_NODES = 16, 128
-
-
 class CoverageSurface:
     """P(SIR > tau) at many (nu, mu) cells that share every other parameter of
     ``base``, all from one inner exponent.
@@ -443,27 +441,26 @@ class CoverageSurface:
         p_c = int_0^1 2x exp(-2 lambda_l nu [int_0^inf (1 - e^(-mu nu k(xi; beta))) dxi]
                              - mu nu k(0; beta)) dx.
 
-    Each level of a fixed node ladder holds k once for every cell: n
-    Gauss-Legendre nodes in x on [0, 1], n on each of the transform's r-panels
-    (``_r_edges``) and n semicircle nodes per side, with ``_tail`` past the
-    last panel; a cell adds only a pass over mu nu k.  A cell takes the first
-    n whose value at 2n lies within max(abs_tol, rel_tol * |value|) of its
-    value at n and reports the 2n value with that difference; past
-    _SURFACE_MAX_NODES it raises QuadratureNotConverged.  The ladder depends
-    only on (alpha, tau, quad), so no cell's value depends on the rest of the
-    grid, and the levels one call builds serve the next.
+    Each cell is one row of a single ``gauss_legendre`` integral over x in
+    [0, 1], so it refines, is accepted and raises like every other integral.
+    A pass of n x-nodes reads its level n: k once for every cell, on n nodes
+    per r-panel (``_r_edges``) and n semicircle nodes per side, with ``_tail``
+    past the last panel; a cell adds only a pass over mu nu k.  A level
+    depends only on (alpha, tau, quad, n) and is kept for later calls, and
+    each cell's sums are its own, so no cell's value depends on the rest of
+    the grid.
     """
 
     def __init__(self, base: NetworkParams, tau: float, quad: QuadratureSpec = QuadratureSpec()):
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
+        if not 0 <= tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {tau}")
         self.base, self.tau, self.quad = validate(base), float(tau), quad
         self._profile = _phi_profile(base.alpha, quad.rel_tol)
         self._levels: dict[int, tuple] = {}
 
     def _level(self, n: int) -> tuple:
-        """(x-rule weights times 2x, x-nodes with beta > 0, their r-weights, k at the
-        r-nodes, k(0), (beta, last r-edge) for ``_tail``) of level n."""
+        """(x-nodes with beta > 0, their r-weights, k at the r-nodes, k(0), (beta,
+        last r-edge) for ``_tail``) of level n."""
         if n not in self._levels:
             t, w = leggauss(n)
             x = 0.5 * (t + 1.0)
@@ -475,40 +472,30 @@ class CoverageSurface:
             xi = (edges[:, :-1, None] + half * (t + 1.0)).reshape(pos.size, _R_PANELS * n)
             k = _line_exponent(self._profile, xi, beta, n)
             k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta, n)[:, 0]
-            self._levels[n] = (x * w, pos, (half * w).reshape(xi.shape), k, k0, beta,
-                               edges[:, -1])
+            self._levels[n] = (pos, (half * w).reshape(xi.shape), k, k0, beta, edges[:, -1])
         return self._levels[n]
-
-    def _value(self, n: int, nu: float, mu: float) -> float:
-        weight, pos, r_weight, k, k0, beta, far = self._level(n)
-        m = mu * nu
-        near = (r_weight * -np.expm1(-m * k)).sum(axis=1)
-        exponent = np.zeros(weight.size)
-        exponent[pos] = (2.0 * self.base.lambda_l * nu
-                         * (near + _tail(self._profile, m, beta, far)) + m * k0)
-        return float(weight @ np.exp(-exponent))
 
     def __call__(self, nu, mu) -> tuple[np.ndarray, np.ndarray]:
         """(p_c, difference estimate) per cell, over nu and mu broadcast together."""
         nu, mu = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(mu, dtype=float))
-        value, diff = np.empty(nu.shape), np.full(nu.shape, math.nan)
-        q = self.quad
-        # a cell at a time: its arrays, and so its roundings, are the same in any grid
-        for i, (cell_nu, cell_mu) in enumerate(zip(nu.flat, mu.flat)):
+        for cell_nu, cell_mu in zip(nu.flat, mu.flat):
             validate(replace(self.base, nu=float(cell_nu), mu=float(cell_mu)))
-            n, coarse = _SURFACE_NODES, self._value(_SURFACE_NODES, cell_nu, cell_mu)
-            while True:
-                if 2 * n > _SURFACE_MAX_NODES:
-                    raise QuadratureNotConverged(
-                        coarse, diff.flat[i], f"coverage surface at tau={self.tau:g}, cell "
-                        f"nu={cell_nu:g}, mu={cell_mu:g}: {n} nodes")
-                fine = self._value(2 * n, cell_nu, cell_mu)
-                diff.flat[i] = abs(fine - coarse)
-                if diff.flat[i] <= max(q.abs_tol, q.rel_tol * abs(fine)):
-                    break
-                n, coarse = 2 * n, fine
-            value.flat[i] = min(1.0, fine)
-        return value, diff
+        span, m = 2.0 * self.base.lambda_l * nu.ravel(), (mu * nu).ravel()
+
+        def f(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            pos, r_weight, k, k0, beta, far = self._level(x.shape[-1])
+            tail = _tail(self._profile, m[rows, None], beta, far)
+            # the r-sums go a cell at a time, so their roundings are the same in any
+            # grid; the rest is elementwise and takes all the pass's cells at once
+            near = np.empty(tail.shape)
+            for j, i in enumerate(rows):
+                near[j] = -(r_weight * np.expm1(-m[i] * k)).sum(axis=1)
+            out = 2.0 * x
+            out[:, 0, pos] *= np.exp(-(span[rows, None] * (near + tail) + m[rows, None] * k0))
+            return out
+
+        value, diff = gauss_legendre(f, np.tile([0.0, 1.0], (m.size, 1)), self.quad)
+        return np.minimum(1.0, value[:, 0]).reshape(nu.shape), diff[:, 0].reshape(nu.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,15 @@ def _grid(config: dict[str, dict[str, str]], keys: tuple[str, ...],
 
 def _number(config: dict[str, dict[str, str]], section: str, key: str,
             kind: type = float, rule: Optional[tuple] = None):
-    """[section] key parsed as ``kind`` and checked against ``rule``."""
+    """[section] key parsed as a finite ``kind`` and checked against ``rule``."""
     raw = config[section][key]
     try:
         value = kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"[{section}] {key}: not {noun}: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
     if rule is not None and not rule[0](value):
         raise ConfigError(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
     return value

@@ -298,7 +298,8 @@ class QuadratureSpec:
 
     Each integral's error estimate must come below max(abs_tol, rel_tol *
     |value|).  Every integral is taken by Gauss-Legendre panels (a batch of
-    integrals at a time for the transform over an array of s and coverage),
+    integrals at a time for the transform over an array of s, coverage over
+    an array of tau and the cells of a coverage surface),
     each panel with an n-node and a 2n-node rule; the sum of the panels'
     differences is the estimate, and only the panels whose difference exceeds
     the tolerance's share are taken again with n doubled.  The transform's

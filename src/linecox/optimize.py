@@ -42,12 +42,11 @@ class UtilityWeights:
     tau: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.w1 < 0 or self.w2 < 0 or self.w3 < 0:
-            raise ValueError("weights must be nonnegative")
+        for name in ("w1", "w2", "w3", "tau"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.w1 + self.w2 <= 0:
             raise ValueError("at least one of w1, w2 must be positive")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,10 @@ from linecox.analytic import (
     latency_ccdf,
     mean_latency,
 )
-from linecox import analytic
+from linecox import analytic, quadrature
 from linecox.analytic import _PHI_SHIFT, _phi_direct, _phi_profile
 from linecox.montecarlo import estimate_ase
+from linecox.optimize import UtilityWeights
 from linecox.quadrature import GL_NODES
 from test_montecarlo import _traced_peak
 
@@ -185,8 +186,23 @@ class TestLaplaceShape:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            laplace(P33, -1.0)
+        # every entry point names its argument; a non-finite one would reach the Phi
+        # table's index arithmetic
+        entries = [
+            ("transform argument", lambda v: laplace(P33, v)),
+            ("transform argument", lambda v: laplace(P33, [1e-3, v])),
+            ("tau", lambda v: coverage_probability(P33, v)),
+            ("tau", lambda v: CoverageSurface(P33, v)(0.1, 3.0)),
+            ("t", lambda v: af_cumulative(P33, v)),
+            ("w", lambda v: latency_ccdf(P33, v)),
+            ("w1", lambda v: UtilityWeights(w1=v, w2=0.5)),
+            ("w3", lambda v: UtilityWeights(w1=0.5, w2=0.5, w3=v)),
+            ("tau", lambda v: UtilityWeights(w1=0.5, w2=0.5, tau=v)),
+        ]
+        for name, call in entries:
+            for value in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+                    call(value)
 
     def test_table_matches_direct_evaluation(self):
         # the same transform with every Phi lookup made by direct quadrature;
@@ -311,12 +327,15 @@ class TestCoverageSurface:
         assert np.all(np.abs(value - ref) <= np.maximum(q.abs_tol, q.rel_tol * np.abs(value)))
 
     def test_cell_independent_of_grid(self):
-        grid = CoverageSurface(FIG10, 1.0)(FIG10_NU, FIG10_MU)
-        backwards = CoverageSurface(FIG10, 1.0)(FIG10_NU[::-1], FIG10_MU[::-1])
-        alone = CoverageSurface(FIG10, 1.0)
-        cells = np.array([alone(nu, mu) for nu, mu in zip(FIG10_NU, FIG10_MU)]).T
-        for other in (cells, [a[::-1] for a in backwards]):
-            assert np.array_equal(grid[0], other[0]) and np.array_equal(grid[1], other[1])
+        # at alpha = 2.2, tau = 10 and rel_tol 1e-9 the cells stop at different node counts
+        for alpha, tau, rel_tol in ((3.0, 1.0, 1e-6), (2.2, 10.0, 1e-9)):
+            base, q = replace(FIG10, alpha=alpha), QuadratureSpec(rel_tol=rel_tol)
+            grid = CoverageSurface(base, tau, q)(FIG10_NU, FIG10_MU)
+            backwards = CoverageSurface(base, tau, q)(FIG10_NU[::-1], FIG10_MU[::-1])
+            alone = CoverageSurface(base, tau, q)
+            cells = np.array([alone(nu, mu) for nu, mu in zip(FIG10_NU, FIG10_MU)]).T
+            for other in (cells, [a[::-1] for a in backwards]):
+                assert np.array_equal(grid[0], other[0]) and np.array_equal(grid[1], other[1])
 
     def test_zero_threshold(self, monkeypatch):
         line_exponent = analytic._line_exponent
@@ -333,10 +352,10 @@ class TestCoverageSurface:
             assert coverage_probability(replace(FIG10, nu=nu, mu=mu), 0.0) == 1.0
 
     def test_ladder_cap_raises(self, monkeypatch):
-        # at rel_tol 1e-9 this cell needs the 32- and 64-node levels to agree
-        monkeypatch.setattr(analytic, "_SURFACE_MAX_NODES", 32)
+        # at rel_tol 1e-9 this cell needs more than 32 nodes in x
+        monkeypatch.setattr(quadrature, "GL_MAX_NODES", 32)
         surface = CoverageSurface(FIG10, 1.0, QuadratureSpec(rel_tol=1e-9))
-        with pytest.raises(QuadratureNotConverged, match="nu=0.5, mu=0.5"):
+        with pytest.raises(QuadratureNotConverged, match="32 Gauss-Legendre nodes per panel"):
             surface(0.5, 0.5)
 
 

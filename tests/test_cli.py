@@ -60,6 +60,21 @@ BAD_INPUTS = {
     "run_key_not_read": (["laplace", "--set", "run.sigma=-1"], "[run] sigma"),
     "sample_size_not_read_by_dump": (["geometry-dump", "--seed", "1", "--set", "run.n=5"],
                                      "[run] n"),
+    "infinite_threshold": (["optimize", "--preset", "fig10", "--set", "run.tau=inf"],
+                           "[run] tau"),
+    "nan_threshold": (["optimize", "--preset", "fig10", "--set", "run.tau=nan"], "[run] tau"),
+    "infinite_radius": (["geometry-dump", "--seed", "1", "--set", "run.radius=inf"],
+                        "[run] radius"),
+    "infinite_half_length": (["geometry-dump", "--seed", "1", "--set", "run.half_length=inf"],
+                             "[run] half_length"),
+    "infinite_sigma": (["af-cumulative", "--preset", "fig7", "--mode", "montecarlo", "--seed",
+                        "1", "--n", "1000", "--set", "run.sigma=inf"], "[run] sigma"),
+    "infinite_weight": (["optimize", "--preset", "fig10", "--set", "run.w1=inf"], "[run] w1"),
+    "infinite_latency_weight": (["optimize", "--preset", "fig10", "--set", "run.w3=inf"],
+                                "[run] w3"),
+    "infinite_constraint": (["optimize", "--preset", "fig10", "--set", "run.constraint=inf"],
+                            "[run] constraint"),
+    "nan_rel_tol": (["laplace", "--set", "run.rel_tol=nan"], "[run] rel_tol"),
 }
 
 
