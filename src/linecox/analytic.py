@@ -34,11 +34,11 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy.special import betainc, gammainc
 
 from .core import (
     LatencyVariant,
     NetworkParams,
+    NumericalError,
     QuadratureNotConverged,
     QuadratureSpec,
     ZeroSpeed,
@@ -134,6 +134,97 @@ def _phi_direct(y: np.ndarray, alpha: float, slope: bool = False):
     return (phi, dphi) if slope else phi
 
 
+# ---------------------------------------------------------------------------
+# the two incomplete special functions the closed forms need
+# ---------------------------------------------------------------------------
+
+# a series or continued fraction stops once an element's relative step is this
+# small: a few ulp, since 1e-16 is never reached and the loop would run to its cap
+_STEP_TOL = 4.0 * np.finfo(float).eps
+# the slowest case, the gamma fraction at t = a + 1 as a -> 0, takes 82 steps
+_MAX_STEPS = 100
+
+
+def _lower_gamma(a: float, t: np.ndarray) -> np.ndarray:
+    """gamma(a, t) = int_0^t x^(a-1) e^-x dx for 0 < a < 1, elementwise over t >= 0.
+
+    Below t = a + 1, t^a e^-t sum_n t^n / (a (a+1) ... (a+n)) (DLMF 8.7.1); from
+    there, Gamma(a) less t^a e^-t times the continued fraction for Gamma(a, t)
+    (DLMF 8.9.2; Numerical Recipes 3rd ed. 6.2), summed like the one in
+    ``_beta_ratio``.  Both are sums whose next step is the last one times a
+    factor, so one loop takes every element, each stopping at its own step.
+    The fraction's denominators b_n + a_n D are ratios of Laguerre polynomials
+    at -t <= 0, which have no zeros there, so none needs a guard.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    frac = flat >= a + 1.0
+    b = flat + (1.0 - a)  # the fraction's b_0; b_n = b_0 + 2n
+    d = 1.0 / b
+    step = np.where(frac, d, 1.0 / a)
+    total, out, left = step.copy(), np.empty(flat.size), np.ones(flat.size, dtype=bool)
+    for n in range(1, _MAX_STEPS):
+        b += 2.0
+        d = 1.0 / (b - n * (n - a) * d)
+        step *= np.where(frac, b * d - 1.0, flat / (a + n))
+        total += step
+        done = left & (np.abs(step) <= _STEP_TOL * total)
+        np.copyto(out, total, where=done)
+        left ^= done
+        if not np.count_nonzero(left):
+            break
+    else:
+        raise NumericalError(f"incomplete gamma at a={a:g}: {_MAX_STEPS} steps")
+    out *= flat ** a * np.exp(-flat)
+    return np.where(frac, math.gamma(a) - out, out).reshape(t.shape)
+
+
+def _beta_ratio(a: float, x: np.ndarray) -> np.ndarray:
+    """I_x(a, 1 - a) = B_x(a, 1 - a) / B(a, 1 - a), the regularised incomplete beta
+    function, for 0 < a < 1, elementwise over x in [0, 1].
+
+    Below x = (a+1)/(a+b+2) = (a+1)/3, b = 1 - a, it is x^a (1-x)^b / (a B(a, b))
+    times the continued fraction of DLMF 8.17.22 (Numerical Recipes 3rd ed.
+    6.4); past it, 1 - I_(1-x)(b, a).  Each element carries its own (a', b',
+    x'), so one loop serves both sides and each element stops at its own step.
+    The fraction is summed by Steed's method: modified Lentz's recurrence for
+    D, with the convergents' differences added up rather than multiplied, which
+    rounds closer (with the product, one fig5 ASE value moved by an ulp).  The
+    denominators 1 + d_k D stay above 2/3 for every a and x' below the swap
+    (checked on a grid), so none needs a guard.
+    """
+    b = 1.0 - a
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    swap = flat > (a + 1.0) / 3.0
+    ap, bp, xp = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - flat, flat)
+    d = 1.0 / (1.0 - xp / (ap + 1.0))  # a' + b' = 1
+    total, step, out, left = d.copy(), d - 1.0, np.empty(flat.size), np.ones(flat.size, dtype=bool)
+    for m in range(1, _MAX_STEPS):
+        # the terms d_2m = m (b' - m) x' / ((a' + 2m - 1)(a' + 2m)) and
+        # d_2m+1 = -odd, odd = (a' + m)(a' + b' + m) x' / ((a' + 2m)(a' + 2m + 1))
+        even = np.where(swap, m * (a - m) / ((b + 2 * m - 1) * (b + 2 * m)),
+                        m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))) * xp
+        d = 1.0 / (1.0 + even * d)
+        step *= d - 1.0
+        total += step
+        odd = np.where(swap, (b + m) * (1 + m) / ((b + 2 * m) * (b + 2 * m + 1)),
+                       (a + m) * (1 + m) / ((a + 2 * m) * (a + 2 * m + 1))) * xp
+        d = 1.0 / (1.0 - odd * d)
+        step *= d - 1.0
+        total += step
+        done = left & (np.abs(step) <= _STEP_TOL * total)
+        np.copyto(out, total, where=done)
+        left ^= done
+        if not np.count_nonzero(left):
+            break
+    else:
+        raise NumericalError(f"incomplete beta at a={a:g}: {_MAX_STEPS} steps")
+    # B(a, 1 - a) = pi / sin(pi a), the sine taken at the smaller of a and b
+    part = xp ** ap * (1.0 - xp) ** bp / ap * out / (math.pi / math.sin(math.pi * min(a, b)))
+    return np.where(swap, 1.0 - part, part).reshape(x.shape)
+
+
 # the table interpolates log Phi against x = log(y + _PHI_SHIFT): the profile is
 # close to linear there (flat head, power-law tail), so a cubic Hermite on the
 # exact slopes reaches tight tolerances with a few hundred knots
@@ -174,8 +265,11 @@ class _PhiProfile:
         pos = (x - self.knots[0]) * ((self.knots.size - 1) / (self.knots[-1] - self.knots[0]))
         i = np.minimum(pos.astype(np.intp), self.knots.size - 2)
         t = pos - i
-        c = self.coef.take(i, axis=1)
-        return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+        # a row at a time: one (4, n) gather is 512 KiB at a full transform pass,
+        # above glibc's mmap threshold unless something freed a larger block first,
+        # and then every pass maps and faults in fresh pages
+        c0, c1, c2, c3 = (row.take(i) for row in self.coef)
+        return ((c0 * t + c1) * t + c2) * t + c3
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -284,15 +378,15 @@ def _tail(profile: _PhiProfile, m, beta: np.ndarray, xi: np.ndarray) -> np.ndarr
     Phi's large-y terms and E[v^2] = 1/4 give m k = A x^(1-alpha) (1 + alpha
     (alpha-1) / (8 x^2)) + B x^(1-2 alpha), A = m a1 beta^alpha, B = m a2
     beta^(2 alpha).  The A term integrates exactly: with k = 1 / (alpha-1) and
-    T = A x^(1-alpha) to A^k [Gamma(1-k) P(1-k, T) - (1 - e^-T) T^-k], P the
-    regularised lower incomplete gamma function; the others enter to first
+    T = A x^(1-alpha) to A^k [gamma(1-k, T) - (1 - e^-T) T^-k], gamma the lower
+    incomplete gamma function; the others enter to first
     order.  What is left out is of relative order xi^-4, T xi^-2 and
     (beta / xi)^alpha.
     """
     alpha, sp = profile.alpha, beta ** profile.alpha
     a = m * profile.tail_a1 * sp
     k, t = 1.0 / (alpha - 1.0), a * xi ** (1.0 - alpha)
-    return (a ** k * (math.gamma(1.0 - k) * gammainc(1.0 - k, t) + np.expm1(-t) * t ** -k)
+    return (a ** k * (_lower_gamma(1.0 - k, t) + np.expm1(-t) * t ** -k)
             + a * (alpha - 1.0) * xi ** -alpha / 8.0
             + m * profile.tail_a2 * sp ** 2 * xi ** (2.0 - 2.0 * alpha) / (2.0 * alpha - 2.0))
 
@@ -408,8 +502,8 @@ class LaplaceEvaluator:
         a, c = 2.0 / p.alpha, p.nu ** p.alpha / p.power
 
         def f(y: np.ndarray) -> np.ndarray:
-            kernel = 2.0 * math.pi / math.sin(math.pi * a) * y * betainc(
-                a, 1.0 - a, 1.0 / (1.0 + y ** p.alpha))
+            kernel = 2.0 * math.pi / math.sin(math.pi * a) * y * _beta_ratio(
+                a, 1.0 / (1.0 + y ** p.alpha))
             return kernel * self.laplace(c * y ** p.alpha)
 
         head, _ = integrate(lambda t: 1.5 * np.sqrt(t) * f(t ** 1.5), 0.0, 1.0, self.quad)

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -616,13 +617,17 @@ def _write_manifest(
 
 
 def _parser() -> argparse.ArgumentParser:
+    # argparse makes a HelpFormatter per argument, and one given no width reads
+    # the terminal size; the width it would read is read once here instead
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="linecox",
         description="Vehicular line-network simulator and analytic evaluator",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="quantity", required=True)
     for name in QUANTITIES:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=formatter)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=sorted(_PRESETS),
                        help="named scenario preset")

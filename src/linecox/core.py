@@ -15,6 +15,8 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+# numpy imports its random module lazily; load it with the package, not at the first draw
+import numpy.random  # noqa: F401
 
 SCHEMA_VERSION = 1
 

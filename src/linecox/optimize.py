@@ -59,10 +59,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         for name in ("nu", "mu"):
             values = tuple(float(v) for v in getattr(self, name))
-            if len(values) < 2 or values[0] <= 0 or any(
+            if len(values) < 2 or not all(0 < v < math.inf for v in values) or any(
                     b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(
-                    f"{name} needs at least 2 positive, strictly increasing values, got {values}")
+                raise ValueError(f"{name} needs at least 2 finite, positive, strictly "
+                                 f"increasing values, got {values}")
             object.__setattr__(self, name, values)
 
     def nu_values(self) -> np.ndarray:
@@ -172,8 +172,8 @@ def optimize_grid(
     while ``surface`` always holds the full rectangular coarse grid.
     """
     validate(base)
-    if constraint is not None and constraint < 0:
-        raise ValueError(f"constraint must be >= 0, got {constraint}")
+    if constraint is not None and not 0 <= constraint < math.inf:
+        raise ValueError(f"constraint must be finite and >= 0, got {constraint}")
     nus = grid.nu_values()
     mus = grid.mu_values()
     surface = CoverageSurface(base, weights.tau, quad) if weights.w1 > 0 else None

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from linecox.core import (
@@ -440,6 +441,80 @@ class TestAse:
         got = area_spectral_efficiency(replace(P33, alpha=2.2),
                                        QuadratureSpec(rel_tol=1e-10, abs_tol=0.0))
         assert got == pytest.approx(7.193145581987091, rel=1e-9)
+
+
+class TestSpecialFunctions:
+    """The numpy incomplete gamma and beta functions against scipy.special, over
+    the arguments the model reaches for alpha in [2.05, 12]."""
+
+    @staticmethod
+    def _gamma_reference(a, t):
+        return math.gamma(a) * special.gammainc(a, t)
+
+    # t runs over {0} and [1e-14, 1e3]; t >= a + 1 takes the continued fraction
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(2.05, 12.0),
+           st.one_of(st.just(0.0), st.floats(-14.0, 3.0).map(lambda e: 10.0 ** e)))
+    @example(alpha=2.05, t=1.0476190476190474)  # a + 1, the first t of the fraction
+    @example(alpha=2.05, t=1.0476190476190472)  # the float below, the last of the series
+    @example(alpha=12.0, t=1.9090909090909092)
+    @example(alpha=12.0, t=1e3)
+    def test_lower_gamma_matches_scipy(self, alpha, t):
+        a = 1.0 - 1.0 / (alpha - 1.0)
+        got = analytic._lower_gamma(a, np.array(t))
+        ref = self._gamma_reference(a, t)
+        assert abs(got - ref) <= 1e-13 * ref
+
+    # y as in the ASE kernel, whose argument is 1 / (1 + y^alpha)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.floats(2.05, 12.0), st.floats(2.05, 2.1)), st.floats(-6.0, 3.0))
+    @example(alpha=2.05, log_y=-6.0)
+    @example(alpha=12.0, log_y=3.0)
+    def test_beta_ratio_matches_scipy(self, alpha, log_y):
+        a = 2.0 / alpha
+        x = 1.0 / (1.0 + (10.0 ** log_y) ** alpha)
+        ref = special.betainc(a, 1.0 - a, x)
+        assert abs(analytic._beta_ratio(a, np.array(x)) - ref) <= 1e-13 * ref
+
+    # just past the swap to 1 - I_(1-x)(b, a), x = (a+1)/3, the 1 - ... cancels
+    # most where b = 1 - a is small, at alpha near 2
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(2.05, 2.2), st.floats(-0.02, 0.05))
+    @example(alpha=2.05, shift=0.007)
+    def test_beta_ratio_near_the_swap(self, alpha, shift):
+        a = 2.0 / alpha
+        x = (a + 1.0) / 3.0 + shift
+        ref = special.betainc(a, 1.0 - a, x)
+        assert abs(analytic._beta_ratio(a, np.array(x)) - ref) <= 1e-13 * ref
+
+    def test_batch_matches_elementwise(self):
+        # each element stops at its own step, so no value depends on the batch
+        t = np.geomspace(1e-14, 1e3, 40)
+        x = np.linspace(0.0, 1.0, 41)
+        for alpha in (2.05, 3.0, 12.0):
+            a = 1.0 - 1.0 / (alpha - 1.0)
+            batch = analytic._lower_gamma(a, t)
+            assert all(batch[i] == analytic._lower_gamma(a, t[i]) for i in range(t.size))
+            batch = analytic._beta_ratio(2.0 / alpha, x)
+            assert all(batch[i] == analytic._beta_ratio(2.0 / alpha, x[i]) for i in range(x.size))
+
+    def test_transform_tail_reaches_continued_fraction(self, monkeypatch):
+        # a dense mu nu puts the far tail's T at the last r-edge past a + 1,
+        # where no benchmark workload goes; scipy's gamma gives the same factor
+        params = NetworkParams(lambda_l=0.01, mu=1e4, nu=0.1, speed=V, alpha=2.05)
+        s = params.nu ** params.alpha / params.power  # beta = 1
+        evaluator = LaplaceEvaluator(params)
+        numpy_gamma, reached = analytic._lower_gamma, []
+
+        def spy(a, t):
+            reached.append(np.max(t) >= a + 1.0)
+            return numpy_gamma(a, t)
+
+        monkeypatch.setattr(analytic, "_lower_gamma", spy)
+        other, _ = evaluator.laplace_factors(s)
+        assert any(reached) and 0.0 < other < 1.0
+        monkeypatch.setattr(analytic, "_lower_gamma", self._gamma_reference)
+        assert other == pytest.approx(evaluator.laplace_factors(s)[0], rel=1e-13)
 
 
 def _af_oracle(params, t, sweep):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import linecox
 from linecox import analytic
-from linecox.cli import main
+from linecox.cli import _parser, main
 from linecox.core import NetworkParams
 
 V = 30.0 / 3600.0
@@ -104,14 +105,34 @@ for _name, (_argv, _field) in BAD_INPUTS.items():
     setattr(TestExitCodes, f"test_{_name}", _exits_2_naming(_argv, _field))
 
 
+def _after_cli_import(expr):
+    """What ``expr`` prints in a fresh interpreter that has imported linecox.cli."""
+    env = dict(os.environ, PYTHONPATH=str(Path(linecox.__file__).parents[1]))
+    code = f"import sys, linecox.cli; print({expr})"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout.strip()
+
+
 class TestImport:
     def test_cli_import_leaves_out_scipy_interpolate(self):
         # scipy.interpolate took about half of every command's start-up
-        env = dict(os.environ, PYTHONPATH=str(Path(linecox.__file__).parents[1]))
-        code = "import sys, linecox.cli; print('scipy.interpolate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert _after_cli_import("'scipy.interpolate' in sys.modules") == "False"
+
+    def test_cli_import_leaves_out_scipy(self):
+        # scipy.special then took 0.29 s of the 0.50 s import; no scipy module is needed
+        assert _after_cli_import("[m for m in sys.modules if m.startswith('scipy')]") == "[]"
+
+
+class TestParser:
+    def test_terminal_size_read_once_per_build(self, monkeypatch):
+        # argparse's default formatter reads it once per argument, about 100 times
+        calls = []
+        real = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size",
+                            lambda *args: calls.append(args) or real(*args))
+        _parser()
+        assert len(calls) == 1
 
 
 class TestAnalyticOutputs:

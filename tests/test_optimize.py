@@ -38,6 +38,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             GridSpec(nu=np.linspace(0.1, 1.5, 1))
 
+    # nan compares false both ways, so an increasing-order check alone passes it
+    @pytest.mark.parametrize("axis, values", [
+        ("nu", (0.1, math.nan)),
+        ("nu", (math.nan, 0.5)),
+        ("nu", (0.1, math.inf)),
+        ("mu", (0.25, math.nan)),
+        ("mu", (math.nan, 0.5)),
+        ("mu", (0.25, math.inf)),
+    ])
+    def test_grid_spec_rejects_non_finite(self, axis, values):
+        with pytest.raises(ValueError, match=axis):
+            GridSpec(**{axis: values})
+
     def test_grid_values(self):
         g = GridSpec(nu=np.linspace(0.1, 0.5, 5), mu=np.linspace(1.0, 2.0, 3))
         assert np.allclose(g.nu_values(), np.linspace(0.1, 0.5, 5))
@@ -157,6 +170,13 @@ class TestConstraint:
         loose = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=1e9,
                               refine=False)
         assert (loose.nu_opt, loose.mu_opt) == (free.nu_opt, free.mu_opt)
+
+    @pytest.mark.parametrize("constraint", [math.nan, math.inf, -1.0])
+    def test_bad_constraint_rejected(self, constraint):
+        # nan used to pass the check and end in EmptyFeasibleSet "... < nan"
+        with pytest.raises(ValueError, match="constraint"):
+            optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=constraint,
+                          refine=False)
 
     def test_zero_constraint_empty(self):
         with pytest.raises(EmptyFeasibleSet):
