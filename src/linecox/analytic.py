@@ -20,10 +20,11 @@ and the transform, with other-line and own-line factors, is
 
 So every result here depends on lengths only through lambda_l nu, mu nu and
 beta.  One kernel, ``_line_exponent``, gives k to the transform and to
-``CoverageSurface``, on the same xi-panels (``_r_edges``) and with the same
-far tail (``_tail``).  Both refine by ``gauss_legendre`` (the transform in xi,
-the surface in x = rho / nu), and both take the semicircle average on as
-many nodes per side as that rule takes on the panel.
+``_CellEngine`` (the coverage surface and the ASE), on the same xi-panels
+(``_r_edges``) and with the same far tail (``_tail``).  Both refine by
+``gauss_legendre`` (the transform in xi, the engine in its outer variable),
+and both take the semicircle average on as many nodes per side as that rule
+takes on the panel.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .core import (
     ZeroSpeed,
     validate,
 )
-from .quadrature import (GL_MAX_NODES, GL_NODES, gauss_legendre, integrate, integrate_halfline,
-                         leggauss)
+from .quadrature import GL_MAX_NODES, GL_NODES, gauss_legendre, integrate, leggauss
 
 __all__ = [
     "AFVariant", "DivergenceReport", "LaplaceEvaluator",
@@ -402,7 +402,7 @@ def _batch(x, name: str):
 
 class LaplaceEvaluator:
     """Laplace transform of interference seen by the typical vehicle, plus the
-    coverage and throughput functionals built on it.
+    coverage built on it.
 
     One instance is tied to one parameter set.  The transform and coverage
     take a scalar (giving a float) or an array, evaluated in batched array
@@ -439,14 +439,14 @@ class LaplaceEvaluator:
 
             near = gauss_legendre(outer, edges, replace(q, abs_tol=xi_tol))[0].sum(axis=1)
             other[pos] = span * (near + _tail(self._profile, m, beta, edges[:, -1]))
-            own[pos] = self._own_exponent(beta, max(q.abs_tol, 0.25 * q.rel_tol))
+            own[pos] = self._own_exponent(beta)
         return shaped(np.exp(-other)), shaped(np.exp(-own))
 
-    def _own_exponent(self, beta: np.ndarray, tol: float) -> np.ndarray:
-        """mu nu k(0; beta): the count per side doubles from GL_NODES until
-        mu nu |k_2n - k_n| <= tol, and the last k_2n is kept (a count changing
-        with s would step L(s)); past GL_MAX_NODES it raises."""
-        m, zero = self.params.mu * self.params.nu, np.zeros((beta.size, 1))
+    def _own_exponent(self, beta: np.ndarray) -> np.ndarray:
+        """mu nu k(0; beta), the count per side doubling from GL_NODES until mu nu |k_2n -
+        k_n| <= max(abs_tol, rel_tol / 4) or the own factor is within abs_tol; the last
+        k_2n is kept (a count changing with s would step L(s)); past GL_MAX_NODES it raises."""
+        q, m, zero = self.quad, self.params.mu * self.params.nu, np.zeros((beta.size, 1))
         out, left, n = np.empty(beta.size), np.arange(beta.size), GL_NODES
         coarse = m * _line_exponent(self._profile, zero, beta, n)[:, 0]
         while left.size:
@@ -454,7 +454,8 @@ class LaplaceEvaluator:
                 raise QuadratureNotConverged(float(coarse[0]), float(err.max()), "semicircle")
             fine = m * _line_exponent(self._profile, zero[left], beta[left], 2 * n)[:, 0]
             err = np.abs(fine - coarse)
-            done = err <= tol
+            # the factor's error, err e^(-fine), against abs_tol: abs_tol e^fine would overflow
+            done = (err <= max(q.abs_tol, 0.25 * q.rel_tol)) | (err * np.exp(-fine) <= q.abs_tol)
             out[left[done]] = fine[done]
             left, coarse, err, n = left[~done], fine[~done], err[~done], 2 * n
         return out
@@ -485,31 +486,6 @@ class LaplaceEvaluator:
         # P(SIR > 0) = 1, where the rule's sum of 2 rho / nu^2 may round below 1
         return shaped(np.where(taus > 0.0, np.minimum(1.0, val), 1.0))
 
-    def ase(self) -> float:
-        """Mean spatial throughput density, bit/s/Hz per km^2.
-
-        lambda_l * mu * E[log2(1 + SIR)], with the expectation written as an
-        integral of the interference transform against the serving-signal
-        kernel K(z) = E[1 / (rho^alpha / p + z)]; the natural-log identity
-        brings a 1/ln 2.  At z = c y^alpha, c = nu^alpha / p (so y = b / nu),
-        K(z) dz = 2 y pi / sin(pi a) I_{1/(1+y^alpha)}(a, 1 - a) dy, a = 2 / alpha,
-        I the regularised incomplete beta function.  That is smooth at y = 0 up
-        to a y^(alpha-1) term, so [0, 1] is taken in t = y^(2/3), where the term
-        is t^(3 alpha / 2 - 1) dt; past y = 1 it falls like alpha / y until L
-        cuts it off, and the doubling blocks [1, 3], [3, 7], ... follow it.
-        """
-        p = self.params
-        a, c = 2.0 / p.alpha, p.nu ** p.alpha / p.power
-
-        def f(y: np.ndarray) -> np.ndarray:
-            kernel = 2.0 * math.pi / math.sin(math.pi * a) * y * _beta_ratio(
-                a, 1.0 / (1.0 + y ** p.alpha))
-            return kernel * self.laplace(c * y ** p.alpha)
-
-        head, _ = integrate(lambda t: 1.5 * np.sqrt(t) * f(t ** 1.5), 0.0, 1.0, self.quad)
-        tail, _ = integrate_halfline(f, 1.0, self.quad, scale=2.0)
-        return p.lambda_l * p.mu * (head + tail) / _LOG2
-
 
 def laplace(params: NetworkParams, s, quad: QuadratureSpec = QuadratureSpec()):
     return LaplaceEvaluator(params, quad).laplace(s)
@@ -519,46 +495,28 @@ def coverage_probability(params: NetworkParams, tau, quad: QuadratureSpec = Quad
     return LaplaceEvaluator(params, quad).coverage(tau)
 
 
-def area_spectral_efficiency(params: NetworkParams,
-                             quad: QuadratureSpec = QuadratureSpec()) -> float:
-    return LaplaceEvaluator(params, quad).ase()
-
-
-class CoverageSurface:
-    """P(SIR > tau) at many (nu, mu) cells that share every other parameter of
-    ``base``, all from one inner exponent.
-
-    With x = rho / nu the transform's beta is tau^(1/alpha) x (power cancels),
-    so k(xi; beta) of ``_line_exponent``, the costly part, depends on (alpha,
-    tau) alone:
-
-        p_c = int_0^1 2x exp(-2 lambda_l nu [int_0^inf (1 - e^(-mu nu k(xi; beta))) dxi]
-                             - mu nu k(0; beta)) dx.
-
-    Each cell is one row of a single ``gauss_legendre`` integral over x in
-    [0, 1], so it refines, is accepted and raises like every other integral.
-    A pass of n x-nodes reads its level n: k once for every cell, on n nodes
-    per r-panel (``_r_edges``) and n semicircle nodes per side, with ``_tail``
-    past the last panel; a cell adds only a pass over mu nu k.  A level
-    depends only on (alpha, tau, quad, n) and is kept for later calls, and
-    each cell's sums are its own, so no cell's value depends on the rest of
-    the grid.
+class _CellEngine:
+    """int g(x) exp(-2 lambda_l nu int_0^inf (1 - e^(-mu nu k(xi; beta))) dxi - mu nu
+    k(0; beta)) dx over the panels ``edges`` at many (nu, mu) cells that share alpha and
+    the map ``outer``: x -> (beta, g), and so k of ``_line_exponent``, the costly part.
+    Each cell is one row of one ``gauss_legendre`` integral, so it refines, is accepted
+    and raises like every other integral.  A pass of n nodes on panel j reads level
+    (j, n), kept once built: k on n nodes per r-panel (``_r_edges``) and n semicircle
+    nodes per side; a cell adds a pass over mu nu k.  Each cell's sums are its own, so
+    no cell's value depends on the rest of the grid or on the levels already kept.
     """
 
-    def __init__(self, base: NetworkParams, tau: float, quad: QuadratureSpec = QuadratureSpec()):
-        if not 0 <= tau < math.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {tau}")
-        self.base, self.tau, self.quad = validate(base), float(tau), quad
-        self._profile = _phi_profile(base.alpha, quad.rel_tol)
-        self._levels: dict[int, tuple] = {}
+    def __init__(self, profile: _PhiProfile, edges, outer):
+        self._profile, self._edges, self._outer = profile, np.asarray(edges, dtype=float), outer
+        self._levels: dict[tuple[int, int], tuple] = {}
 
-    def _level(self, n: int) -> tuple:
-        """(x-nodes with beta > 0, their r-weights, k at the r-nodes, k(0), (beta,
-        last r-edge) for ``_tail``) of level n."""
-        if n not in self._levels:
+    def _level(self, panel: int, x: np.ndarray) -> tuple:
+        """(g at the nodes x of ``panel``, the nodes with beta > 0, their r-weights, k at
+        the r-nodes, k(0), (beta, last r-edge) for ``_tail``) of level (panel, x.size)."""
+        n = x.size
+        if (panel, n) not in self._levels:
             t, w = leggauss(n)
-            x = 0.5 * (t + 1.0)
-            beta = self.tau ** (1.0 / self.base.alpha) * x
+            beta, weight = self._outer(x)
             pos = np.flatnonzero(beta)  # at beta = 0 (tau = 0) there is no interference
             beta = beta[pos]
             edges = _r_edges(beta)
@@ -566,30 +524,85 @@ class CoverageSurface:
             xi = (edges[:, :-1, None] + half * (t + 1.0)).reshape(pos.size, _R_PANELS * n)
             k = _line_exponent(self._profile, xi, beta, n)
             k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta, n)[:, 0]
-            self._levels[n] = (pos, (half * w).reshape(xi.shape), k, k0, beta, edges[:, -1])
-        return self._levels[n]
+            self._levels[panel, n] = (weight, pos, (half * w).reshape(xi.shape), k, k0, beta,
+                                      edges[:, -1])
+        return self._levels[panel, n]
+
+    def __call__(self, span: np.ndarray, m: np.ndarray, quad: QuadratureSpec):
+        """(integral, difference estimate) per cell, span = 2 lambda_l nu and m = mu nu."""
+
+        def f(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            out = np.empty(x.shape)
+            for panel in set(cols.tolist()):  # not np.unique, whose first call imports 12 ms
+                at = np.flatnonzero(cols == panel)
+                weight, pos, r_weight, k, k0, beta, far = self._level(panel, x[at[0], 0])
+                i = rows[at, None]
+                # the r-sums go a cell at a time, so their roundings are the same in any
+                # grid; the rest is elementwise and takes all the pass's cells at once
+                near = np.array([-(r_weight * np.expm1(-m[j] * k)).sum(axis=1) for j in i[:, 0]])
+                out[at, 0] = weight
+                out[at[:, None], 0, pos] *= np.exp(
+                    -(span[i] * (near + _tail(self._profile, m[i], beta, far)) + m[i] * k0))
+            return out
+
+        value, diff = gauss_legendre(f, np.tile(self._edges, (m.size, 1)), quad)
+        return value.sum(axis=1), diff.sum(axis=1)
+
+
+class CoverageSurface:
+    """P(SIR > tau) at many (nu, mu) cells that share every other parameter of
+    ``base``: with x = rho / nu the transform's beta is tau^(1/alpha) x (power
+    cancels), so p_c is the ``_CellEngine`` integral of x -> (tau^(1/alpha) x, 2x)
+    on [0, 1], whose levels are kept with the surface."""
+
+    def __init__(self, base: NetworkParams, tau: float, quad: QuadratureSpec = QuadratureSpec()):
+        if not 0 <= tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {tau}")
+        self.base, self.tau, self.quad = validate(base), float(tau), quad
+        scale = self.tau ** (1.0 / base.alpha)
+        self._engine = _CellEngine(_phi_profile(base.alpha, quad.rel_tol), [0.0, 1.0],
+                                   lambda x: (scale * x, 2.0 * x))
 
     def __call__(self, nu, mu) -> tuple[np.ndarray, np.ndarray]:
         """(p_c, difference estimate) per cell, over nu and mu broadcast together."""
         nu, mu = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(mu, dtype=float))
         for cell_nu, cell_mu in zip(nu.flat, mu.flat):
             validate(replace(self.base, nu=float(cell_nu), mu=float(cell_mu)))
-        span, m = 2.0 * self.base.lambda_l * nu.ravel(), (mu * nu).ravel()
+        value, diff = self._engine(2.0 * self.base.lambda_l * nu.ravel(), (mu * nu).ravel(),
+                                   self.quad)
+        return np.minimum(1.0, value).reshape(nu.shape), diff.reshape(nu.shape)
 
-        def f(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            pos, r_weight, k, k0, beta, far = self._level(x.shape[-1])
-            tail = _tail(self._profile, m[rows, None], beta, far)
-            # the r-sums go a cell at a time, so their roundings are the same in any
-            # grid; the rest is elementwise and takes all the pass's cells at once
-            near = np.empty(tail.shape)
-            for j, i in enumerate(rows):
-                near[j] = -(r_weight * np.expm1(-m[i] * k)).sum(axis=1)
-            out = 2.0 * x
-            out[:, 0, pos] *= np.exp(-(span[rows, None] * (near + tail) + m[rows, None] * k0))
-            return out
 
-        value, diff = gauss_legendre(f, np.tile([0.0, 1.0], (m.size, 1)), self.quad)
-        return np.minimum(1.0, value[:, 0]).reshape(nu.shape), diff[:, 0].reshape(nu.shape)
+# the ASE's t-panels, on which log2(1 + u), u = t / (1 - t), doubles: at lambda_l = mu =
+# 1e-5, where L cuts off far out, the last takes 128 nodes (8 doubling blocks in u: 256)
+_ASE_EDGES = np.array([0.0, 1 / 2, 3 / 4, 15 / 16, 255 / 256, 1.0])
+_ASE_CACHE: dict[tuple[float, float], _CellEngine] = {}
+
+
+def area_spectral_efficiency(params: NetworkParams,
+                             quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Mean spatial throughput density lambda_l mu E[log2(1 + SIR)], bit/s/Hz per km^2.
+
+    The expectation is the transform against the serving-signal kernel K(z) =
+    E[1 / (rho^alpha / p + z)], over ln 2.  At z = c y^alpha, c = nu^alpha / p, beta
+    is y, and K(z) dz = 2 y pi / sin(pi a) I_{1/(1+y^alpha)}(a, 1 - a) dy, a = 2 / alpha,
+    I the regularised incomplete beta function; it falls like alpha / y until L cuts
+    it off.  It is the ``_CellEngine`` integral of t -> (y, K dy/dt), y = (t / (1 -
+    t))^(3/2), on ``_ASE_EDGES``; the engine is kept per (alpha, rel_tol) for a sweep.
+    """
+    p = validate(params)
+    key, alpha, a = (float(p.alpha), float(quad.rel_tol)), p.alpha, 2.0 / p.alpha
+    if key not in _ASE_CACHE:
+        def outer(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            u = t / (1.0 - t)
+            y = u ** 1.5
+            kernel = 2.0 * math.pi / math.sin(math.pi * a) * y * _beta_ratio(
+                a, 1.0 / (1.0 + y ** alpha))
+            return y, kernel * 1.5 * np.sqrt(u) / (1.0 - t) ** 2
+
+        _ASE_CACHE[key] = _CellEngine(_phi_profile(alpha, quad.rel_tol), _ASE_EDGES, outer)
+    value, _ = _ASE_CACHE[key](np.array([2.0 * p.lambda_l * p.nu]), np.array([p.mu * p.nu]), quad)
+    return p.lambda_l * p.mu * float(value[0]) / _LOG2
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -573,20 +573,14 @@ def _reads(command: str, config: dict[str, dict[str, str]]) -> dict[str, tuple[s
 # entry point
 
 
+@lru_cache(maxsize=None)  # taken once per process: each call forks git
 def _git_describe() -> str:
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
+                             text=True, timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
     except (OSError, subprocess.TimeoutExpired):
-        pass
-    return "unknown"
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def _write_manifest(

@@ -156,15 +156,6 @@ def convert_units(value: float | str, field_name: str) -> float:
     return number * factor
 
 
-def from_canonical(value: float, field_name: str, unit: str) -> float:
-    """Inverse of :func:`convert_units`: express a canonical value in ``unit``."""
-    dimension = _FIELD_DIMENSION.get(field_name, "plain")
-    table = _UNIT_TABLES[dimension]
-    if unit not in table:
-        raise UnitParseError(field_name, unit)
-    return value / table[unit]
-
-
 # ---------------------------------------------------------------------------
 # model parameters
 # ---------------------------------------------------------------------------
@@ -306,12 +297,13 @@ class QuadratureSpec:
     differences is the estimate, and only the panels whose difference exceeds
     the tolerance's share are taken again with n doubled.  The transform's
     exponents are dimensionless and each held to rel_tol / 4 (abs_tol a
-    floor): mu nu k(0; beta) directly, and 2 lambda_l nu times an integral
-    over xi = r / nu by holding that integral to rel_tol / (8 lambda_l nu).
-    The semicircle average inside takes as many nodes per side as the
-    xi-rule takes on its panel, so the panel's difference estimates both.
-    Half-line integrals add doubling blocks until a whole block contributes
-    less than rel_tol of the running total (with abs_tol as a floor).
+    floor): mu nu k(0; beta) directly, or until its factor e^(-mu nu k(0; beta))
+    is within abs_tol, and 2 lambda_l nu times an integral over xi = r / nu by
+    holding that integral to rel_tol / (8 lambda_l nu).  The semicircle
+    average inside takes as many nodes per side as the xi-rule takes on its
+    panel, so the panel's difference estimates both.  The coverage surface
+    and the ASE take both on as many nodes as their outer rule takes on its
+    panel, so the outer difference estimates all three.
     """
 
     rel_tol: float = 1e-6

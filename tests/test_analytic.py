@@ -165,6 +165,15 @@ class TestSemicircleRule:
             assert f1 == pytest.approx(other, rel=rel)
             assert f2 == pytest.approx(own, rel=rel)
 
+    def test_dense_own_factor_within_abs_tol(self):
+        # mu nu k(0) is so large here that e^(-mu nu k(0)) is 0.0, while its n-to-2n
+        # difference stayed above rel_tol / 4 up to GL_MAX_NODES: this raised "semicircle"
+        params = NetworkParams(lambda_l=0.01, mu=1e4, nu=0.1, speed=1e-3, alpha=2.05)
+        q = QuadratureSpec()
+        s = 0.5 * params.nu ** params.alpha / params.power
+        _, own = LaplaceEvaluator(params, q).laplace_factors(s)
+        assert 0.0 <= own <= q.abs_tol
+
     def test_panel_at_nu_refines_when_b_small(self, monkeypatch):
         # beta = 1 / 1000: the panel [1, 4] in xi starts at the peak's edge, so the
         # r-rule takes it, and its semicircle averages, past the first pass
@@ -441,6 +450,51 @@ class TestAse:
         got = area_spectral_efficiency(replace(P33, alpha=2.2),
                                        QuadratureSpec(rel_tol=1e-10, abs_tol=0.0))
         assert got == pytest.approx(7.193145581987091, rel=1e-9)
+
+    # (alpha, mu, value, rel_tol of the value) by the per-cell transform path this
+    # replaced, at commit 7e24913, with PYTHONPATH=src:
+    #   python -c "from dataclasses import replace; from linecox.core import *;
+    #   from linecox.analytic import area_spectral_efficiency as f
+    #   p = NetworkParams(3.0, 3.0, 0.1, 30 / 3600)
+    #   print([f(replace(p, alpha=a, mu=mu), QuadratureSpec(rel_tol=1e-10))
+    #          for a in (2.05, 3.0, 8.0, 12.0) for mu in (0.01, 3.0, 300.0)])"
+    # except at mu = 300 for alpha = 8 and 12, where that path raised "256
+    # Gauss-Legendre nodes per panel" at rel_tol 1e-10; those two are its values at
+    # rel_tol 1e-9 and 1e-8, the tightest it reached
+    @pytest.mark.parametrize("alpha, mu, value, pinned_at", [
+        (2.05, 0.01, 0.16658891451863675, 1e-10),
+        (2.05, 3.0, 3.1595137750613502, 1e-10),
+        (2.05, 300.0, 6.314255191860597, 1e-10),
+        (3.0, 0.01, 0.41791554035962636, 1e-10),
+        (3.0, 3.0, 17.573041758006674, 1e-10),
+        (3.0, 300.0, 25.1707653546549, 1e-10),
+        (8.0, 0.01, 1.24639309948385, 1e-10),
+        (8.0, 3.0, 60.18404161068877, 1e-10),
+        (8.0, 300.0, 67.78570708644938, 1e-9),
+        (12.0, 0.01, 1.884690174277982, 1e-10),
+        (12.0, 3.0, 91.86146378987294, 1e-10),
+        (12.0, 300.0, 101.65533027258105, 1e-8),
+    ])
+    def test_matches_per_cell_values(self, alpha, mu, value, pinned_at):
+        params = replace(P33, alpha=alpha, mu=mu)
+        for rel_tol in (1e-6, 1e-9):
+            if rel_tol > pinned_at:
+                got = area_spectral_efficiency(params, QuadratureSpec(rel_tol=rel_tol))
+                assert got == pytest.approx(value, rel=rel_tol)
+
+    def test_cell_independent_of_other_cells(self, monkeypatch):
+        # the cells of the analytic-figures ase-nu sweep, which share the kept levels;
+        # at rel_tol 1e-6 they stop at different node counts
+        cells = [replace(P33, nu=nu) for nu in (0.05, 0.1, 0.15, 0.2)]
+        for rel_tol in (1e-6, 1e-9):
+            q = QuadratureSpec(rel_tol=rel_tol)
+            alone = []
+            for cell in cells:
+                monkeypatch.setattr(analytic, "_ASE_CACHE", {})
+                alone.append(area_spectral_efficiency(cell, q))
+            forward = [area_spectral_efficiency(cell, q) for cell in cells]
+            backward = [area_spectral_efficiency(cell, q) for cell in cells[::-1]][::-1]
+            assert alone == forward == backward
 
 
 class TestSpecialFunctions:

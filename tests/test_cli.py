@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import linecox
-from linecox import analytic
+from linecox import analytic, cli
 from linecox.cli import _parser, main
 from linecox.core import NetworkParams
 
@@ -278,6 +278,20 @@ class TestConfigResolution:
         assert len(manifest["window"]) == 2
         for window in manifest["window"]:
             assert set(window) == {"final_radius", "stages", "max_shift_over_se"}
+
+    def test_build_described_once_per_process(self, tmp_path, monkeypatch):
+        # git describe is a 2-4 ms fork, and a process may write several manifests
+        build = cli._git_describe.__wrapped__()
+        calls = []
+        real = subprocess.run
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: calls.append(a) or real(*a, **k))
+        cli._git_describe.cache_clear()
+        builds = []
+        for name in ("first", "second"):
+            code, out = _run(tmp_path / name, "af-snapshot")
+            assert code == 0
+            builds.append(json.loads((out / "af-snapshot_manifest.json").read_text())["build"])
+        assert len(calls) == 1 and builds == [build, build]
 
 
 class TestGeometryDump:

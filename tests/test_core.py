@@ -14,7 +14,6 @@ from linecox.core import (
     ParameterError,
     UnitParseError,
     convert_units,
-    from_canonical,
     params_digest,
     substream,
     validate,
@@ -65,11 +64,6 @@ class TestUnits:
     def test_negative_speed_rejected(self):
         with pytest.raises(NegativeSpeed):
             convert_units("-3 km/h", "speed")
-
-    def test_from_canonical_round_trip(self):
-        v = convert_units("108 km/h", "speed")
-        assert from_canonical(v, "speed", "km/h") == pytest.approx(108.0)
-        assert from_canonical(0.1, "nu", "m") == pytest.approx(100.0)
 
 
 class TestValidation:
