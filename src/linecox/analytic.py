@@ -419,7 +419,9 @@ class LaplaceEvaluator:
 
         Power enters only through beta = (s p)^(1/alpha) / nu.  Each exponent
         is held to rel_tol / 4, so the xi-integral to max(abs_tol, rel_tol /
-        (8 lambda_l nu)).  At each xi-node the semicircle average takes as
+        (8 lambda_l nu)), capped at 1/2: the cap binds only when lambda_l nu <
+        rel_tol / 4, where even an error of 1/2 moves the exponent by less than
+        rel_tol / 4.  At each xi-node the semicircle average takes as
         many nodes per side as the xi-rule takes on that panel, so the rule's
         n-to-2n differences, and its refinement, cover both.
         """
@@ -431,7 +433,7 @@ class LaplaceEvaluator:
             m, span = p.mu * p.nu, 2.0 * p.lambda_l * p.nu
             beta = (flat[pos] * p.power) ** (1.0 / p.alpha) / p.nu
             edges = _r_edges(beta)
-            xi_tol = max(q.abs_tol, 0.25 * q.rel_tol / span)
+            xi_tol = min(max(q.abs_tol, 0.25 * q.rel_tol / span), 0.5)
 
             def outer(xi: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
                 k = _line_exponent(self._profile, xi[:, 0], beta[rows], xi.shape[-1])

@@ -1,9 +1,15 @@
 """Monte Carlo estimators for the vehicular network model.
 
-The staged interference model (:func:`_stage_increment`) is the package's
-one simulator of the Palm interference seen by the typical vehicle: each
-realisation draws its own-line and other-line interferers, with their device
-offsets and fades, straight into arrays, one window stage at a time.
+The staged interference model (:func:`_stage_interference`) is the
+package's one simulator of the Palm interference seen by the typical
+vehicle: each realisation draws its own-line and other-line interferers, with
+their device offsets and fades, one window stage at a time.  A stage derives
+the Philox keys of all its realisations in one pass and re-keys one generator
+for each (:func:`~linecox.core.substreams`); a realisation only draws, into
+buffers shared across realisations, and every ``_STAGE_CHUNK`` interferers
+one in-place pass turns the buffered draws into path gains and each
+realisation's sums.  The draws and the arithmetic on them are those of a
+realisation simulated on its own, so every sum is bit for bit the same.
 
 Every estimator is a pure function of (params, grid, n, seed): results are
 bit-identical across runs and across machine configurations.  Randomness is
@@ -43,6 +49,7 @@ from .core import (
     ZeroSpeed,
     skip_ahead,
     substream,
+    substreams,
     validate,
 )
 
@@ -116,18 +123,16 @@ class GridEstimate:
         return np.array([e.std_error for e in self.estimates])
 
 
-def _disk_offsets(
-    rng: np.random.Generator, count: int, nu: float
-) -> tuple[np.ndarray, np.ndarray]:
-    # uniform on the radius-nu disk around each vehicle
-    rho = nu * np.sqrt(rng.uniform(size=count))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return rho * np.cos(phi), rho * np.sin(phi)
+def _side_draws(rng: np.random.Generator, count: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The draws of ``integers(0, 2, size=count)``, as float32 uniforms.
 
-
-def _attenuation(d2: np.ndarray, alpha: float) -> np.ndarray:
-    """Path-gain d2 ** (-alpha / 2) on squared distances."""
-    return d2 ** (-0.5 * alpha)
+    Both take one 32-bit output per draw, pending half first; the integer is
+    the output's top bit, which is set exactly when the float32 uniform (the
+    output's top 24 bits over 2^24) is >= 0.5.  ``integers`` costs several
+    times more per call.
+    """
+    return rng.random(count, dtype=np.float32, out=out)
 
 
 def _signed_segment(
@@ -135,71 +140,163 @@ def _signed_segment(
 ) -> np.ndarray:
     # uniform over the two-sided extension (inner, outer] of a line segment
     mag = rng.uniform(inner, outer, size=count)
-    side = rng.integers(0, 2, size=count) * 2 - 1
-    return side * mag
+    return np.copysign(mag, _side_draws(rng, count) - np.float32(0.5))
 
 
-def _stage_increment(
-    rng: np.random.Generator,
+# interferers buffered before one arithmetic pass of the staged simulator
+_STAGE_CHUNK = 2**14
+
+# line offset of the own line: its vehicles sit at r = 0
+_OWN_LINE = np.zeros(1)
+
+
+class _Interferers:
+    """Interferers of consecutive realisations awaiting one arithmetic pass.
+
+    Per slot, the rows of ``rows`` hold the position along the line (its
+    magnitude on a two-sided extension), the raw uniforms of the disk radius
+    and angle, the raw fade, and scratch; ``side`` holds the side draw, or 1
+    off the extensions.  ``lines`` and ``counts`` give each buffered line's
+    offset and its number of slots, in slot order; ``cuts`` gives each
+    realisation's (index, own start, other start, other end).
+    """
+
+    def __init__(self) -> None:
+        self.rows = np.empty((5, _STAGE_CHUNK))
+        self.side = np.empty(_STAGE_CHUNK, dtype=np.float32)
+        self.end = 0
+        self.lines: list[np.ndarray] = []
+        self.counts: list[np.ndarray] = []
+        self.cuts: list[tuple[int, int, int, int]] = []
+
+    def take(self, lines: np.ndarray, counts: np.ndarray) -> int:
+        """First of the slots of ``counts`` interferers on ``lines``, appended."""
+        start = self.end
+        self.end += int(counts.sum())
+        if self.end > start:
+            self.lines.append(lines)
+            self.counts.append(counts)
+            if self.end > self.side.size:
+                size = max(2 * self.side.size, self.end)
+                rows, side = np.empty((5, size)), np.empty(size, dtype=np.float32)
+                rows[:, :start], side[:start] = self.rows[:, :start], self.side[:start]
+                self.rows, self.side = rows, side
+        return start
+
+    def place(self, rng: np.random.Generator, start: int, stop: int,
+              low: float, high: float, two_sided: bool) -> None:
+        """Positions of slots [start, stop): uniform on (low, high], on either
+        side of the line's centre when ``two_sided``, drawn as
+        :func:`_signed_segment` draws them."""
+        if stop > start:
+            self.rows[0, start:stop] = rng.uniform(low, high, size=stop - start)
+            if two_sided:
+                _side_draws(rng, stop - start, out=self.side[start:stop])
+            else:
+                self.side[start:stop] = 1.0
+
+    def draw_offsets(self, rng: np.random.Generator, start: int) -> None:
+        """Raw disk-offset uniforms and fades of the slots from ``start`` on.
+
+        ``random`` and ``standard_exponential`` make the draws of
+        ``uniform()``, ``uniform(0, 2 pi)`` and ``exponential()``, which add 0
+        and scale by 1, 2 pi and 1.
+        """
+        if self.end > start:
+            rng.random(out=self.rows[1, start:self.end])
+            rng.random(out=self.rows[2, start:self.end])
+            rng.standard_exponential(out=self.rows[3, start:self.end])
+
+    def flush(self, params: NetworkParams, other: np.ndarray, own: np.ndarray) -> None:
+        """Store each buffered realisation's interference in ``other`` and ``own``.
+
+        One in-place pass gives every path gain ((r + rho cos phi)^2 +
+        (t + rho sin phi)^2)^(-alpha/2) with rho = nu sqrt(u) and t signed by
+        its side draw; a realisation's sums are dots over its own slices.
+        """
+        end = self.end
+        if end:
+            t, rho, phi, fade, scratch = self.rows[:, :end]
+            side = self.side[:end]
+            side -= np.float32(0.5)
+            np.copysign(1.0, side, out=scratch)
+            t *= scratch
+            gain = np.repeat(np.concatenate(self.lines), np.concatenate(self.counts))
+            np.sqrt(rho, out=rho)
+            rho *= params.nu
+            phi *= 2.0 * np.pi
+            np.cos(phi, out=scratch)
+            scratch *= rho
+            np.sin(phi, out=phi)
+            phi *= rho
+            gain += scratch
+            np.square(gain, out=gain)
+            t += phi
+            np.square(t, out=t)
+            gain += t
+            np.power(gain, -0.5 * params.alpha, out=gain)
+            p = params.power
+            for i, a, b, c in self.cuts:
+                if b > a:
+                    own[i] = np.dot(fade[a:b], gain[a:b]) * p
+                if c > b:
+                    other[i] = np.dot(fade[b:c], gain[b:c]) * p
+        self.end = 0
+        self.lines.clear()
+        self.counts.clear()
+        self.cuts.clear()
+
+
+def _stage_interference(
     params: NetworkParams,
+    seed: int,
     stage: int,
     policy: WindowPolicy,
-    line_offsets: list[np.ndarray],
-) -> tuple[float, float]:
-    """Interference added by one window stage of one realisation.
+    lines: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interference each realisation gains at one window stage.
 
-    Returns (other-line increment, own-line increment) and appends the
-    stage's newly born lines to ``line_offsets``.  Draw order within the
-    stream is fixed: own-line segment, new line offsets, then vehicles per
-    annulus from innermost to outermost.
+    Realisation i draws from substream(seed, i, 1, stage).  Returns the
+    (other-line, own-line) increments, one per realisation, and appends the
+    stage's newly born lines to ``lines[i]``, realisation i's line offsets.
+    Draw order within a stream is fixed: own-line count, positions, disk
+    offsets and fades; new-line count and offsets; vehicle counts on the old
+    lines, then on the new ones; positions on the old lines' two-sided
+    extensions, then on the new lines' full segments; disk offsets and fades
+    of all of those.
     """
-    p, mu, nu, alpha = params.power, params.mu, params.nu, params.alpha
+    mu = params.mu
     r_out = policy.radius(stage)
     r_in = policy.radius(stage - 1) if stage else 0.0
     seg_len = 2.0 * r_out if stage == 0 else 2.0 * (r_out - r_in)
+    # the own line spans the full segment at stage 0, two-sided extensions after
+    own_low = r_in if stage else -r_out
+    n = len(lines)
+    other, own = np.zeros(n), np.zeros(n)
+    buf = _Interferers()
+    for i, rng in enumerate(substreams(seed, range(n), 1, stage)):
+        a = buf.take(_OWN_LINE, rng.poisson(mu * seg_len, size=1))
+        buf.place(rng, a, buf.end, own_low, r_out, two_sided=stage > 0)
+        buf.draw_offsets(rng, a)
 
-    def power_sum(r: np.ndarray, t: np.ndarray) -> float:
-        du, dt = _disk_offsets(rng, r.size, nu)
-        fades = rng.exponential(size=r.size)
-        d2 = (r + du) ** 2 + (t + dt) ** 2
-        return float(np.dot(fades, _attenuation(d2, alpha)) * p)
-
-    # own line: full segment at stage 0, two-sided extension afterwards
-    m = int(rng.poisson(mu * seg_len))
-    if m:
+        n_new = rng.poisson(2.0 * params.lambda_l * (r_out - r_in))
         if stage == 0:
-            t_own = rng.uniform(-r_out, r_out, size=m)
+            new_lines = rng.uniform(-r_out, r_out, size=n_new)
         else:
-            t_own = _signed_segment(rng, m, r_in, r_out)
-        own = power_sum(np.zeros(m), t_own)
-    else:
-        own = 0.0
+            new_lines = _signed_segment(rng, n_new, r_in, r_out)
 
-    n_new = rng.poisson(2.0 * params.lambda_l * (r_out - r_in))
-    if stage == 0:
-        new_lines = rng.uniform(-r_out, r_out, size=n_new)
-    else:
-        new_lines = _signed_segment(rng, n_new, r_in, r_out)
-    line_offsets.append(new_lines)
-
-    # vehicle counts annulus by annulus, then one merged batch of positions,
-    # disk offsets and fades; old lines gain only the two-sided extension
-    # while this stage's new lines are populated over the full segment
-    old_r: list[np.ndarray] = []
-    for lines in line_offsets[:stage]:
-        if lines.size == 0:
-            continue
-        counts = rng.poisson(mu * seg_len, size=lines.size)
-        old_r.append(np.repeat(lines, counts))
-    counts_new = rng.poisson(mu * 2.0 * r_out, size=new_lines.size)
-    r_ext = np.concatenate(old_r) if old_r else np.empty(0)
-    r_full = np.repeat(new_lines, counts_new)
-    t_ext = _signed_segment(rng, r_ext.size, r_in, r_out)
-    t_full = rng.uniform(-r_out, r_out, size=r_full.size)
-    r_all = np.concatenate((r_ext, r_full))
-    if r_all.size == 0:
-        return 0.0, own
-    other = power_sum(r_all, np.concatenate((t_ext, t_full)))
+        # old lines gain only the two-sided extension while this stage's new
+        # lines are populated over the full segment
+        b = buf.take(lines[i], rng.poisson(mu * seg_len, size=lines[i].size))
+        c = buf.take(new_lines, rng.poisson(mu * 2.0 * r_out, size=n_new))
+        buf.place(rng, b, c, r_in, r_out, two_sided=True)
+        buf.place(rng, c, buf.end, -r_out, r_out, two_sided=False)
+        buf.draw_offsets(rng, b)
+        buf.cuts.append((i, a, b, buf.end))
+        lines[i] = np.concatenate((lines[i], new_lines))
+        if buf.end >= _STAGE_CHUNK:
+            buf.flush(params, other, own)
+    buf.flush(params, other, own)
     return other, own
 
 
@@ -228,16 +325,14 @@ def _staged_estimates(
         signal = params.power * rng.exponential(size=n) * rho ** (-params.alpha)
     else:
         signal = np.zeros(n)
-    lines: list[list[np.ndarray]] = [[] for _ in range(n)]
+    lines = [np.empty(0)] * n
 
     prev_mean: Optional[np.ndarray] = None
     ratio = math.inf
     for stage in range(policy.max_doublings + 1):
-        for i in range(n):
-            rng = substream(seed, i, 1, stage)
-            other, own = _stage_increment(rng, params, stage, policy, lines[i])
-            i1[i] += other
-            i2[i] += own
+        other, own = _stage_interference(params, seed, stage, policy, lines)
+        i1 += other
+        i2 += own
         stats = stat_fn(i1 + i2, signal)
         mean = stats.mean(axis=0)
         if prev_mean is not None:

@@ -22,7 +22,7 @@ from linecox.geometry import (
     nearest_vehicle_distance,
     ordinary_snapshot,
 )
-from linecox.montecarlo import WindowPolicy, _stage_increment
+from linecox.montecarlo import WindowPolicy, _stage_interference
 
 V = 30.0 / 3600.0
 FIG3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
@@ -216,15 +216,11 @@ def test_criterion_6_independence_and_invariance(report):
     # empirical factorisation of the transform across line components, on
     # the (i1, i2) of the estimators' own first window stage, radius 3
     s, n = 0.01, 2500
-    f = np.empty(n)
-    g = np.empty(n)
-    h = np.empty(n)
-    for i in range(n):
-        i1, i2 = _stage_increment(substream(610, i, 1, 0), P33, 0,
-                                  WindowPolicy(initial_radius=3.0), [])
-        g[i] = math.exp(-s * i1)
-        h[i] = math.exp(-s * i2)
-        f[i] = g[i] * h[i]
+    i1, i2 = _stage_interference(P33, 610, 0, WindowPolicy(initial_radius=3.0),
+                                 [np.empty(0)] * n)
+    g = np.exp(-s * i1)
+    h = np.exp(-s * i2)
+    f = g * h
     gap = f.mean() - g.mean() * h.mean()
     influence = (f - f.mean()) - h.mean() * (g - g.mean()) - g.mean() * (h - h.mean())
     gap_se = float(np.std(influence, ddof=1) / math.sqrt(n))

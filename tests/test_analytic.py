@@ -195,6 +195,18 @@ class TestLaplaceShape:
         vals = [laplace(P33, x) for x in s]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-3])
+    def test_sparse_lines_compute(self, rel_tol):
+        # lambda_l nu far below rel_tol / 4: the xi-integral's tolerance,
+        # rel_tol / (8 lambda_l nu), would exceed 1 without its cap
+        sparse = NetworkParams(lambda_l=1e-6, mu=1.0, nu=0.1, speed=0.01)
+        q, tight = QuadratureSpec(rel_tol=rel_tol), QuadratureSpec(rel_tol=1e-10)
+        s, tau = np.array([1e-3, 1.0, 1e3]), np.array([0.1, 1.0, 10.0])
+        np.testing.assert_allclose(laplace(sparse, s, q), laplace(sparse, s, tight),
+                                   rtol=rel_tol, atol=0)
+        np.testing.assert_allclose(coverage_probability(sparse, tau, q),
+                                   coverage_probability(sparse, tau, tight), rtol=rel_tol, atol=0)
+
     def test_negative_argument_rejected(self):
         # every entry point names its argument; a non-finite one would reach the Phi
         # table's index arithmetic

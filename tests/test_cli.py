@@ -150,6 +150,12 @@ class TestAnalyticOutputs:
             assert float(row["value"]) == pytest.approx(expect, rel=1e-12)
             assert row["schema_version"] == "1"
 
+    def test_sparse_lines_compute(self, tmp_path):
+        code, out = _run(tmp_path, "laplace", "--set", "params.lambda_l=1e-6")
+        assert code == 0
+        rows = _read_csv(out / "laplace_analytic.csv")
+        assert rows and all(0.0 < float(r["value"]) < 1.0 for r in rows)
+
     @pytest.mark.parametrize("command, setting", [("laplace", "grid.s=1e8"),
                                                   ("coverage", "grid.tau_db=100")])
     def test_far_argument_computes(self, tmp_path, command, setting):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linecox import montecarlo
 from linecox.core import NetworkParams, ZeroSpeed, skip_ahead, substream
@@ -20,7 +21,7 @@ from linecox.montecarlo import (
     estimate_latency,
     _af_event_times,
     _latency_waits,
-    _stage_increment,
+    _stage_interference,
 )
 from linecox import analytic
 from linecox.analytic import AFVariant
@@ -166,6 +167,110 @@ class TestBulkStreams:
                     np.testing.assert_array_equal(a, b, err_msg=f"k={k} halves={halves}")
 
 
+def _reference_stage(rng, params, stage, policy, line_offsets):
+    """(other, own) interference of one realisation-stage drawn and summed on
+    its own, with ``integers`` side draws: the reference the staged
+    simulator must match bit for bit."""
+    p, mu, nu, alpha = params.power, params.mu, params.nu, params.alpha
+    r_out = policy.radius(stage)
+    r_in = policy.radius(stage - 1) if stage else 0.0
+    seg_len = 2.0 * r_out if stage == 0 else 2.0 * (r_out - r_in)
+
+    def signed(count):
+        mag = rng.uniform(r_in, r_out, size=count)
+        return (rng.integers(0, 2, size=count) * 2 - 1) * mag
+
+    def power_sum(r, t):
+        rho = nu * np.sqrt(rng.uniform(size=r.size))
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=r.size)
+        fades = rng.exponential(size=r.size)
+        d2 = (r + rho * np.cos(phi)) ** 2 + (t + rho * np.sin(phi)) ** 2
+        return float(np.dot(fades, d2 ** (-0.5 * alpha)) * p) if r.size else 0.0
+
+    m = int(rng.poisson(mu * seg_len))
+    own = power_sum(np.zeros(m), rng.uniform(-r_out, r_out, size=m) if stage == 0 else signed(m))
+    n_new = rng.poisson(2.0 * params.lambda_l * (r_out - r_in))
+    new_lines = rng.uniform(-r_out, r_out, size=n_new) if stage == 0 else signed(n_new)
+    old = [np.repeat(lines, rng.poisson(mu * seg_len, size=lines.size)) for lines in line_offsets]
+    line_offsets.append(new_lines)
+    r_full = np.repeat(new_lines, rng.poisson(mu * 2.0 * r_out, size=n_new))
+    r_ext = np.concatenate([np.empty(0)] + old)
+    t = np.concatenate((signed(r_ext.size), rng.uniform(-r_out, r_out, size=r_full.size)))
+    return power_sum(np.concatenate((r_ext, r_full)), t), own
+
+
+class TestStagedStreams:
+    """The staged simulator makes each realisation's draws in their order.
+
+    The digests were taken when every realisation-stage built its own
+    generator and drew and summed its interferers on its own.  They cover
+    the interference total after every window stage, then the final values
+    and standard errors.  A chunk of 1 flushes every realisation alone.
+    """
+
+    FIG3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
+    CASES = {
+        "laplace-p33": (estimate_laplace, P33, [0.002, 0.01], 300, 3, WindowPolicy(),
+                        "059d6ce51dfbb03fe0a9170c9a5c637a6583dde292532c0648df94f0d1d0524b"),
+        "coverage-p33": (estimate_coverage, P33, [0.5, 2.0], 300, 3, WindowPolicy(),
+                         "30a0fd2a180db6386f8ccc9d83244a88e2b3237b5e6dc4684ce173220480a065"),
+        # six stages, and a seed of three 32-bit words
+        "laplace-fig3": (estimate_laplace, FIG3, [1e-4, 1e-3, 1e-2, 0.1], 200, 2**64 + 9,
+                         WindowPolicy(initial_radius=0.5, stability_fraction=0.1),
+                         "8c7f0d0e8668d1da07f47be2ed3079005af2ac89bc5e4c43d6bae8fae2b1b0b4"),
+        "coverage-fig3": (estimate_coverage, FIG3, [0.5, 2.0], 200, 2**64 + 9,
+                          WindowPolicy(initial_radius=0.25, stability_fraction=0.05),
+                          "ddac64bad9bae9c5787d7558d5872729c0269516bed77f50d7b94fb3b6e0b9fd"),
+    }
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pinned(self, monkeypatch, case, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_STAGE_CHUNK", chunk)
+        estimator, params, grid, n, seed, window, digest = self.CASES[case]
+        totals = []
+        run = montecarlo._staged_estimates
+
+        def recording(params, n, seed, policy, stat_fn, need_signal):
+            def stat(total, signal):
+                totals.append(total.copy())
+                return stat_fn(total, signal)
+            return run(params, n, seed, policy, stat, need_signal)
+
+        monkeypatch.setattr(montecarlo, "_staged_estimates", recording)
+        res = estimator(params, np.array(grid), n=n, seed=seed, window=window)
+        assert len(totals) == res.window.stages
+        assert _sha256(*totals, res.values(), res.std_errors()) == digest
+
+    # a small chunk puts the flushes inside and across realisations
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_matches_per_realisation_reference(self, monkeypatch, alpha):
+        monkeypatch.setattr(montecarlo, "_STAGE_CHUNK", 64)
+        params = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V, power=0.3, alpha=alpha)
+        policy, n = WindowPolicy(initial_radius=1.0), 60
+        lines, ref_lines = [np.empty(0)] * n, [[] for _ in range(n)]
+        for stage in range(3):
+            other, own = _stage_interference(params, 5, stage, policy, lines)
+            for i in range(n):
+                expect = _reference_stage(substream(5, i, 1, stage), params, stage,
+                                          policy, ref_lines[i])
+                assert (other[i], own[i]) == expect, (stage, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**160), halves=st.integers(0, 3),
+           count=st.integers(0, 40))
+    def test_side_draws_match_integers(self, seed, halves, count):
+        a, b = substream(seed, 7), substream(seed, 7)
+        for rng in (a, b):
+            rng.integers(0, 2, size=halves)  # an odd count leaves a half pending
+        bits = a.integers(0, 2, size=count)
+        side = montecarlo._side_draws(b, count)
+        np.testing.assert_array_equal(bits == 1, side >= 0.5)
+        for draw in (lambda g: g.integers(0, 2, size=3), lambda g: g.bit_generator.random_raw(5)):
+            np.testing.assert_array_equal(draw(a), draw(b))
+
+
 def _traced_peak(run):
     """Peak bytes traced while ``run()`` executes, above what was held before."""
     started = not tracemalloc.is_tracing()
@@ -236,13 +341,10 @@ class TestComponentIndependence:
         # vanish within 3 SE of the covariance estimator.  (I1, I2) is the
         # estimators' own first window stage, radius 3, of each realisation
         s, n = 0.01, 1200
-        g = np.empty(n)
-        h = np.empty(n)
-        for i in range(n):
-            i1, i2 = _stage_increment(substream(600, i, 1, 0), P33, 0,
-                                      WindowPolicy(initial_radius=3.0), [])
-            g[i] = math.exp(-s * i1)
-            h[i] = math.exp(-s * i2)
+        i1, i2 = _stage_interference(P33, 600, 0, WindowPolicy(initial_radius=3.0),
+                                     [np.empty(0)] * n)
+        g = np.exp(-s * i1)
+        h = np.exp(-s * i2)
         gc = g - g.mean()
         hc = h - h.mean()
         cov = float(np.mean(gc * hc))
