@@ -6,140 +6,14 @@ quadrature, cross-validates them by Monte Carlo, and optimises a
 coverage/area utility over the disk radius and vehicle density.
 """
 
-from .core import (
-    SCHEMA_VERSION,
-    AlphaOutOfRange,
-    EmptyFeasibleSet,
-    Estimate,
-    LatencyVariant,
-    LinecoxError,
-    NegativeSpeed,
-    NetworkParams,
-    NonPositiveDensity,
-    NumericalError,
-    ParameterError,
-    QuadratureNotConverged,
-    QuadratureSpec,
-    UnitParseError,
-    WindowNotConverged,
-    ZeroSpeed,
-    convert_units,
-    params_digest,
-    substream,
-    validate,
-)
-from .geometry import (
-    Snapshot,
-    advance,
-    nearest_vehicle_distance,
-    ordinary_snapshot,
-    palm_snapshot,
-    place_devices,
-    sample_lines,
-    sample_manhattan_lines,
-    sample_vehicles_on_line,
-    snapshot_from_lines,
-    snapshot_to_csv,
-)
-from .analytic import (
-    AFVariant,
-    CoverageSurface,
-    DivergenceReport,
-    af_cumulative,
-    af_limit,
-    af_snapshot,
-    area_spectral_efficiency,
-    coverage_probability,
-    laplace,
-    latency_ccdf,
-    mean_latency,
-)
-from .montecarlo import (
-    GridEstimate,
-    LatencyResult,
-    WindowPolicy,
-    WindowReport,
-    estimate_af_cumulative,
-    estimate_af_snapshot,
-    estimate_ase,
-    estimate_coverage,
-    estimate_laplace,
-    estimate_latency,
-)
-from .optimize import (
-    GridSpec,
-    OptimizeResult,
-    SurfaceCell,
-    UtilityWeights,
-    optimize_grid,
-    utility,
-)
+from . import core, geometry, analytic, montecarlo, optimize
+from .core import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .analytic import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "__version__",
-    # core
-    "AlphaOutOfRange",
-    "EmptyFeasibleSet",
-    "Estimate",
-    "LatencyVariant",
-    "LinecoxError",
-    "NegativeSpeed",
-    "NetworkParams",
-    "NonPositiveDensity",
-    "NumericalError",
-    "ParameterError",
-    "QuadratureNotConverged",
-    "QuadratureSpec",
-    "UnitParseError",
-    "WindowNotConverged",
-    "ZeroSpeed",
-    "convert_units",
-    "params_digest",
-    "substream",
-    "validate",
-    # geometry
-    "Snapshot",
-    "advance",
-    "nearest_vehicle_distance",
-    "ordinary_snapshot",
-    "palm_snapshot",
-    "place_devices",
-    "sample_lines",
-    "sample_manhattan_lines",
-    "sample_vehicles_on_line",
-    "snapshot_from_lines",
-    "snapshot_to_csv",
-    # analytic
-    "AFVariant",
-    "CoverageSurface",
-    "DivergenceReport",
-    "af_cumulative",
-    "af_limit",
-    "af_snapshot",
-    "area_spectral_efficiency",
-    "coverage_probability",
-    "laplace",
-    "latency_ccdf",
-    "mean_latency",
-    # montecarlo
-    "GridEstimate",
-    "LatencyResult",
-    "WindowPolicy",
-    "WindowReport",
-    "estimate_af_cumulative",
-    "estimate_af_snapshot",
-    "estimate_ase",
-    "estimate_coverage",
-    "estimate_laplace",
-    "estimate_latency",
-    # optimize
-    "GridSpec",
-    "OptimizeResult",
-    "SurfaceCell",
-    "UtilityWeights",
-    "optimize_grid",
-    "utility",
-]
+__all__ = ["__version__", *core.__all__, *geometry.__all__, *analytic.__all__,
+           *montecarlo.__all__, *optimize.__all__]

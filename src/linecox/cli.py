@@ -26,7 +26,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -79,12 +79,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
     "grid": {},
 }
 
-# every key a config may set: the defaulted ones plus those without a default
-_PARAM_KEYS = tuple(_DEFAULTS["params"])
-_RUN_KEYS = (*_DEFAULTS["run"], "seed", "threads", "target", "constraint")
-_GRID_KEYS = ("s", "tau", "tau_db", "t", "w", "nu", "mu")
-_KNOWN = {"params": _PARAM_KEYS, "run": _RUN_KEYS, "grid": _GRID_KEYS}
-
 # Canonical scenario presets; every value can be overridden per run.
 _PRESETS: dict[str, dict[str, dict[str, str]]] = {
     "fig3": {
@@ -124,8 +118,7 @@ def _merge(base: dict[str, dict[str, str]], extra: dict[str, dict[str, str]]) ->
         base.setdefault(section, {}).update(values)
 
 
-def _check_keys(config: dict[str, dict[str, str]],
-                known: dict[str, tuple[str, ...]] = _KNOWN) -> None:
+def _check_keys(config: dict[str, dict[str, str]], known: dict[str, tuple[str, ...]]) -> None:
     for section, values in config.items():
         if section not in known:
             raise ConfigError(f"unknown config section [{section}]")
@@ -541,32 +534,43 @@ def _run_validate(
     return [path], {**extra, **_windows(reports)}, status
 
 
-_RUNNERS = {
-    **{name: partial(_run_quantity, name) for name in _TABLE},
-    "optimize": _run_optimize,
-    "geometry-dump": _run_geometry,
-    "validate": _run_validate,
+class _Command(NamedTuple):
+    """A subcommand's driver and the [run] and [grid] keys it reads."""
+
+    driver: Callable[[dict[str, dict[str, str]], str], tuple[list[str], dict, int]]
+    run_keys: tuple[str, ...] = ()
+    grid_keys: tuple[str, ...] = ()
+
+
+_EVERY = ("out", "threads")  # [run] keys every command reads
+_COMMANDS: dict[str, _Command] = {
+    **{name: _Command(partial(_run_quantity, name), (*_EVERY, "mode", "n", "seed", "rel_tol",
+                                                     "abs_tol", *q.run_keys), q.grid_keys)
+       for name, q in _TABLE.items()},
+    "optimize": _Command(_run_optimize, (*_EVERY, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau",
+                                         "refine", "constraint"), ("nu", "mu")),
+    "geometry-dump": _Command(_run_geometry, (*_EVERY, "seed", "radius", "half_length", "palm",
+                                              "manhattan", "devices")),
+    "validate": _Command(_run_validate),  # reads its target's keys, see _reads
 }
-QUANTITIES = tuple(_RUNNERS)
+QUANTITIES = tuple(_COMMANDS)
+
+# every key a config may set: those the commands read, and validate's target
+_KNOWN = {"params": tuple(_DEFAULTS["params"]),
+          "run": (*dict.fromkeys(k for c in _COMMANDS.values() for k in c.run_keys), "target"),
+          "grid": tuple(dict.fromkeys(k for c in _COMMANDS.values() for k in c.grid_keys))}
 
 
 def _reads(command: str, config: dict[str, dict[str, str]]) -> dict[str, tuple[str, ...]]:
-    """The [run] and [grid] keys ``command`` reads; validate reads its target's."""
-    every = ("out", "threads")
-    if command == "optimize":
-        return {"run": (*every, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau", "refine",
-                        "constraint"), "grid": ("nu", "mu")}
-    if command == "geometry-dump":
-        return {"run": (*every, "seed", "radius", "half_length", "palm", "manhattan",
-                        "devices"), "grid": ()}
-    own = "mode"
-    if command == "validate":
-        command, own = config["run"].get("target", "laplace"), "target"
-        if command not in _TABLE:  # _run_validate names the bad target
-            return {"run": _RUN_KEYS, "grid": _GRID_KEYS}
-    quantity = _TABLE[command]
-    return {"run": (*every, own, "n", "seed", "rel_tol", "abs_tol", *quantity.run_keys),
-            "grid": quantity.grid_keys}
+    """The [run] and [grid] keys ``command`` reads; validate reads its target's,
+    with ``target`` in place of ``mode``."""
+    if command != "validate":
+        return {"run": _COMMANDS[command].run_keys, "grid": _COMMANDS[command].grid_keys}
+    target = config["run"].get("target", "laplace")
+    if target not in _TABLE:  # _run_validate names the bad target
+        return _KNOWN
+    return {"run": tuple("target" if k == "mode" else k for k in _COMMANDS[target].run_keys),
+            "grid": _COMMANDS[target].grid_keys}
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +651,13 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     given = [_load_config_file(args.config)] if args.config else []
     given.append(_parse_set(args.set))
     for part in given:
-        _check_keys(part)
+        _check_keys(part, _KNOWN)
         _merge(config, part)
     # each of these flags sets the [run] key of the same name
     for key in ("seed", "n", "out", "variant", "rel_tol", "mode", "threads"):
         if getattr(args, key) is not None:
             config["run"][key] = str(getattr(args, key))
-    _check_keys(config)
+    _check_keys(config, _KNOWN)
     # a run or grid key given for a command that does not read it is an error,
     # not a silent run without it; preset keys and flags may go unread
     reads = _reads(args.quantity, config)
@@ -672,7 +676,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _resolve_config(args)
         out_dir = config["run"]["out"]
         os.makedirs(out_dir, exist_ok=True)
-        outputs, extra, status = _RUNNERS[quantity](config, out_dir)
+        outputs, extra, status = _COMMANDS[quantity].driver(config, out_dir)
         manifest = _write_manifest(
             out_dir, quantity, config, outputs, extra, time.time() - started
         )

@@ -18,6 +18,15 @@ import numpy as np
 # numpy imports its random module lazily; load it with the package, not at the first draw
 import numpy.random  # noqa: F401
 
+__all__ = [
+    "SCHEMA_VERSION",
+    "LinecoxError", "ParameterError", "AlphaOutOfRange", "NonPositiveDensity",
+    "NegativeSpeed", "ZeroSpeed", "UnitParseError",
+    "NumericalError", "QuadratureNotConverged", "WindowNotConverged", "EmptyFeasibleSet",
+    "convert_units", "NetworkParams", "validate", "Estimate", "QuadratureSpec",
+    "LatencyVariant", "substream", "params_digest",
+]
+
 SCHEMA_VERSION = 1
 
 

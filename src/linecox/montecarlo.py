@@ -123,8 +123,7 @@ class GridEstimate:
         return np.array([e.std_error for e in self.estimates])
 
 
-def _side_draws(rng: np.random.Generator, count: int,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+def _side_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     """The draws of ``integers(0, 2, size=count)``, as float32 uniforms.
 
     Both take one 32-bit output per draw, pending half first; the integer is
@@ -132,7 +131,7 @@ def _side_draws(rng: np.random.Generator, count: int,
     output's top 24 bits over 2^24) is >= 0.5.  ``integers`` costs several
     times more per call.
     """
-    return rng.random(count, dtype=np.float32, out=out)
+    return rng.random(count, dtype=np.float32)
 
 
 def _signed_segment(
@@ -153,17 +152,15 @@ _OWN_LINE = np.zeros(1)
 class _Interferers:
     """Interferers of consecutive realisations awaiting one arithmetic pass.
 
-    Per slot, the rows of ``rows`` hold the position along the line (its
-    magnitude on a two-sided extension), the raw uniforms of the disk radius
-    and angle, the raw fade, and scratch; ``side`` holds the side draw, or 1
-    off the extensions.  ``lines`` and ``counts`` give each buffered line's
-    offset and its number of slots, in slot order; ``cuts`` gives each
-    realisation's (index, own start, other start, other end).
+    Per slot, the rows of ``rows`` hold the position along the line, the raw
+    uniforms of the disk radius and angle, the raw fade, and scratch.
+    ``lines`` and ``counts`` give each buffered line's offset and its number
+    of slots, in slot order; ``cuts`` gives each realisation's (index, own
+    start, other start, other end).
     """
 
     def __init__(self) -> None:
         self.rows = np.empty((5, _STAGE_CHUNK))
-        self.side = np.empty(_STAGE_CHUNK, dtype=np.float32)
         self.end = 0
         self.lines: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
@@ -176,24 +173,20 @@ class _Interferers:
         if self.end > start:
             self.lines.append(lines)
             self.counts.append(counts)
-            if self.end > self.side.size:
-                size = max(2 * self.side.size, self.end)
-                rows, side = np.empty((5, size)), np.empty(size, dtype=np.float32)
-                rows[:, :start], side[:start] = self.rows[:, :start], self.side[:start]
-                self.rows, self.side = rows, side
+            if self.end > self.rows.shape[1]:
+                rows = np.empty((5, max(2 * self.rows.shape[1], self.end)))
+                rows[:, :start] = self.rows[:, :start]
+                self.rows = rows
         return start
 
     def place(self, rng: np.random.Generator, start: int, stop: int,
               low: float, high: float, two_sided: bool) -> None:
         """Positions of slots [start, stop): uniform on (low, high], on either
-        side of the line's centre when ``two_sided``, drawn as
-        :func:`_signed_segment` draws them."""
+        side of the line's centre when ``two_sided``."""
         if stop > start:
-            self.rows[0, start:stop] = rng.uniform(low, high, size=stop - start)
-            if two_sided:
-                _side_draws(rng, stop - start, out=self.side[start:stop])
-            else:
-                self.side[start:stop] = 1.0
+            count = stop - start
+            self.rows[0, start:stop] = (_signed_segment(rng, count, low, high) if two_sided
+                                        else rng.uniform(low, high, size=count))
 
     def draw_offsets(self, rng: np.random.Generator, start: int) -> None:
         """Raw disk-offset uniforms and fades of the slots from ``start`` on.
@@ -211,16 +204,12 @@ class _Interferers:
         """Store each buffered realisation's interference in ``other`` and ``own``.
 
         One in-place pass gives every path gain ((r + rho cos phi)^2 +
-        (t + rho sin phi)^2)^(-alpha/2) with rho = nu sqrt(u) and t signed by
-        its side draw; a realisation's sums are dots over its own slices.
+        (t + rho sin phi)^2)^(-alpha/2) with rho = nu sqrt(u); a realisation's
+        sums are dots over its own slices.
         """
         end = self.end
         if end:
             t, rho, phi, fade, scratch = self.rows[:, :end]
-            side = self.side[:end]
-            side -= np.float32(0.5)
-            np.copysign(1.0, side, out=scratch)
-            t *= scratch
             gain = np.repeat(np.concatenate(self.lines), np.concatenate(self.counts))
             np.sqrt(rho, out=rho)
             rho *= params.nu
@@ -529,15 +518,10 @@ def _af_event_times(
     return covered0, first
 
 
-def estimate_af_snapshot(
-    params: NetworkParams, n: int = 100_000, seed: int = 0
-) -> Estimate:
-    """Estimate the probability that some device disk covers the origin now."""
-    validate(params)
-    if n < 100:
-        raise ValueError(f"need at least 100 realisations, got {n}")
-    covered0, _ = _af_event_times(params, 0.0, n, seed, 0.0)
-    return Estimate.from_samples(covered0.astype(float))
+def estimate_af_snapshot(params: NetworkParams, n: int = 100_000, seed: int = 0) -> Estimate:
+    """Estimate the probability that some device disk covers the origin now: the
+    t = 0 point of :func:`estimate_af_cumulative`, from the same draws."""
+    return estimate_af_cumulative(params, [0.0], n, seed)[0]
 
 
 def estimate_af_cumulative(

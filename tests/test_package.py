@@ -1,0 +1,73 @@
+"""The package's public names, and the benchmark tracer that patches some of them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import linecox
+from linecox import analytic, core, geometry, montecarlo, optimize
+
+MODULES = (core, geometry, analytic, montecarlo, optimize)
+
+# every name the package exported while it listed them by hand, plus
+# LaplaceEvaluator, which analytic already declared public
+PUBLIC = {
+    "__version__", "SCHEMA_VERSION",
+    "AlphaOutOfRange", "EmptyFeasibleSet", "Estimate", "LatencyVariant", "LinecoxError",
+    "NegativeSpeed", "NetworkParams", "NonPositiveDensity", "NumericalError",
+    "ParameterError", "QuadratureNotConverged", "QuadratureSpec", "UnitParseError",
+    "WindowNotConverged", "ZeroSpeed", "convert_units", "params_digest", "substream",
+    "validate",
+    "Snapshot", "advance", "nearest_vehicle_distance", "ordinary_snapshot", "palm_snapshot",
+    "place_devices", "sample_lines", "sample_manhattan_lines", "sample_vehicles_on_line",
+    "snapshot_from_lines", "snapshot_to_csv",
+    "AFVariant", "CoverageSurface", "DivergenceReport", "LaplaceEvaluator", "af_cumulative",
+    "af_limit", "af_snapshot", "area_spectral_efficiency", "coverage_probability", "laplace",
+    "latency_ccdf", "mean_latency",
+    "GridEstimate", "LatencyResult", "WindowPolicy", "WindowReport", "estimate_af_cumulative",
+    "estimate_af_snapshot", "estimate_ase", "estimate_coverage", "estimate_laplace",
+    "estimate_latency",
+    "GridSpec", "OptimizeResult", "SurfaceCell", "UtilityWeights", "optimize_grid", "utility",
+}
+
+
+class TestExports:
+    def test_all_lists_each_public_name_once(self):
+        assert len(PUBLIC) == 60
+        assert sorted(linecox.__all__) == sorted(PUBLIC)
+
+    def test_each_name_is_its_module_attribute(self):
+        for module in MODULES:
+            for name in module.__all__:
+                assert getattr(linecox, name) is getattr(module, name), name
+
+    def test_star_import_gives_every_name(self):
+        namespace: dict = {}
+        exec("from linecox import *", namespace)
+        assert set(PUBLIC) <= set(namespace)
+
+
+def test_benchmark_tracer_still_installs(tmp_path):
+    # perfbench/tracing.py patches library functions by name (integrate_halfline,
+    # optimize._evaluate_cell, montecarlo.substream, ...); a refactor that removes
+    # one breaks every traced benchmark run, so install it and trace one command
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(linecox.__file__).parents[1]), str(root / "perfbench")]))
+    code = (
+        "import json, sys, tracing\n"
+        "from linecox import cli\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "status = cli.main(['laplace', '--preset', 'fig3', '--threads', '1',\n"
+        "                   '--out', sys.argv[1]])\n"
+        "print(json.dumps({'status': status, 'metrics': tracing.layer_metrics(tracer, 0.0)}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["status"] == 0
+    assert result["metrics"]["analytic.transform.calls"] > 0
