@@ -43,7 +43,7 @@ from .core import (
     QuadratureNotConverged,
     QuadratureSpec,
     ZeroSpeed,
-    validate,
+    batch,
 )
 from .quadrature import GL_MAX_NODES, GL_NODES, gauss_legendre, integrate, leggauss
 
@@ -391,15 +391,6 @@ def _tail(profile: _PhiProfile, m, beta: np.ndarray, xi: np.ndarray) -> np.ndarr
             + m * profile.tail_a2 * sp ** 2 * xi ** (2.0 - 2.0 * alpha) / (2.0 * alpha - 2.0))
 
 
-def _batch(x, name: str):
-    """``x`` flat, checked finite and >= 0, and the map giving a result x's shape (a
-    float for a scalar)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr < math.inf)):
-        raise ValueError(f"{name} must be finite and >= 0, got {x}")
-    return arr.ravel(), lambda v: float(v[0]) if arr.ndim == 0 else v.reshape(arr.shape)
-
-
 class LaplaceEvaluator:
     """Laplace transform of interference seen by the typical vehicle, plus the
     coverage built on it.
@@ -410,7 +401,7 @@ class LaplaceEvaluator:
     """
 
     def __init__(self, params: NetworkParams, quad: QuadratureSpec = QuadratureSpec()):
-        self.params, self.quad = validate(params), quad
+        self.params, self.quad = params, quad
         self._profile = _phi_profile(params.alpha, quad.rel_tol)
 
     def laplace_factors(self, s):
@@ -425,7 +416,7 @@ class LaplaceEvaluator:
         many nodes per side as the xi-rule takes on that panel, so the rule's
         n-to-2n differences, and its refinement, cover both.
         """
-        flat, shaped = _batch(s, "transform argument")
+        flat, shaped = batch(s, "transform argument")
         other, own = np.zeros(flat.size), np.zeros(flat.size)
         pos = np.flatnonzero(flat)
         if pos.size:
@@ -477,7 +468,7 @@ class LaplaceEvaluator:
         fading average turns the tail into the transform at tau rho^alpha / p
         (transmit power cancels).
         """
-        taus, shaped = _batch(tau, "tau")
+        taus, shaped = batch(tau, "tau")
         p = self.params
 
         def f(rho: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -558,9 +549,8 @@ class CoverageSurface:
     on [0, 1], whose levels are kept with the surface."""
 
     def __init__(self, base: NetworkParams, tau: float, quad: QuadratureSpec = QuadratureSpec()):
-        if not 0 <= tau < math.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {tau}")
-        self.base, self.tau, self.quad = validate(base), float(tau), quad
+        taus, shaped = batch(tau, "tau")
+        self.base, self.tau, self.quad = base, shaped(taus), quad
         scale = self.tau ** (1.0 / base.alpha)
         self._engine = _CellEngine(_phi_profile(base.alpha, quad.rel_tol), [0.0, 1.0],
                                    lambda x: (scale * x, 2.0 * x))
@@ -569,7 +559,7 @@ class CoverageSurface:
         """(p_c, difference estimate) per cell, over nu and mu broadcast together."""
         nu, mu = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(mu, dtype=float))
         for cell_nu, cell_mu in zip(nu.flat, mu.flat):
-            validate(replace(self.base, nu=float(cell_nu), mu=float(cell_mu)))
+            replace(self.base, nu=float(cell_nu), mu=float(cell_mu))  # checks the cell
         value, diff = self._engine(2.0 * self.base.lambda_l * nu.ravel(), (mu * nu).ravel(),
                                    self.quad)
         return np.minimum(1.0, value).reshape(nu.shape), diff.reshape(nu.shape)
@@ -592,7 +582,7 @@ def area_spectral_efficiency(params: NetworkParams,
     it off.  It is the ``_CellEngine`` integral of t -> (y, K dy/dt), y = (t / (1 -
     t))^(3/2), on ``_ASE_EDGES``; the engine is kept per (alpha, rel_tol) for a sweep.
     """
-    p = validate(params)
+    p = params
     key, alpha, a = (float(p.alpha), float(quad.rel_tol)), p.alpha, 2.0 / p.alpha
     if key not in _ASE_CACHE:
         def outer(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -645,8 +635,7 @@ def af_cumulative(params: NetworkParams, t, quad: QuadratureSpec = QuadratureSpe
     the per-line exponent is mu (2 c(u) + v t) instead of 2 mu (c(u) + v t).
     At t = 0 both coincide with :func:`af_snapshot`.
     """
-    validate(params)
-    ts, shaped = _batch(t, "t")
+    ts, shaped = batch(t, "t")
     half = variant is AFVariant.DIRECTION_AWARE
     k = _sweep_exponent_integral(params, params.speed * ts, half, quad)
     return shaped(-np.expm1(-2.0 * params.lambda_l * k))
@@ -654,7 +643,6 @@ def af_cumulative(params: NetworkParams, t, quad: QuadratureSpec = QuadratureSpe
 
 def af_limit(params: NetworkParams) -> float:
     """Long-run swept fraction: every line closer than nu eventually covers."""
-    validate(params)
     return -math.expm1(-2.0 * params.lambda_l * params.nu)
 
 
@@ -666,8 +654,7 @@ def latency_ccdf(params: NetworkParams, w, quad: QuadratureSpec = QuadratureSpec
     within nu at all (probability 1 - exp(-2 lambda_l nu)), which is what the
     waiting time of a point that does eventually get covered obeys.
     """
-    validate(params)
-    ws, shaped = _batch(w, "w")
+    ws, shaped = batch(w, "w")
     half = variant is not LatencyVariant.DIRECTION_BLIND
     k = _sweep_exponent_integral(params, params.speed * ws, half, quad)
     raw = np.exp(-2.0 * params.lambda_l * k)
@@ -690,7 +677,6 @@ def mean_latency(params: NetworkParams,
     e^(-2 lambda_l nu), a = 2 lambda_l nu int_0^(pi/2) e^(-2 mu nu cos t) cos t dt; the
     mean is miss / (1 - miss) Ein(a) / (mu v), Ein(a) = sum_k a^k / (k k!) (A&S 5.1.10).
     """
-    validate(params)
     if variant is not LatencyVariant.DIRECTION_AWARE_CONDITIONED:
         return DivergenceReport(
             variant=variant,

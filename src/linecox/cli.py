@@ -43,7 +43,6 @@ from .core import (
     convert_units,
     params_digest,
     substream,
-    validate,
 )
 from . import analytic, geometry, montecarlo, optimize
 from .analytic import AFVariant
@@ -224,7 +223,7 @@ def _build_params(config: dict[str, dict[str, str]]) -> NetworkParams:
             fields[key] = convert_units(raw, key)
         except UnitParseError as exc:
             raise ConfigError(f"[params] {key}: {exc}") from None
-    return validate(NetworkParams(**fields))
+    return NetworkParams(**fields)
 
 
 def _quad(config: dict[str, dict[str, str]]) -> QuadratureSpec:
@@ -438,8 +437,8 @@ def _run_optimize(
     terms = {k: _number(config, "run", k, rule=_NONNEG) for k in ("w1", "w2", "w3", "tau")}
     if terms["w1"] + terms["w2"] <= 0:
         raise ConfigError("[run] w1, w2: at least one must be > 0")
-    axes = {key: _grid(config, (key,), default)[1]
-            for key, default in (("nu", "lin:0.1,1.5,8"), ("mu", "lin:0.25,0.75,4"))}
+    axes = {key: values for key in ("nu", "mu")
+            if (values := _grid(config, (key,), None)[1]) is not None}
     try:
         grid = optimize.GridSpec(**axes)
     except ValueError as exc:  # the message leads with the axis name

@@ -171,7 +171,8 @@ def convert_units(value: float | str, field_name: str) -> float:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Physical parameters of the line network, in canonical units.
+    """Physical parameters of the line network, in canonical units, checked by
+    :func:`validate` on construction (``replace`` and :meth:`scaled` included).
 
     lambda_l        line density (per km); the cylinder intensity is lambda_l/pi
     mu              vehicle density on each line (per km)
@@ -187,6 +188,9 @@ class NetworkParams:
     speed: float
     power: float = 1.0
     alpha: float = 3.0
+
+    def __post_init__(self):
+        validate(self)
 
     def scaled(self, kappa: float) -> "NetworkParams":
         """Unit-rescaled copy: densities / kappa, lengths and speed * kappa.
@@ -241,6 +245,15 @@ def validate(params: NetworkParams) -> NetworkParams:
         raise err_cls([(f, m) for f, m, _ in violations])
 
     return params
+
+
+def batch(x, name: str):
+    """``x`` flat, checked finite and >= 0, and the map giving a result x's shape (a
+    float for a scalar): the one check of every grid of s, tau, t or w."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0) & (arr < math.inf)):
+        raise ValueError(f"{name} must be finite and >= 0, got {x}")
+    return arr.ravel(), lambda v: float(v[0]) if arr.ndim == 0 else v.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

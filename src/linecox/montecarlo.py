@@ -47,10 +47,10 @@ from .core import (
     NetworkParams,
     WindowNotConverged,
     ZeroSpeed,
+    batch,
     skip_ahead,
     substream,
     substreams,
-    validate,
 )
 
 __all__ = [
@@ -303,7 +303,6 @@ def _staged_estimates(
     the current interference; the same realisations serve all grid points and
     all stages, so stage-to-stage shifts isolate truncation bias.
     """
-    validate(params)
     if n < 100:
         raise ValueError(f"need at least 100 realisations, got {n}")
     i1 = np.zeros(n)
@@ -341,6 +340,14 @@ def _staged_estimates(
     raise WindowNotConverged(policy.radius(policy.max_doublings), ratio)
 
 
+def _nonempty(values: Sequence[float], name: str) -> np.ndarray:
+    """The grid ``values`` flat, checked by :func:`batch` and non-empty."""
+    grid = batch(values, name)[0]
+    if grid.size == 0:
+        raise ValueError(f"{name} grid must be non-empty")
+    return grid
+
+
 def _grid_result(
     grid: np.ndarray, stats: np.ndarray, report: WindowReport
 ) -> GridEstimate:
@@ -361,9 +368,7 @@ def estimate_laplace(
     and differences along the grid have far less variance than independent
     runs would give.
     """
-    grid = np.asarray(s_values, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0):
-        raise ValueError("s_values must be a non-empty 1-d array of s >= 0")
+    grid = _nonempty(s_values, "transform argument")
 
     def stat(total: np.ndarray, signal: np.ndarray) -> np.ndarray:
         return np.exp(-np.outer(total, grid))
@@ -380,9 +385,7 @@ def estimate_coverage(
     window: WindowPolicy = WindowPolicy(),
 ) -> GridEstimate:
     """Estimate P(SIR >= tau) of the typical link for each threshold."""
-    grid = np.asarray(thresholds, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0):
-        raise ValueError("thresholds must be a non-empty 1-d array of tau >= 0")
+    grid = _nonempty(thresholds, "tau")
 
     def stat(total: np.ndarray, signal: np.ndarray) -> np.ndarray:
         # signal >= tau * I avoids 0/0 when a window stage has no interferer
@@ -537,14 +540,11 @@ def estimate_af_cumulative(
     speed from a normal(speed, sigma) truncated at zero.  sigma = 0
     reproduces the constant-speed model draw for draw.
     """
-    validate(params)
     if n < 100:
         raise ValueError(f"need at least 100 realisations, got {n}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0):
-        raise ValueError("times must be a non-empty 1-d array of t >= 0")
+    grid = _nonempty(times, "t")
     covered0, first = _af_event_times(params, float(grid.max()), n, seed, sigma)
     hit = covered0[:, None] | (first[:, None] <= grid[None, :])
     return tuple(Estimate.from_samples(hit[:, g].astype(float)) for g in range(grid.size))
@@ -588,7 +588,6 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     of ``_CHUNK``, each section from its own :func:`skip_ahead` start, so
     working memory is O(n + lines) plus one piece.
     """
-    validate(params)
     nu, v = params.nu, params.speed
     rng = substream(seed, 4)
     ends = np.cumsum(_conditioned_line_counts(rng, 2.0 * params.lambda_l * nu, n))
@@ -624,9 +623,7 @@ def estimate_latency(
     """
     if n < 100:
         raise ValueError(f"need at least 100 realisations, got {n}")
-    grid = np.asarray(waits_grid, dtype=float)
-    if grid.ndim != 1 or np.any(grid < 0):
-        raise ValueError("waits_grid must be a 1-d array of w >= 0")
+    grid = batch(waits_grid, "w")[0]
     waits = _latency_waits(params, n, seed)
     ccdf = tuple(
         Estimate.from_samples((waits > w).astype(float)) for w in grid

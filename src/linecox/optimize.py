@@ -18,7 +18,6 @@ from .core import (
     EmptyFeasibleSet,
     NetworkParams,
     QuadratureSpec,
-    validate,
 )
 from .analytic import CoverageSurface, af_limit, coverage_probability, mean_latency
 
@@ -103,9 +102,7 @@ def utility(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Aggregate objective at one (nu, mu), other parameters from ``base``."""
-    if nu <= 0 or mu <= 0:
-        raise ValueError(f"nu and mu must be positive, got ({nu}, {mu})")
-    params = validate(replace(base, nu=nu, mu=mu))
+    params = replace(base, nu=nu, mu=mu)
     p_c = coverage_probability(params, weights.tau, quad) if weights.w1 > 0 else math.nan
     return _evaluate_cell(nu, mu, p_c, base, weights, quad, None).utility
 
@@ -171,7 +168,6 @@ def optimize_grid(
     coarse grid; the reported optimum comes from the union of both passes
     while ``surface`` always holds the full rectangular coarse grid.
     """
-    validate(base)
     if constraint is not None and not 0 <= constraint < math.inf:
         raise ValueError(f"constraint must be finite and >= 0, got {constraint}")
     nus = grid.nu_values()

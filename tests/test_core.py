@@ -12,6 +12,7 @@ from linecox.core import (
     Estimate,
     NegativeSpeed,
     NetworkParams,
+    NonPositiveDensity,
     ParameterError,
     UnitParseError,
     convert_units,
@@ -95,6 +96,15 @@ class TestValidation:
     def test_negative_speed_rejected(self):
         with pytest.raises(ParameterError):
             validate(make_params(speed=-1.0))
+
+    def test_checked_on_construction(self):
+        # every way of making a parameter set runs validate, so no caller checks again
+        with pytest.raises(NonPositiveDensity, match="mu"):
+            NetworkParams(3.0, -1.0, 0.1, 0.01)
+        with pytest.raises(AlphaOutOfRange, match="alpha"):
+            dataclasses.replace(make_params(), alpha=2.0)
+        with pytest.raises(ParameterError):
+            make_params().scaled(-1.0)
 
     def test_frozen(self):
         p = make_params()

@@ -378,3 +378,21 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             estimate_laplace(P33, np.array([-0.1]), n=500, seed=0)
 
+    def test_grids_rejected_by_name(self):
+        # the analytic entry points' names and rule; before any draw, so a nan or inf
+        # point cannot run the window loop to its cap or come back as an estimate
+        entries = [
+            ("transform argument", lambda g: estimate_laplace(P33, g, n=200)),
+            ("tau", lambda g: estimate_coverage(P33, g, n=200)),
+            ("t", lambda g: estimate_af_cumulative(P33, g, n=200)),
+            ("w", lambda g: estimate_latency(P33, g, n=200)),
+        ]
+        for name, call in entries:
+            for value in (-1.0, math.nan, math.inf):
+                for grid in ([value], [1.0, value]):
+                    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+                        call(grid)
+            if name != "w":  # an empty latency grid still gives the mean and P(no wait)
+                with pytest.raises(ValueError, match=f"^{name} grid must be non-empty"):
+                    call([])
+

@@ -1,5 +1,6 @@
 """The package's public names, and the benchmark tracer that patches some of them."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,6 +48,20 @@ class TestExports:
         namespace: dict = {}
         exec("from linecox import *", namespace)
         assert set(PUBLIC) <= set(namespace)
+
+
+def test_only_core_calls_validate():
+    # NetworkParams runs validate on construction; a second call elsewhere is a copy
+    # of the rule that can drift from it
+    calls = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "validate" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 def test_benchmark_tracer_still_installs(tmp_path):
