@@ -9,6 +9,7 @@ counts; the manifest's wall-time field is the only non-reproducible output.
 
 Exit codes: 0 success, 1 numerical failure (quadrature or window not
 converged, empty feasible set), 2 usage error or bad input, naming its [section] key.
+Every key a command reads is checked before any work, so a bad input writes no file.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
@@ -39,7 +41,7 @@ from .core import (
     NumericalError,
     ParameterError,
     QuadratureSpec,
-    UnitParseError,
+    batch,
     convert_units,
     params_digest,
     substream,
@@ -47,34 +49,89 @@ from .core import (
 from . import analytic, geometry, montecarlo, optimize
 from .analytic import AFVariant
 
+
+class ConfigError(Exception):
+    """Configuration or usage problem; maps to exit code 2."""
+
+
+@contextmanager
+def _field(section: str, key: str = ""):
+    """Re-raise a ValueError or ParameterError of the checks inside as a ConfigError naming
+    [section] key: ``key``, else each violation's field or the one a ValueError leads with."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError("; ".join(f"[{section}] {f}: {m}" for f, m in exc.violations)) from None
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}" if key else f"[{section}] {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# [run] keys: the text each may hold, and its default
+
+
+def _number(kind: type = float, low: float = -math.inf):
+    """Parser of a finite ``kind`` that is >= ``low``."""
+    def parse(raw: str):
+        value = kind(raw)  # its ValueError says what the text is not
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {raw!r}")
+        if value < low:
+            raise ValueError(f"must be >= {low:g}, got {raw!r}")
+        return value
+
+    return parse
+
+
+def _bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return word in ("1", "true", "yes", "on")
+
+
+_MODES = ("analytic", "montecarlo", "both")
+
+
+def _mode(raw: str) -> str:
+    if raw not in _MODES:
+        raise ValueError(f"unknown mode {raw!r}")
+    return raw
+
+
+_REAL, _NONNEG = _number(), _number(low=0)
+
+# Every [run] key: its default text (None: unset unless given) and the parser of
+# its text.  Only the ranges no library type checks before work are checked here;
+# the tolerances and weights are checked by QuadratureSpec and UtilityWeights.
+_RUN: dict[str, tuple[Optional[str], Callable[[str], object]]] = {
+    "mode": ("analytic", _mode),
+    "n": ("10000", _number(int, 100)),
+    "seed": (None, _number(int, 0)),
+    "threads": (None, _number(int, 1)),
+    "out": (".", str),
+    "variant": ("auto", str),  # resolved by the quantity, which knows its variants
+    "target": (None, str),  # validate's quantity, checked by _target
+    "rel_tol": ("1e-6", _REAL),
+    "abs_tol": ("1e-10", _REAL),
+    "w1": ("0.7", _REAL),
+    "w2": ("0.3", _REAL),
+    "w3": ("0", _REAL),
+    "tau": ("1", _REAL),
+    "refine": ("true", _bool),
+    "constraint": (None, lambda raw: _NONNEG(raw) if raw.strip() else None),
+    "radius": ("2", _NONNEG),
+    "half_length": ("2", _NONNEG),
+    "palm": ("true", _bool),
+    "manhattan": ("false", _bool),
+    "devices": ("true", _bool),
+    "sigma": ("0", _NONNEG),
+}
+
 _DEFAULTS: dict[str, dict[str, str]] = {
-    "params": {
-        "lambda_l": "3",
-        "mu": "3",
-        "nu": "0.1",
-        "speed": "30 km/h",
-        "power": "1",
-        "alpha": "3",
-    },
-    "run": {
-        "mode": "analytic",
-        "n": "10000",
-        "out": ".",
-        "variant": "auto",
-        "rel_tol": "1e-6",
-        "abs_tol": "1e-10",
-        "w1": "0.7",
-        "w2": "0.3",
-        "w3": "0",
-        "tau": "1",
-        "refine": "true",
-        "radius": "2",
-        "half_length": "2",
-        "palm": "true",
-        "manhattan": "false",
-        "devices": "true",
-        "sigma": "0",
-    },
+    "params": {"lambda_l": "3", "mu": "3", "nu": "0.1", "speed": "30 km/h", "power": "1",
+               "alpha": "3"},
+    "run": {key: default for key, (default, _) in _RUN.items() if default is not None},
     "grid": {},
 }
 
@@ -107,9 +164,17 @@ _PRESETS: dict[str, dict[str, dict[str, str]]] = {
     },
 }
 
-
-class ConfigError(Exception):
-    """Configuration or usage problem; maps to exit code 2."""
+# the flags that set the [run] key of the same name, with their argparse options
+_FLAGS: dict[str, dict] = {
+    "seed": {"type": int, "help": "Monte Carlo seed"},
+    "n": {"type": int, "help": "Monte Carlo realisations"},
+    "threads": {"type": int, "help": "worker count (no result depends on it)"},
+    "out": {"help": "output directory"},
+    "variant": {"help": "analytic variant name (default auto: the variant "
+                        "the Monte Carlo estimator targets)"},
+    "rel_tol": {"type": float, "help": "quadrature relative tolerance"},
+    "mode": {"choices": _MODES},
+}
 
 
 def _merge(base: dict[str, dict[str, str]], extra: dict[str, dict[str, str]]) -> None:
@@ -149,18 +214,11 @@ def _parse_set(items: Sequence[str]) -> dict[str, dict[str, str]]:
     return out
 
 
-# Range rules for _number and _grid: (test, what the value must be).
-_NONNEG = (lambda v: v >= 0, ">= 0")
-_POSITIVE = (lambda v: v > 0, "> 0")
-_GRID_RULES = {"s": _NONNEG, "tau": _NONNEG, "t": _NONNEG, "w": _NONNEG,
-               "nu": _POSITIVE, "mu": _POSITIVE}
-_MODES = ("analytic", "montecarlo", "both")
-
-
 def _grid(config: dict[str, dict[str, str]], keys: tuple[str, ...],
           default: Optional[str]) -> tuple[Optional[str], Optional[list[float]]]:
     """(key, values) of the one of ``keys`` set, else ``default`` for the last key;
-    ``tau_db`` values come back as linear thresholds."""
+    ``tau_db`` values come back as linear thresholds.  Only the text is checked
+    here: the values' range is checked by what is built from them."""
     given = [k for k in keys if k in config["grid"]]
     if len(given) > 1:
         raise ConfigError(f"[grid] {', '.join(given)}: give only one of these")
@@ -185,64 +243,20 @@ def _grid(config: dict[str, dict[str, str]], keys: tuple[str, ...],
         raise ConfigError(f"[grid] {key}: bad grid {text!r} ({exc})") from None
     if values.size == 0 or not np.all(np.isfinite(values)):
         raise ConfigError(f"[grid] {key}: need one or more finite values, got {text!r}")
-    test, need = _GRID_RULES.get(key, (lambda v: True, ""))
-    if not all(test(v) for v in values):
-        raise ConfigError(f"[grid] {key}: every value must be {need}, got {text!r}")
-    return key, (10.0 ** (values / 10.0) if key == "tau_db" else values).tolist()
+    if key == "tau_db":
+        with np.errstate(over="ignore"):  # batch refuses an overflow to inf by name
+            values = 10.0 ** (values / 10.0)
+    return key, values.tolist()
 
 
-def _number(config: dict[str, dict[str, str]], section: str, key: str,
-            kind: type = float, rule: Optional[tuple] = None):
-    """[section] key parsed as a finite ``kind`` and checked against ``rule``."""
-    raw = config[section][key]
-    try:
-        value = kind(raw)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[{section}] {key}: not {noun}: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
-    if rule is not None and not rule[0](value):
-        raise ConfigError(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
-    return value
+def _params(config: dict[str, dict[str, str]]) -> NetworkParams:
+    with _field("params"):
+        return NetworkParams(**{k: convert_units(raw, k) for k, raw in config["params"].items()})
 
 
-def _bool(config: dict[str, dict[str, str]], section: str, key: str) -> bool:
-    raw = config[section][key].strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
-
-
-def _build_params(config: dict[str, dict[str, str]]) -> NetworkParams:
-    fields = {}
-    for key, raw in config["params"].items():
-        try:
-            fields[key] = convert_units(raw, key)
-        except UnitParseError as exc:
-            raise ConfigError(f"[params] {key}: {exc}") from None
-    return NetworkParams(**fields)
-
-
-def _quad(config: dict[str, dict[str, str]]) -> QuadratureSpec:
-    return QuadratureSpec(
-        rel_tol=_number(config, "run", "rel_tol", rule=(lambda v: 0 < v < 1, "in (0, 1)")),
-        abs_tol=_number(config, "run", "abs_tol", rule=(lambda v: 0 <= v < 1, "in [0, 1)")),
-    )
-
-
-def _seed(config: dict[str, dict[str, str]]) -> int:
-    if "seed" not in config["run"]:
-        raise ConfigError("[run] seed: required for Monte Carlo and geometry runs (--seed)")
-    return _number(config, "run", "seed", int, _NONNEG)
-
-
-def _sampling(config: dict[str, dict[str, str]]) -> tuple[int, int]:
-    """(n, seed) of a Monte Carlo run."""
-    seed = _seed(config)
-    return _number(config, "run", "n", int, (lambda v: v >= 100, ">= 100")), seed
+def _quad(run: dict) -> QuadratureSpec:
+    with _field("run"):
+        return QuadratureSpec(rel_tol=run["rel_tol"], abs_tol=run["abs_tol"])
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -265,14 +279,18 @@ def _fmt(value: float) -> str:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """What a quantity's row makers read, resolved from the config."""
+    """A quantity run's inputs, each parsed and checked before any work."""
 
+    name: str
+    mode: str
     params: NetworkParams
     quad: QuadratureSpec
     variant: Optional[Enum]
-    grid_key: Optional[str]
     grid: Optional[list[float]]
-    config: dict[str, dict[str, str]]
+    cells: list[tuple[float, NetworkParams]]  # ASE sweep: (grid value, parameter set)
+    n: int
+    seed: Optional[int]
+    sigma: float
 
 
 @dataclass(frozen=True)
@@ -288,7 +306,7 @@ class _Quantity:
     grid_keys: tuple[str, ...]
     default_grid: Optional[str]
     analytic: Callable[[_Inputs], list]
-    montecarlo: Callable[[_Inputs, int, int], tuple[list, list]]
+    montecarlo: Callable[[_Inputs], tuple[list, list]]
     variant: Callable[[str], Optional[Enum]] = lambda name: None
     reference: Callable[[_Inputs], list] = lambda x: []
     run_keys: tuple[str, ...] = ()  # [run] keys read beyond those every quantity reads
@@ -315,15 +333,8 @@ def _grid_rows(tag: str, x: _Inputs, res: montecarlo.GridEstimate) -> tuple[list
     return _curve(tag, x, res.estimates), [res.window]
 
 
-def _cells(x: _Inputs) -> list[tuple[float, NetworkParams]]:
-    """ASE sweep cells over nu or mu; one nan-labelled cell without a grid."""
-    if x.grid_key is None:
-        return [(math.nan, x.params)]
-    return [(v, replace(x.params, **{x.grid_key: v})) for v in x.grid]
-
-
-def _ase_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
-    runs = [(label, *montecarlo.estimate_ase(cell, n=n, seed=seed)) for label, cell in _cells(x)]
+def _ase_mc(x: _Inputs) -> tuple[list, list]:
+    runs = [(label, *montecarlo.estimate_ase(cell, n=x.n, seed=x.seed)) for label, cell in x.cells]
     return [("ase", label, est) for label, est, _ in runs], [window for *_, window in runs]
 
 
@@ -333,14 +344,8 @@ def _af_cumulative(x: _Inputs) -> list:
     return rows + [("af-cumulative", math.inf, analytic.af_limit(x.params))]
 
 
-def _af_cumulative_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
-    sigma = _number(x.config, "run", "sigma", rule=_NONNEG)
-    ests = montecarlo.estimate_af_cumulative(x.params, x.grid, n=n, seed=seed, sigma=sigma)
-    return _curve("af-cumulative", x, ests), []
-
-
-def _latency_mc(x: _Inputs, n: int, seed: int) -> tuple[list, list]:
-    res = montecarlo.estimate_latency(x.params, x.grid, n=n, seed=seed)
+def _latency_mc(x: _Inputs) -> tuple[list, list]:
+    res = montecarlo.estimate_latency(x.params, x.grid, n=x.n, seed=x.seed)
     rows = _curve("latency-ccdf", x, res.ccdf)
     rows += [("latency-mean", math.nan, res.mean), ("latency-pzero", math.nan, res.p_zero)]
     return rows, []
@@ -350,26 +355,28 @@ _TABLE: dict[str, _Quantity] = {
     "laplace": _Quantity(
         ("s",), "geom:1e-4,0.1,10",
         lambda x: _curve("laplace", x, analytic.laplace(x.params, x.grid, x.quad)),
-        lambda x, n, seed: _grid_rows("laplace", x, montecarlo.estimate_laplace(
-            x.params, x.grid, n=n, seed=seed))),
+        lambda x: _grid_rows("laplace", x, montecarlo.estimate_laplace(
+            x.params, x.grid, n=x.n, seed=x.seed))),
     "coverage": _Quantity(
         ("tau", "tau_db"), "lin:0,20,11",
         lambda x: _curve("coverage", x, analytic.coverage_probability(x.params, x.grid, x.quad)),
-        lambda x, n, seed: _grid_rows("coverage", x, montecarlo.estimate_coverage(
-            x.params, x.grid, n=n, seed=seed))),
+        lambda x: _grid_rows("coverage", x, montecarlo.estimate_coverage(
+            x.params, x.grid, n=x.n, seed=x.seed))),
     "ase": _Quantity(
         ("nu", "mu"), None,
         lambda x: [("ase", label, analytic.area_spectral_efficiency(cell, x.quad))
-                   for label, cell in _cells(x)],
+                   for label, cell in x.cells],
         _ase_mc),
     "af-snapshot": _Quantity(
         (), None,
         lambda x: [("af-snapshot", math.nan, analytic.af_snapshot(x.params, x.quad))],
-        lambda x, n, seed: ([("af-snapshot", math.nan, montecarlo.estimate_af_snapshot(
-            x.params, n=n, seed=seed))], [])),
+        lambda x: ([("af-snapshot", math.nan, montecarlo.estimate_af_snapshot(
+            x.params, n=x.n, seed=x.seed))], [])),
     "af-cumulative": _Quantity(
         ("t",), "lin:0,400,9",
-        _af_cumulative, _af_cumulative_mc,
+        _af_cumulative,
+        lambda x: (_curve("af-cumulative", x, montecarlo.estimate_af_cumulative(
+            x.params, x.grid, n=x.n, seed=x.seed, sigma=x.sigma)), []),
         _variant(AFVariant, AFVariant.DIRECTION_AWARE),
         run_keys=("variant", "sigma")),
     "latency": _Quantity(
@@ -384,76 +391,78 @@ _TABLE: dict[str, _Quantity] = {
 }
 
 
-def _inputs(quantity: _Quantity, config: dict[str, dict[str, str]]) -> _Inputs:
-    params, quad = _build_params(config), _quad(config)
-    variant = quantity.variant(config["run"]["variant"])
-    key, grid = _grid(config, quantity.grid_keys, quantity.default_grid)
-    return _Inputs(params, quad, variant, key, grid, config)
-
-
 def _windows(reports: list[montecarlo.WindowReport]) -> dict:
     return {"window": [asdict(r) for r in reports]} if reports else {}
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers: (config, out_dir) -> (outputs, manifest extras, status)
+# resolve steps: (config, parsed [run] keys) -> a command's checked inputs
 
 
-def _run_quantity(
-    name: str, config: dict[str, dict[str, str]], out_dir: str
-) -> tuple[list[str], dict, int]:
-    mode = config["run"]["mode"]
-    if mode not in _MODES:
-        raise ConfigError(f"[run] mode: unknown mode {mode!r}")
+def _quantity_inputs(name: str, config: dict[str, dict[str, str]], run: dict) -> _Inputs:
     quantity = _TABLE[name]
-    x = _inputs(quantity, config)
-    # Monte Carlo inputs are checked before any work, so a bad one writes no CSV
-    n, seed = _sampling(config) if mode != "analytic" else (0, 0)
+    params = _params(config)
+    key, grid = _grid(config, quantity.grid_keys, quantity.default_grid)
+    cells = [(math.nan, params)]
+    with _field("grid"):
+        if key in ("nu", "mu"):  # an ASE sweep: one parameter set per grid value
+            cells = [(v, replace(params, **{key: v})) for v in grid]
+        elif key is not None:
+            batch(grid, key)
+    # validate reads no mode (it takes both); only some quantities read variant or sigma
+    return _Inputs(name, run.get("mode", "both"), params, _quad(run),
+                   quantity.variant(run.get("variant", "auto")), grid, cells, run["n"],
+                   run["seed"], run.get("sigma", 0.0))
+
+
+def _optimize_inputs(config: dict[str, dict[str, str]], run: dict) -> dict:
+    """The arguments of ``optimize.optimize_grid``."""
+    axes = {key: values for key in ("nu", "mu")
+            if (values := _grid(config, (key,), None)[1]) is not None}
+    with _field("run"):
+        weights = optimize.UtilityWeights(run["w1"], run["w2"], run["w3"], run["tau"])
+    with _field("grid"):
+        grid = optimize.GridSpec(**axes)
+    return dict(base=_params(config), weights=weights, grid=grid, constraint=run["constraint"],
+                quad=_quad(run), refine=run["refine"])
+
+
+def _target(config: dict[str, dict[str, str]]) -> str:
+    """The quantity validate checks: [run] target, laplace if unset."""
+    target = config["run"].get("target", "laplace")
+    if target not in _TABLE:
+        raise ConfigError(f"[run] target: validate needs one of {list(_TABLE)}, got {target!r}")
+    return target
+
+
+# ---------------------------------------------------------------------------
+# subcommand drivers: (inputs, out_dir) -> (outputs, manifest extras, status)
+
+
+def _run_quantity(x: _Inputs, out_dir: str) -> tuple[list[str], dict, int]:
+    quantity = _TABLE[x.name]
     digest, label = params_digest(x.params), getattr(x.variant, "value", "")
     outputs: list[str] = []
     reports: list[montecarlo.WindowReport] = []
-    if mode != "montecarlo":
+    if x.mode != "montecarlo":
         bound = lambda v: x.quad.rel_tol * abs(v) + x.quad.abs_tol
-        outputs.append(os.path.join(out_dir, f"{name}_analytic.csv"))
+        outputs.append(os.path.join(out_dir, f"{x.name}_analytic.csv"))
         _write_csv(outputs[-1], ["schema_version", "quantity", "variant", "grid_value", "value",
                                  "est_error_bound", "params_hash"],
-                   [[SCHEMA_VERSION, name, label, _fmt(g), _fmt(v), _fmt(bound(v)), digest]
+                   [[SCHEMA_VERSION, x.name, label, _fmt(g), _fmt(v), _fmt(bound(v)), digest]
                     for _, g, v in quantity.analytic(x)])
-    if mode != "analytic":
-        rows, reports = quantity.montecarlo(x, n, seed)
-        outputs.append(os.path.join(out_dir, f"{name}_mc.csv"))
+    if x.mode != "analytic":
+        rows, reports = quantity.montecarlo(x)
+        outputs.append(os.path.join(out_dir, f"{x.name}_mc.csv"))
         _write_csv(outputs[-1], ["schema_version", "quantity", "grid_value", "estimate",
                                  "std_error", "n", "seed", "params_hash"],
                    [[SCHEMA_VERSION, tag, _fmt(g), _fmt(est.value), _fmt(est.std_error),
-                     est.n_samples, seed, digest] for tag, g, est in rows])
+                     est.n_samples, x.seed, digest] for tag, g, est in rows])
     return outputs, _windows(reports), 0
 
 
-def _run_optimize(
-    config: dict[str, dict[str, str]], out_dir: str
-) -> tuple[list[str], dict, int]:
-    params = _build_params(config)
-    quad = _quad(config)
-    terms = {k: _number(config, "run", k, rule=_NONNEG) for k in ("w1", "w2", "w3", "tau")}
-    if terms["w1"] + terms["w2"] <= 0:
-        raise ConfigError("[run] w1, w2: at least one must be > 0")
-    axes = {key: values for key in ("nu", "mu")
-            if (values := _grid(config, (key,), None)[1]) is not None}
-    try:
-        grid = optimize.GridSpec(**axes)
-    except ValueError as exc:  # the message leads with the axis name
-        raise ConfigError(f"[grid] {exc}") from None
-    constraint = None
-    if config["run"].get("constraint", "").strip():
-        constraint = _number(config, "run", "constraint", rule=_NONNEG)
-    result = optimize.optimize_grid(
-        params,
-        optimize.UtilityWeights(**terms),
-        grid,
-        constraint=constraint,
-        quad=quad,
-        refine=_bool(config, "run", "refine"),
-    )
+def _run_optimize(x: dict, out_dir: str) -> tuple[list[str], dict, int]:
+    result = optimize.optimize_grid(**x)
     path = os.path.join(out_dir, "optimize.csv")
     _write_csv(
         path,
@@ -461,66 +470,45 @@ def _run_optimize(
         [[SCHEMA_VERSION, _fmt(c.nu), _fmt(c.mu), _fmt(c.p_c), _fmt(c.af), _fmt(c.latency),
           _fmt(c.utility), int(c.feasible)] for c in result.surface],
     )
-    extra = {
-        "optimum": {
-            "nu": result.nu_opt,
-            "mu": result.mu_opt,
-            "value": result.value,
-            "coarse_nu": result.coarse_nu_opt,
-            "coarse_mu": result.coarse_mu_opt,
-        }
-    }
-    print(
-        f"optimum nu={result.nu_opt:.6g} mu={result.mu_opt:.6g} "
-        f"value={result.value:.6g}"
-    )
-    return [path], extra, 0
+    print(f"optimum nu={result.nu_opt:.6g} mu={result.mu_opt:.6g} value={result.value:.6g}")
+    return [path], {"optimum": {"nu": result.nu_opt, "mu": result.mu_opt, "value": result.value,
+                                "coarse_nu": result.coarse_nu_opt,
+                                "coarse_mu": result.coarse_mu_opt}}, 0
 
 
-def _run_geometry(
-    config: dict[str, dict[str, str]], out_dir: str
-) -> tuple[list[str], dict, int]:
-    params = _build_params(config)
-    seed = _seed(config)
-    radius = _number(config, "run", "radius", rule=_NONNEG)
-    half_length = _number(config, "run", "half_length", rule=_NONNEG)
-    rng = substream(seed, 0)
-    if _bool(config, "run", "manhattan"):
+def _run_geometry(x: tuple[NetworkParams, dict], out_dir: str) -> tuple[list[str], dict, int]:
+    params, run = x
+    radius, half_length = run["radius"], run["half_length"]
+    rng = substream(run["seed"], 0)
+    if run["manhattan"]:
         lines = geometry.sample_manhattan_lines(params.lambda_l, radius, rng)
         snap = geometry.snapshot_from_lines(lines, params, radius, half_length, rng)
-    elif _bool(config, "run", "palm"):
+    elif run["palm"]:
         snap = geometry.palm_snapshot(params, radius, half_length, rng)
     else:
         snap = geometry.ordinary_snapshot(params, radius, half_length, rng)
-    if _bool(config, "run", "devices"):
+    if run["devices"]:
         snap = geometry.place_devices(snap, params.nu, rng)
     path = os.path.join(out_dir, "geometry.csv")
     geometry.snapshot_to_csv(snap, path)
     return [path], {"lines": snap.n_lines, "vehicles": snap.n_vehicles}, 0
 
 
-def _run_validate(
-    config: dict[str, dict[str, str]], out_dir: str
-) -> tuple[list[str], dict, int]:
-    target = config["run"].get("target", "laplace")
-    if target not in _TABLE:
-        raise ConfigError(f"[run] target: validate needs one of {list(_TABLE)}, got {target!r}")
-    quantity = _TABLE[target]
-    x = _inputs(quantity, config)
-    n, seed = _sampling(config)
+def _run_validate(x: _Inputs, out_dir: str) -> tuple[list[str], dict, int]:
+    quantity = _TABLE[x.name]
     digest = params_digest(x.params)
     # join on (quantity, grid value): a row found on one side only is dropped
     reference = {(tag, _fmt(g)): v
                  for tag, g, v in quantity.analytic(x) + quantity.reference(x)}
-    mc_rows, reports = quantity.montecarlo(x, n, seed)
+    mc_rows, reports = quantity.montecarlo(x)
     pairs = [(g, reference[tag, _fmt(g)], est) for tag, g, est in mc_rows
              if (tag, _fmt(g)) in reference]
     z_abs = [abs(est.z_score(value)) for _, value, est in pairs]
     worst = max([0.0, *z_abs])
-    path = os.path.join(out_dir, f"validate_{target}.csv")
+    path = os.path.join(out_dir, f"validate_{x.name}.csv")
     _write_csv(path, ["schema_version", "quantity", "grid_value", "analytic", "mc",
                       "std_error", "z_abs", "params_hash"],
-               [[SCHEMA_VERSION, target, _fmt(g), _fmt(value), _fmt(est.value),
+               [[SCHEMA_VERSION, x.name, _fmt(g), _fmt(value), _fmt(est.value),
                  _fmt(est.std_error), _fmt(z), digest] for (g, value, est), z in zip(pairs, z_abs)])
     status = 0
     if worst > 3.0:
@@ -528,29 +516,36 @@ def _run_validate(
         status = 1
     elif worst > 2.0:
         print(f"validation warning: max |z| = {worst:.2f} > 2", file=sys.stderr)
-    print(f"validate {target}: max |z| = {worst:.3f} over {len(pairs)} points")
+    print(f"validate {x.name}: max |z| = {worst:.3f} over {len(pairs)} points")
     extra = {"max_abs_z": worst, "variant": getattr(x.variant, "value", "")}
     return [path], {**extra, **_windows(reports)}, status
 
 
 class _Command(NamedTuple):
-    """A subcommand's driver and the [run] and [grid] keys it reads."""
+    """A subcommand: the resolve step that checks its inputs, the driver that runs
+    on them, and the [run] and [grid] keys it reads."""
 
-    driver: Callable[[dict[str, dict[str, str]], str], tuple[list[str], dict, int]]
+    resolve: Callable[[dict[str, dict[str, str]], dict], object]
+    driver: Callable[[object, str], tuple[list[str], dict, int]]
     run_keys: tuple[str, ...] = ()
     grid_keys: tuple[str, ...] = ()
 
 
 _EVERY = ("out", "threads")  # [run] keys every command reads
 _COMMANDS: dict[str, _Command] = {
-    **{name: _Command(partial(_run_quantity, name), (*_EVERY, "mode", "n", "seed", "rel_tol",
-                                                     "abs_tol", *q.run_keys), q.grid_keys)
+    **{name: _Command(partial(_quantity_inputs, name), _run_quantity,
+                      (*_EVERY, "mode", "n", "seed", "rel_tol", "abs_tol", *q.run_keys),
+                      q.grid_keys)
        for name, q in _TABLE.items()},
-    "optimize": _Command(_run_optimize, (*_EVERY, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau",
-                                         "refine", "constraint"), ("nu", "mu")),
-    "geometry-dump": _Command(_run_geometry, (*_EVERY, "seed", "radius", "half_length", "palm",
-                                              "manhattan", "devices")),
-    "validate": _Command(_run_validate),  # reads its target's keys, see _reads
+    "optimize": _Command(_optimize_inputs, _run_optimize,
+                         (*_EVERY, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau", "refine",
+                          "constraint"), ("nu", "mu")),
+    "geometry-dump": _Command(lambda config, run: (_params(config), run), _run_geometry,
+                              (*_EVERY, "seed", "radius", "half_length", "palm", "manhattan",
+                               "devices")),
+    # reads its target's keys, see _reads
+    "validate": _Command(lambda config, run: _quantity_inputs(_target(config), config, run),
+                         _run_validate),
 }
 QUANTITIES = tuple(_COMMANDS)
 
@@ -565,11 +560,23 @@ def _reads(command: str, config: dict[str, dict[str, str]]) -> dict[str, tuple[s
     with ``target`` in place of ``mode``."""
     if command != "validate":
         return {"run": _COMMANDS[command].run_keys, "grid": _COMMANDS[command].grid_keys}
-    target = config["run"].get("target", "laplace")
-    if target not in _TABLE:  # _run_validate names the bad target
-        return _KNOWN
-    return {"run": tuple("target" if k == "mode" else k for k in _COMMANDS[target].run_keys),
-            "grid": _COMMANDS[target].grid_keys}
+    target = _COMMANDS[_target(config)]
+    return {"run": tuple("target" if k == "mode" else k for k in target.run_keys),
+            "grid": target.grid_keys}
+
+
+def _resolve(command: str, config: dict[str, dict[str, str]]) -> object:
+    """The inputs of ``command``: every [run] key it reads parsed (None where unset) and
+    the library objects built from them, each checked before any work."""
+    run = {}
+    for key in _reads(command, config)["run"]:
+        raw = config["run"].get(key)
+        with _field("run", key):
+            run[key] = None if raw is None else _RUN[key][1](raw)
+    # a seed read but unset: only an analytic run may go without one
+    if run.get("seed", 0) is None and run.get("mode") != "analytic":
+        raise ConfigError("[run] seed: required for Monte Carlo and geometry runs (--seed)")
+    return _COMMANDS[command].resolve(config, run)
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +635,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=sorted(_PRESETS),
                        help="named scenario preset")
-        p.add_argument("--seed", type=int, help="Monte Carlo seed")
-        p.add_argument("--n", type=int, help="Monte Carlo realisations")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (no result depends on it)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--variant",
-                       help="analytic variant name (default auto: the variant "
-                            "the Monte Carlo estimator targets)")
-        p.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
-        p.add_argument("--mode", choices=_MODES)
+        for key, options in _FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), **options)
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override any config value")
     return parser
@@ -650,20 +649,15 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     given = [_load_config_file(args.config)] if args.config else []
     given.append(_parse_set(args.set))
     for part in given:
-        _check_keys(part, _KNOWN)
         _merge(config, part)
-    # each of these flags sets the [run] key of the same name
-    for key in ("seed", "n", "out", "variant", "rel_tol", "mode", "threads"):
+    for key in _FLAGS:
         if getattr(args, key) is not None:
             config["run"][key] = str(getattr(args, key))
-    _check_keys(config, _KNOWN)
     # a run or grid key given for a command that does not read it is an error,
     # not a silent run without it; preset keys and flags may go unread
-    reads = _reads(args.quantity, config)
+    known = {"params": _KNOWN["params"], **_reads(args.quantity, config)}
     for part in given:
-        _check_keys({section: part.get(section, {}) for section in reads}, reads)
-    if "threads" in config["run"]:
-        _number(config, "run", "threads", int, _POSITIVE)
+        _check_keys(part, known)
     return config
 
 
@@ -673,16 +667,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.time()
     try:
         config = _resolve_config(args)
+        inputs = _resolve(quantity, config)
         out_dir = config["run"]["out"]
         os.makedirs(out_dir, exist_ok=True)
-        outputs, extra, status = _COMMANDS[quantity].driver(config, out_dir)
+        outputs, extra, status = _COMMANDS[quantity].driver(inputs, out_dir)
         manifest = _write_manifest(
             out_dir, quantity, config, outputs, extra, time.time() - started
         )
         for path in outputs + [manifest]:
             print(f"wrote {path}")
         return status
-    except (ConfigError, ParameterError, UnitParseError) as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, EmptyFeasibleSet) as exc:

@@ -86,11 +86,11 @@ class WindowPolicy:
     stability_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.initial_radius <= 0:
-            raise ValueError(f"initial_radius must be > 0, got {self.initial_radius}")
+        if not 0 < self.initial_radius < math.inf:
+            raise ValueError(f"initial_radius must be finite and > 0, got {self.initial_radius}")
         if self.max_doublings < 1:
             raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
-        if self.stability_fraction <= 0:
+        if not self.stability_fraction > 0:
             raise ValueError(
                 f"stability_fraction must be > 0, got {self.stability_fraction}"
             )
@@ -289,6 +289,12 @@ def _stage_interference(
     return other, own
 
 
+def _check_sample_size(n: int) -> None:
+    """The one sample-size rule of every estimator."""
+    if n < 100:
+        raise ValueError(f"need at least 100 realisations, got {n}")
+
+
 def _staged_estimates(
     params: NetworkParams,
     n: int,
@@ -303,8 +309,7 @@ def _staged_estimates(
     the current interference; the same realisations serve all grid points and
     all stages, so stage-to-stage shifts isolate truncation bias.
     """
-    if n < 100:
-        raise ValueError(f"need at least 100 realisations, got {n}")
+    _check_sample_size(n)
     i1 = np.zeros(n)
     i2 = np.zeros(n)
     if need_signal:
@@ -540,10 +545,9 @@ def estimate_af_cumulative(
     speed from a normal(speed, sigma) truncated at zero.  sigma = 0
     reproduces the constant-speed model draw for draw.
     """
-    if n < 100:
-        raise ValueError(f"need at least 100 realisations, got {n}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    _check_sample_size(n)
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     grid = _nonempty(times, "t")
     covered0, first = _af_event_times(params, float(grid.max()), n, seed, sigma)
     hit = covered0[:, None] | (first[:, None] <= grid[None, :])
@@ -621,8 +625,7 @@ def estimate_latency(
     All quantities condition on the origin being covered eventually, i.e. on
     at least one street passing within distance nu.
     """
-    if n < 100:
-        raise ValueError(f"need at least 100 realisations, got {n}")
+    _check_sample_size(n)
     grid = batch(waits_grid, "w")[0]
     waits = _latency_waits(params, n, seed)
     ccdf = tuple(

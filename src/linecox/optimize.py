@@ -45,7 +45,7 @@ class UtilityWeights:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.w1 + self.w2 <= 0:
-            raise ValueError("at least one of w1, w2 must be positive")
+            raise ValueError("w1, w2: at least one must be > 0")
 
 
 @dataclass(frozen=True)

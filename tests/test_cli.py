@@ -30,10 +30,11 @@ def _run(tmp_path, *argv):
     return main([*argv, "--out", str(out)]), out
 
 
-# Bad inputs: test name -> (argv, text stderr must contain).  Each exits 2
-# and names the offending field.
+# Bad inputs: test name -> (argv, text stderr must contain).  Each exits 2,
+# names the offending field and writes nothing.
 BAD_INPUTS = {
-    "alpha_at_boundary_names_the_field": (["laplace", "--set", "params.alpha=2"], "alpha"),
+    "alpha_at_boundary_names_the_field": (["laplace", "--set", "params.alpha=2"],
+                                          "[params] alpha"),
     "monte_carlo_requires_seed": (["laplace", "--mode", "montecarlo", "--n", "200"],
                                   "[run] seed"),
     "geometry_requires_seed": (["geometry-dump"], "[run] seed"),
@@ -76,14 +77,28 @@ BAD_INPUTS = {
     "infinite_constraint": (["optimize", "--preset", "fig10", "--set", "run.constraint=inf"],
                             "[run] constraint"),
     "nan_rel_tol": (["laplace", "--set", "run.rel_tol=nan"], "[run] rel_tol"),
+    "negative_density_names_section": (["laplace", "--set", "params.mu=-1"], "[params] mu"),
+    "negative_speed_names_section": (["laplace", "--set", "params.speed=-5"], "[params] speed"),
+    "overflowing_db_threshold": (["coverage", "--set", "grid.tau_db=4000"], "[grid] tau_db"),
+    # the analytic table would come first: the bad sigma must stop the run before it
+    "negative_sigma_in_both_mode": (["af-cumulative", "--preset", "fig7", "--mode", "both",
+                                     "--seed", "1", "--n", "200", "--set", "run.sigma=-1"],
+                                    "[run] sigma"),
+    "sigma_not_a_number_in_analytic_mode": (["af-cumulative", "--preset", "fig7",
+                                             "--set", "run.sigma=xyz"], "[run] sigma"),
+    "palm_not_a_boolean_under_manhattan": (["geometry-dump", "--seed", "1", "--set",
+                                            "run.manhattan=true", "--set", "run.palm=xyz"],
+                                           "[run] palm"),
+    "sample_size_checked_in_analytic_mode": (["laplace", "--set", "run.n=50"], "[run] n"),
 }
 
 
 def _exits_2_naming(argv, field):
     def test(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, *argv)
+        code, out = _run(tmp_path, *argv)
         assert code == 2
         assert field in capsys.readouterr().err
+        assert not any(out.glob("*"))
 
     return test
 
@@ -284,6 +299,13 @@ class TestConfigResolution:
         assert len(manifest["window"]) == 2
         for window in manifest["window"]:
             assert set(window) == {"final_radius", "stages", "max_shift_over_se"}
+
+    def test_defaults_presets_and_flags_set_only_known_keys(self):
+        # so the merged config needs no key check of its own
+        for layer in [cli._DEFAULTS, *cli._PRESETS.values(), {"run": cli._FLAGS}]:
+            for section, values in layer.items():
+                assert set(values) <= set(cli._KNOWN[section]), section
+        assert {p["run"]["target"] for p in cli._PRESETS.values()} <= set(cli._COMMANDS)
 
     def test_build_described_once_per_process(self, tmp_path, monkeypatch):
         # git describe is a 2-4 ms fork, and a process may write several manifests

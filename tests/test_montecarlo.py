@@ -312,12 +312,11 @@ class TestSpeedScaling:
 
 class TestWindowControl:
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            WindowPolicy(initial_radius=0.0)
-        with pytest.raises(ValueError):
-            WindowPolicy(max_doublings=-1)
-        with pytest.raises(ValueError):
-            WindowPolicy(stability_fraction=0.0)
+        for bad in ({"initial_radius": 0.0}, {"initial_radius": math.nan},
+                    {"initial_radius": math.inf}, {"max_doublings": -1},
+                    {"stability_fraction": 0.0}, {"stability_fraction": math.nan}):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+                WindowPolicy(**bad)
 
     def test_radius_schedule(self):
         policy = WindowPolicy(initial_radius=1.5, max_doublings=4)
@@ -362,6 +361,12 @@ class TestPreconditions:
             estimate_af_cumulative(P33, np.array([1.0]), n=50, seed=0)
         with pytest.raises(ValueError):
             estimate_latency(P33, np.array([1.0]), n=50, seed=0)
+
+    def test_speed_spread_rejected_by_name(self):
+        # a nan sigma failed every comparison, so each t read the t = 0 estimate
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^sigma must be finite and >= 0"):
+                estimate_af_cumulative(P33, [0.0, 100.0], n=200, sigma=sigma)
 
     def test_zero_speed_latency_rejected(self):
         frozen = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=0.0)
