@@ -9,7 +9,8 @@ counts; the manifest's wall-time field is the only non-reproducible output.
 
 Exit codes: 0 success, 1 numerical failure (quadrature or window not
 converged, empty feasible set), 2 usage error or bad input, naming its [section] key.
-Every key a command reads is checked before any work, so a bad input writes no file.
+A run resolves every key its command reads, computes, and only then writes: a run
+that exits 2, or 1 on a numerical failure, writes no file and no --out directory.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ import numpy as np
 from . import __version__
 from .core import (
     SCHEMA_VERSION,
-    EmptyFeasibleSet,
     LatencyVariant,
     NetworkParams,
     NumericalError,
@@ -54,6 +54,10 @@ class ConfigError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
 
 
+def _named(section: str, exc: ParameterError) -> str:
+    return "; ".join(f"[{section}] {f}: {m}" for f, m in exc.violations)
+
+
 @contextmanager
 def _field(section: str, key: str = ""):
     """Re-raise a ValueError or ParameterError of the checks inside as a ConfigError naming
@@ -61,7 +65,7 @@ def _field(section: str, key: str = ""):
     try:
         yield
     except ParameterError as exc:
-        raise ConfigError("; ".join(f"[{section}] {f}: {m}" for f, m in exc.violations)) from None
+        raise ConfigError(_named(section, exc)) from None
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}" if key else f"[{section}] {exc}") from None
 
@@ -259,7 +263,11 @@ def _quad(run: dict) -> QuadratureSpec:
         return QuadratureSpec(rel_tol=run["rel_tol"], abs_tol=run["abs_tol"])
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+# a file of a run: its name in --out and the writer of its path
+_File = tuple[str, Callable[[str], None]]
+
+
+def _write_csv(header: list[str], rows: list[list], path: str) -> None:
     """One CSV file; schema_version leads every header."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -427,6 +435,13 @@ def _optimize_inputs(config: dict[str, dict[str, str]], run: dict) -> dict:
                 quad=_quad(run), refine=run["refine"])
 
 
+def _geometry_inputs(config: dict[str, dict[str, str]], run: dict) -> tuple[NetworkParams, dict]:
+    if run["manhattan"] and run["palm"]:  # the grid sampler has no line through the origin
+        raise ConfigError("[run] palm: a Manhattan dump is not Palm conditioned; "
+                          "set run.palm=false")
+    return _params(config), run
+
+
 def _target(config: dict[str, dict[str, str]]) -> str:
     """The quantity validate checks: [run] target, laplace if unset."""
     target = config["run"].get("target", "laplace")
@@ -436,47 +451,45 @@ def _target(config: dict[str, dict[str, str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers: (inputs, out_dir) -> (outputs, manifest extras, status)
+# subcommand drivers: inputs -> (files, manifest extras, status); none writes a file
 
 
-def _run_quantity(x: _Inputs, out_dir: str) -> tuple[list[str], dict, int]:
+def _run_quantity(x: _Inputs) -> tuple[list[_File], dict, int]:
     quantity = _TABLE[x.name]
     digest, label = params_digest(x.params), getattr(x.variant, "value", "")
-    outputs: list[str] = []
+    files: list[_File] = []
     reports: list[montecarlo.WindowReport] = []
     if x.mode != "montecarlo":
         bound = lambda v: x.quad.rel_tol * abs(v) + x.quad.abs_tol
-        outputs.append(os.path.join(out_dir, f"{x.name}_analytic.csv"))
-        _write_csv(outputs[-1], ["schema_version", "quantity", "variant", "grid_value", "value",
-                                 "est_error_bound", "params_hash"],
-                   [[SCHEMA_VERSION, x.name, label, _fmt(g), _fmt(v), _fmt(bound(v)), digest]
-                    for _, g, v in quantity.analytic(x)])
+        files.append((f"{x.name}_analytic.csv", partial(
+            _write_csv, ["schema_version", "quantity", "variant", "grid_value", "value",
+                         "est_error_bound", "params_hash"],
+            [[SCHEMA_VERSION, x.name, label, _fmt(g), _fmt(v), _fmt(bound(v)), digest]
+             for _, g, v in quantity.analytic(x)])))
     if x.mode != "analytic":
         rows, reports = quantity.montecarlo(x)
-        outputs.append(os.path.join(out_dir, f"{x.name}_mc.csv"))
-        _write_csv(outputs[-1], ["schema_version", "quantity", "grid_value", "estimate",
-                                 "std_error", "n", "seed", "params_hash"],
-                   [[SCHEMA_VERSION, tag, _fmt(g), _fmt(est.value), _fmt(est.std_error),
-                     est.n_samples, x.seed, digest] for tag, g, est in rows])
-    return outputs, _windows(reports), 0
+        files.append((f"{x.name}_mc.csv", partial(
+            _write_csv, ["schema_version", "quantity", "grid_value", "estimate", "std_error",
+                         "n", "seed", "params_hash"],
+            [[SCHEMA_VERSION, tag, _fmt(g), _fmt(est.value), _fmt(est.std_error),
+              est.n_samples, x.seed, digest] for tag, g, est in rows])))
+    return files, _windows(reports), 0
 
 
-def _run_optimize(x: dict, out_dir: str) -> tuple[list[str], dict, int]:
+def _run_optimize(x: dict) -> tuple[list[_File], dict, int]:
     result = optimize.optimize_grid(**x)
-    path = os.path.join(out_dir, "optimize.csv")
-    _write_csv(
-        path,
+    table = partial(
+        _write_csv,
         ["schema_version", "nu", "mu", "p_c", "af_limit", "mean_latency", "utility", "feasible"],
         [[SCHEMA_VERSION, _fmt(c.nu), _fmt(c.mu), _fmt(c.p_c), _fmt(c.af), _fmt(c.latency),
-          _fmt(c.utility), int(c.feasible)] for c in result.surface],
-    )
+          _fmt(c.utility), int(c.feasible)] for c in result.surface])
     print(f"optimum nu={result.nu_opt:.6g} mu={result.mu_opt:.6g} value={result.value:.6g}")
-    return [path], {"optimum": {"nu": result.nu_opt, "mu": result.mu_opt, "value": result.value,
-                                "coarse_nu": result.coarse_nu_opt,
-                                "coarse_mu": result.coarse_mu_opt}}, 0
+    return [("optimize.csv", table)], {"optimum": {
+        "nu": result.nu_opt, "mu": result.mu_opt, "value": result.value,
+        "coarse_nu": result.coarse_nu_opt, "coarse_mu": result.coarse_mu_opt}}, 0
 
 
-def _run_geometry(x: tuple[NetworkParams, dict], out_dir: str) -> tuple[list[str], dict, int]:
+def _run_geometry(x: tuple[NetworkParams, dict]) -> tuple[list[_File], dict, int]:
     params, run = x
     radius, half_length = run["radius"], run["half_length"]
     rng = substream(run["seed"], 0)
@@ -489,12 +502,12 @@ def _run_geometry(x: tuple[NetworkParams, dict], out_dir: str) -> tuple[list[str
         snap = geometry.ordinary_snapshot(params, radius, half_length, rng)
     if run["devices"]:
         snap = geometry.place_devices(snap, params.nu, rng)
-    path = os.path.join(out_dir, "geometry.csv")
-    geometry.snapshot_to_csv(snap, path)
-    return [path], {"lines": snap.n_lines, "vehicles": snap.n_vehicles}, 0
+    # looked up when written, so a wrapper installed after import sees the dump
+    dump = lambda path: geometry.snapshot_to_csv(snap, path)
+    return [("geometry.csv", dump)], {"lines": snap.n_lines, "vehicles": snap.n_vehicles}, 0
 
 
-def _run_validate(x: _Inputs, out_dir: str) -> tuple[list[str], dict, int]:
+def _run_validate(x: _Inputs) -> tuple[list[_File], dict, int]:
     quantity = _TABLE[x.name]
     digest = params_digest(x.params)
     # join on (quantity, grid value): a row found on one side only is dropped
@@ -505,11 +518,11 @@ def _run_validate(x: _Inputs, out_dir: str) -> tuple[list[str], dict, int]:
              if (tag, _fmt(g)) in reference]
     z_abs = [abs(est.z_score(value)) for _, value, est in pairs]
     worst = max([0.0, *z_abs])
-    path = os.path.join(out_dir, f"validate_{x.name}.csv")
-    _write_csv(path, ["schema_version", "quantity", "grid_value", "analytic", "mc",
-                      "std_error", "z_abs", "params_hash"],
-               [[SCHEMA_VERSION, x.name, _fmt(g), _fmt(value), _fmt(est.value),
-                 _fmt(est.std_error), _fmt(z), digest] for (g, value, est), z in zip(pairs, z_abs)])
+    table = partial(_write_csv, ["schema_version", "quantity", "grid_value", "analytic", "mc",
+                                 "std_error", "z_abs", "params_hash"],
+                    [[SCHEMA_VERSION, x.name, _fmt(g), _fmt(value), _fmt(est.value),
+                      _fmt(est.std_error), _fmt(z), digest]
+                     for (g, value, est), z in zip(pairs, z_abs)])
     status = 0
     if worst > 3.0:
         print(f"validation FAILED: max |z| = {worst:.2f} > 3", file=sys.stderr)
@@ -518,7 +531,7 @@ def _run_validate(x: _Inputs, out_dir: str) -> tuple[list[str], dict, int]:
         print(f"validation warning: max |z| = {worst:.2f} > 2", file=sys.stderr)
     print(f"validate {x.name}: max |z| = {worst:.3f} over {len(pairs)} points")
     extra = {"max_abs_z": worst, "variant": getattr(x.variant, "value", "")}
-    return [path], {**extra, **_windows(reports)}, status
+    return [(f"validate_{x.name}.csv", table)], {**extra, **_windows(reports)}, status
 
 
 class _Command(NamedTuple):
@@ -526,7 +539,7 @@ class _Command(NamedTuple):
     on them, and the [run] and [grid] keys it reads."""
 
     resolve: Callable[[dict[str, dict[str, str]], dict], object]
-    driver: Callable[[object, str], tuple[list[str], dict, int]]
+    driver: Callable[[object], tuple[list[_File], dict, int]]
     run_keys: tuple[str, ...] = ()
     grid_keys: tuple[str, ...] = ()
 
@@ -540,7 +553,7 @@ _COMMANDS: dict[str, _Command] = {
     "optimize": _Command(_optimize_inputs, _run_optimize,
                          (*_EVERY, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau", "refine",
                           "constraint"), ("nu", "mu")),
-    "geometry-dump": _Command(lambda config, run: (_params(config), run), _run_geometry,
+    "geometry-dump": _Command(_geometry_inputs, _run_geometry,
                               (*_EVERY, "seed", "radius", "half_length", "palm", "manhattan",
                                "devices")),
     # reads its target's keys, see _reads
@@ -565,20 +578,6 @@ def _reads(command: str, config: dict[str, dict[str, str]]) -> dict[str, tuple[s
             "grid": target.grid_keys}
 
 
-def _resolve(command: str, config: dict[str, dict[str, str]]) -> object:
-    """The inputs of ``command``: every [run] key it reads parsed (None where unset) and
-    the library objects built from them, each checked before any work."""
-    run = {}
-    for key in _reads(command, config)["run"]:
-        raw = config["run"].get(key)
-        with _field("run", key):
-            run[key] = None if raw is None else _RUN[key][1](raw)
-    # a seed read but unset: only an analytic run may go without one
-    if run.get("seed", 0) is None and run.get("mode") != "analytic":
-        raise ConfigError("[run] seed: required for Monte Carlo and geometry runs (--seed)")
-    return _COMMANDS[command].resolve(config, run)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -591,33 +590,6 @@ def _git_describe() -> str:
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
-def _write_manifest(
-    out_dir: str,
-    quantity: str,
-    config: dict[str, dict[str, str]],
-    outputs: list[str],
-    extra: dict,
-    wall_time: float,
-) -> str:
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "build": _git_describe(),
-        "quantity": quantity,
-        "resolved_config": config,
-        "outputs": [os.path.basename(p) for p in outputs],
-        "wall_time_s": wall_time,
-        # the process high-water mark so far, in MB (ru_maxrss is in kB on Linux)
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
-    manifest.update(extra)
-    path = os.path.join(out_dir, f"{quantity}_manifest.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -642,7 +614,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> dict[str, dict[str, str]]:
+def _resolve(args: argparse.Namespace) -> tuple[dict[str, dict[str, str]], object]:
+    """The merged config of a run and its command's inputs: every [run] key the command
+    reads parsed (None where unset) and the library objects built from them, each
+    checked before any work."""
     config: dict[str, dict[str, str]] = {s: dict(v) for s, v in _DEFAULTS.items()}
     if args.preset:
         _merge(config, _PRESETS[args.preset])
@@ -655,34 +630,55 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, dict[str, str]]:
             config["run"][key] = str(getattr(args, key))
     # a run or grid key given for a command that does not read it is an error,
     # not a silent run without it; preset keys and flags may go unread
-    known = {"params": _KNOWN["params"], **_reads(args.quantity, config)}
+    reads = _reads(args.quantity, config)
     for part in given:
-        _check_keys(part, known)
-    return config
+        _check_keys(part, {"params": _KNOWN["params"], **reads})
+    run = {}
+    for key in reads["run"]:
+        raw = config["run"].get(key)
+        with _field("run", key):
+            run[key] = None if raw is None else _RUN[key][1](raw)
+    # a seed read but unset: only an analytic run may go without one
+    if run.get("seed", 0) is None and run.get("mode") != "analytic":
+        raise ConfigError("[run] seed: required for Monte Carlo and geometry runs (--seed)")
+    return config, _COMMANDS[args.quantity].resolve(config, run)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Resolve, compute, write: ``--out`` and its files appear only once all work succeeded."""
     args = _parser().parse_args(argv)
     quantity = args.quantity
     started = time.time()
     try:
-        config = _resolve_config(args)
-        inputs = _resolve(quantity, config)
-        out_dir = config["run"]["out"]
-        os.makedirs(out_dir, exist_ok=True)
-        outputs, extra, status = _COMMANDS[quantity].driver(inputs, out_dir)
-        manifest = _write_manifest(
-            out_dir, quantity, config, outputs, extra, time.time() - started
-        )
-        for path in outputs + [manifest]:
-            print(f"wrote {path}")
-        return status
-    except (ConfigError, ParameterError) as exc:
+        config, inputs = _resolve(args)
+        files, extra, status = _COMMANDS[quantity].driver(inputs)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, EmptyFeasibleSet) as exc:
+    except ParameterError as exc:  # a rule that only the computation can check
+        print(f"error: {_named('params', exc)}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    out_dir = config["run"]["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name) for name, _ in files]
+    for path, (_, write) in zip(paths, files):
+        write(path)
+    manifest = {
+        "schema_version": SCHEMA_VERSION, "tool_version": __version__, "build": _git_describe(),
+        "quantity": quantity, "resolved_config": config, "outputs": [n for n, _ in files],
+        "wall_time_s": time.time() - started,
+        # the process high-water mark so far, in MB (ru_maxrss is in kB on Linux)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, **extra}
+    paths.append(os.path.join(out_dir, f"{quantity}_manifest.json"))
+    with open(paths[-1], "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    for path in paths:
+        print(f"wrote {path}")
+    return status
 
 
 if __name__ == "__main__":

@@ -606,6 +606,15 @@ class TestAreaFraction:
     def test_snapshot_below_limit(self):
         assert 0.0 < af_snapshot(P33) < af_limit(P33)
 
+    def test_snapshot_at_small_reach(self):
+        # z = 2 mu nu = 2e-11: h = int (1 - e^(-z cos t)) cos t dt = (pi/4) z - z^2/3 + O(z^3).
+        # h taken as 1 - int e^(-z cos t) cos t dt would cancel to about 1e-5 relative here
+        params = NetworkParams(lambda_l=3.0, mu=1e-6, nu=1e-5, speed=V)
+        z = 2.0 * params.mu * params.nu
+        h = math.pi / 4.0 * z - z * z / 3.0
+        expect = -math.expm1(-2.0 * params.lambda_l * params.nu * h)
+        assert af_snapshot(params) == pytest.approx(expect, rel=1e-9)
+
     def test_cumulative_at_zero_equals_snapshot(self):
         snap = af_snapshot(P33)
         for variant in AFVariant:

@@ -31,7 +31,7 @@ def _run(tmp_path, *argv):
 
 
 # Bad inputs: test name -> (argv, text stderr must contain).  Each exits 2,
-# names the offending field and writes nothing.
+# names the offending field and creates no --out.
 BAD_INPUTS = {
     "alpha_at_boundary_names_the_field": (["laplace", "--set", "params.alpha=2"],
                                           "[params] alpha"),
@@ -90,6 +90,13 @@ BAD_INPUTS = {
                                             "run.manhattan=true", "--set", "run.palm=xyz"],
                                            "[run] palm"),
     "sample_size_checked_in_analytic_mode": (["laplace", "--set", "run.n=50"], "[run] n"),
+    # only the computation can refuse these; the analytic table must not be written first
+    "zero_speed_in_both_mode_latency": (["latency", "--mode", "both", "--seed", "1", "--n",
+                                         "200", "--set", "params.speed=0"], "[params] speed"),
+    "zero_speed_in_validate": (["validate", "--preset", "fig8", "--seed", "1", "--n", "200",
+                                "--set", "params.speed=0"], "[params] speed"),
+    "palm_under_manhattan": (["geometry-dump", "--seed", "1", "--set", "run.manhattan=true"],
+                             "[run] palm"),
 }
 
 
@@ -98,7 +105,7 @@ def _exits_2_naming(argv, field):
         code, out = _run(tmp_path, *argv)
         assert code == 2
         assert field in capsys.readouterr().err
-        assert not any(out.glob("*"))
+        assert not out.exists()
 
     return test
 
@@ -400,9 +407,10 @@ class TestOptimizeCommand:
         assert [r["nu"] for r in rows] == ["0.1", "0.1", "0.2", "0.2", "0.9", "0.9"]
 
     def test_empty_feasible_set_is_numerical_failure(self, tmp_path, capsys):
-        code, _ = _run(tmp_path, "optimize", "--preset", "fig10",
-                       "--set", "run.constraint=1e-9")
+        code, out = _run(tmp_path, "optimize", "--preset", "fig10",
+                         "--set", "run.constraint=1e-9")
         assert code == 1
+        assert not out.exists()
 
 
 class TestValidateCommand:
