@@ -260,24 +260,37 @@ class _PhiProfile:
                    tail_a1=2.0 * _half_line_moment(alpha),
                    tail_a2=-2.0 * _half_line_moment(2.0 * alpha))
 
-    def log_near(self, x: np.ndarray) -> np.ndarray:
-        """log Phi at x = log(y + shift), x inside the knots."""
-        pos = (x - self.knots[0]) * ((self.knots.size - 1) / (self.knots[-1] - self.knots[0]))
-        i = np.minimum(pos.astype(np.intp), self.knots.size - 2)
-        t = pos - i
-        # a row at a time: one (4, n) gather is 512 KiB at a full transform pass,
-        # above glibc's mmap threshold unless something freed a larger block first,
-        # and then every pass maps and faults in fresh pages
-        c0, c1, c2, c3 = (row.take(i) for row in self.coef)
-        return ((c0 * t + c1) * t + c2) * t + c3
+    def log_near(self, x: np.ndarray, out=None, index=None, part=None) -> np.ndarray:
+        """log Phi at x = log(y + shift), x inside the knots.  Given out, index (intp) and
+        part, arrays of x's shape, it runs in place: x ends as each point's fraction
+        across its interval, part as scratch, and out holds the result."""
+        if out is None:
+            x = np.array(x, dtype=float)
+            out, index, part = np.empty_like(x), np.empty(x.shape, np.intp), np.empty_like(x)
+        x -= self.knots[0]
+        x *= (self.knots.size - 1) / (self.knots[-1] - self.knots[0])
+        np.copyto(index, x, casting="unsafe")  # truncates, as astype does
+        np.minimum(index, self.knots.size - 2, out=index)
+        x -= index
+        self.coef[0].take(index, out=out, mode="clip")
+        for row in self.coef[1:]:  # Horner
+            out *= x
+            out += row.take(index, out=part, mode="clip")
+        return out
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        # past _PHI_YMAX the lookup reads the last knot and is overwritten
-        out = np.exp(self.log_near(np.log(np.minimum(y, _PHI_YMAX) + _PHI_SHIFT)))
+    def __call__(self, y: np.ndarray, out=None, x=None, index=None) -> np.ndarray:
+        """Phi at y.  Given out, x and index (intp), arrays of y's shape, the lookup runs
+        in them and in y, which it overwrites; else on a copy of y."""
+        if out is None:
+            y = np.array(y, dtype=float)
+            out, x, index = np.empty_like(y), np.empty_like(y), np.empty(y.shape, np.intp)
         far = y > _PHI_YMAX
-        if far.any():
-            yf = y[far]
+        yf = y[far]
+        # past _PHI_YMAX the lookup reads the last knot and is overwritten
+        np.minimum(y, _PHI_YMAX, out=x)
+        x += _PHI_SHIFT
+        np.exp(self.log_near(np.log(x, out=x), out, index, y), out=out)
+        if yf.size:
             lead = yf ** (1.0 - self.alpha)
             out[far] = lead * (self.tail_a1 + self.tail_a2 * lead / yf)
         return out
@@ -349,10 +362,13 @@ def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
     v, w = 0.5 * (leggauss(n)[0] + 1.0), 0.5 * leggauss(n)[1]
     x_flat, b_flat = (a.ravel() for a in np.broadcast_arrays(xi, beta[:, None]))
     k = np.empty(x_flat.size)
-    step = max(1, _MAX_ELEMENTS // (2 * n))
+    step = max(1, min(_MAX_ELEMENTS // (2 * n), x_flat.size))
+    buffers = [np.empty(2 * n * step) for _ in range(4)] + [np.empty(2 * n * step, np.intp)]
     for i in range(0, x_flat.size, step):
-        # arrays are (side, node, element), so that loops run along the elements
         xc, bc = x_flat[i:i + step], b_flat[i:i + step]
+        # each pass works in the buffers, as (side, node, element) so that loops run
+        # along the elements
+        rise, sin, phi, x, index = (a[:2 * n * xc.size].reshape(2, n, xc.size) for a in buffers)
         inside = xc < 1.0
         anchor = np.where(inside, -np.arcsin(np.minimum(xc, 1.0)),
                           np.array([[-_HALF_PI], [0.0]]))
@@ -362,12 +378,19 @@ def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
         grow = np.expm1(c)
         # nodes anchor + width (e^(c v) - 1) / grow, with dphi/dv =
         # |width| c e^(c v) / grow; v = sin(phi) brings cos^2(phi)
-        rise = np.exp(c[:, None] * v[:, None])
+        np.exp(np.multiply(c[:, None], v[:, None], out=rise), out=rise)
         scale = (width / grow)[:, None]
-        sin = np.sin((anchor[:, None] - scale) + scale * rise)
-        cos2 = rise * (1.0 - sin * sin)
-        phi = profile(np.abs(xc + sin) / bc)
-        k[i:i + step] = ((w @ (phi * cos2)) * (np.abs(width) * c / grow)).sum(axis=0)
+        np.multiply(scale, rise, out=sin)
+        sin += anchor[:, None] - scale
+        np.sin(sin, out=sin)
+        np.multiply(sin, sin, out=x)
+        rise *= np.subtract(1.0, x, out=x)  # cos^2(phi)
+        sin += xc
+        np.abs(sin, out=sin)
+        sin /= bc
+        phi = profile(sin, phi, x, index)
+        phi *= rise
+        k[i:i + step] = ((w @ phi) * (np.abs(width) * c / grow)).sum(axis=0)
     return beta[:, None] * k.reshape(xi.shape) / _HALF_PI
 
 

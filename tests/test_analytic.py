@@ -8,6 +8,7 @@ about 1e-7 relative error (1e-5 deep in the tail, where the exponent
 amplifies), and the tolerances below cover both sides.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -186,6 +187,20 @@ class TestSemicircleRule:
         assert all(np.all(xi.min(axis=1) < 4.0 * max(1.0, beta)) for xi in refined)
 
 
+def test_line_exponent_bits_pinned():
+    # k(xi; beta) on xi below and above 1, beta from 1e-3 to 30 (so that |xi + v| / beta
+    # passes _PHI_YMAX) and three node counts, as the kernel gave them before its
+    # passes ran in place
+    profile = _phi_profile(3.0, 1e-6)
+    beta = np.geomspace(1e-3, 30.0, 9)
+    xi = np.tile([0.0, 1e-3, 0.3, 0.9, 0.999, 1.0, 1.001, 2.0, 10.0, 300.0], (beta.size, 1))
+    assert np.any(np.abs(xi[:, -1] - 1.0) / beta > analytic._PHI_YMAX)
+    digest = hashlib.sha256()
+    for n in (8, 16, 32):
+        digest.update(analytic._line_exponent(profile, xi, beta, n).tobytes())
+    assert digest.hexdigest() == "e73f90d86599065b95923d8b4d837899ffa31d39b27feb8f845b61a00725be02"
+
+
 class TestLaplaceShape:
     def test_at_zero(self):
         assert laplace(P33, 0.0) == 1.0
@@ -230,7 +245,7 @@ class TestLaplaceShape:
         # the same transform with every Phi lookup made by direct quadrature;
         # the table's large-y coefficients still give the closed-form far tail
         class DirectProfile(analytic._PhiProfile):
-            def __call__(self, y):
+            def __call__(self, y, *buffers):
                 y = np.asarray(y, dtype=float)
                 return _phi_direct(y.ravel(), self.alpha).reshape(y.shape)
 
