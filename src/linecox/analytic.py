@@ -90,11 +90,10 @@ def _half_line_moment(alpha: float) -> float:
     return 0.5 * math.sqrt(math.pi) * math.gamma((alpha - 1.0) / 2.0) / math.gamma(alpha / 2.0)
 
 
-# (y, node) pairs per _phi_direct pass, about 1 MiB per working array, so that a
-# table build's memory does not grow with its knot count.  Freeing arrays this
-# large also makes glibc malloc raise its mmap and trim thresholds, which keeps
-# the transform's 128 KiB pass arrays on the heap: with 2^14-pair pieces an
-# optimize fig10 run took 82k page faults instead of 1.9k, and 20% longer.
+# (y, node) pairs per _phi_direct pass (about 1 MiB per array), so that a table build's
+# memory does not grow with its knot count; freeing arrays this large also raises glibc's
+# mmap threshold, which keeps the transform's pass buffers on the heap (with 2^14-pair
+# pieces an optimize fig10 run took 82k page faults instead of 1.9k, and 20% longer)
 _PHI_PIECE = 2 ** 17
 
 
@@ -261,16 +260,14 @@ class _PhiProfile:
                    tail_a2=-2.0 * _half_line_moment(2.0 * alpha))
 
     def log_near(self, x: np.ndarray, out=None, index=None, part=None) -> np.ndarray:
-        """log Phi at x = log(y + shift), x inside the knots.  Given out, index (intp) and
-        part, arrays of x's shape, it runs in place: x ends as each point's fraction
-        across its interval, part as scratch, and out holds the result."""
+        """log Phi at x = log(y + shift), x inside the knots; given out, index (intp) and
+        part of x's shape, in them and in x, which ends as the fraction across an interval."""
         if out is None:
             x = np.array(x, dtype=float)
             out, index, part = np.empty_like(x), np.empty(x.shape, np.intp), np.empty_like(x)
         x -= self.knots[0]
         x *= (self.knots.size - 1) / (self.knots[-1] - self.knots[0])
-        np.copyto(index, x, casting="unsafe")  # truncates, as astype does
-        np.minimum(index, self.knots.size - 2, out=index)
+        np.minimum(x, self.knots.size - 2, out=index, casting="unsafe")  # truncates, as astype
         x -= index
         self.coef[0].take(index, out=out, mode="clip")
         for row in self.coef[1:]:  # Horner
@@ -278,18 +275,13 @@ class _PhiProfile:
             out += row.take(index, out=part, mode="clip")
         return out
 
-    def __call__(self, y: np.ndarray, out=None, x=None, index=None) -> np.ndarray:
-        """Phi at y.  Given out, x and index (intp), arrays of y's shape, the lookup runs
-        in them and in y, which it overwrites; else on a copy of y."""
-        if out is None:
-            y = np.array(y, dtype=float)
-            out, x, index = np.empty_like(y), np.empty_like(y), np.empty(y.shape, np.intp)
+    def __call__(self, y: np.ndarray, out: np.ndarray, x: np.ndarray, index: np.ndarray):
+        """Phi at y, taken in out, x and index (intp), arrays of y's shape, and in y."""
         far = y > _PHI_YMAX
         yf = y[far]
         # past _PHI_YMAX the lookup reads the last knot and is overwritten
-        np.minimum(y, _PHI_YMAX, out=x)
-        x += _PHI_SHIFT
-        np.exp(self.log_near(np.log(x, out=x), out, index, y), out=out)
+        np.log(np.add(np.minimum(y, _PHI_YMAX, out=x), _PHI_SHIFT, out=x), out=x)
+        np.exp(self.log_near(x, out, index, y), out=out)
         if yf.size:
             lead = yf ** (1.0 - self.alpha)
             out[far] = lead * (self.tail_a1 + self.tail_a2 * lead / yf)
@@ -332,20 +324,45 @@ def _phi_profile(alpha: float, rel_tol: float) -> _PhiProfile:
 # the line exponent in units of nu, and the Laplace transform of the interference
 # ---------------------------------------------------------------------------
 
-# the outer integral runs over the panels [0, c], [c, 4c], ..., [4^4 c, 4^5 c] in
-# xi = r / nu, with c = max(1, beta); past 4^5 c its integrand is expanded in closed form
-_R_PANELS = 6
-_R_RATIO = 4.0
-# (s, r, u) elements per batched pass: the working arrays stay near 128 KB each,
-# so the dozen or so a pass holds fit in the heap malloc keeps between passes
+# the outer integral takes 2 to _R_MAX_PANELS panels [0, c], [c, 4c], ... in xi = r / nu,
+# c = max(1, beta), then the closed form _tail from the last, where |xi + v| >= 3c.  Rows
+# are padded to _XI_SHARES panels, so that the xi-rule splits its tolerance six ways: with
+# three, its estimates missed the edge layer at xi = 1 (alpha 12, beta 0.01: 17 rel_tol)
+_R_RATIO, _R_MAX_PANELS, _XI_SHARES = 4.0, 64, 6
+# (s, r, u) elements per batched pass, which works in five buffers of up to 128 KB
 # (at 2^16, 40k page faults per fig5 coverage curve)
 _MAX_ELEMENTS = 2 ** 14
 _HALF_PI = 0.5 * math.pi
 
 
-def _r_edges(beta: np.ndarray) -> np.ndarray:
-    """The r-panel edges in xi of each beta, shape (beta.size, _R_PANELS + 1)."""
-    return np.maximum(1.0, beta)[:, None] * np.append(0.0, _R_RATIO ** np.arange(_R_PANELS))
+def _tail_panels(profile: _PhiProfile, m, span, beta: np.ndarray, quad: QuadratureSpec):
+    """Per beta, the fewest xi-panels past which ``_tail``'s bound R meets laplace_factors'
+    tolerance (m, span broadcast against beta), or R <= L / 2 and e^(-span L / 2) <= abs_tol
+    for L = X (1 - e^(-T(2X))) <= the tail: both factors are then within abs_tol of 0."""
+    a, m, span = profile.alpha, *(np.asarray(v, dtype=float)[..., None] for v in (m, span))
+    panels = np.zeros(np.broadcast(m, span, beta[..., None]).shape[:-1], dtype=int)
+    tol = np.minimum(np.maximum(quad.abs_tol, 0.25 * quad.rel_tol / span), 0.5)
+    for p in range(2, _R_MAX_PANELS, 8):  # the tail's starts X after p, ..., p + 7 panels
+        x = np.maximum(1.0, beta)[..., None] * _R_RATIO ** np.arange(p - 1.0, p + 7.0)
+        x2, r = x ** -2.0, (beta[..., None] / x) ** a
+        t = m * profile.tail_a1 * r * x
+        terms = [x2 * x2 * (a - 1) * a * (a + 1) / 192, -t * x2 * a * (a - 1) / (16 * a - 8),
+                 profile.tail_a2 / profile.tail_a1 * r * (x2 * (2 * a - 1) / 8 - t / (3 * a - 3)),
+                 _half_line_moment(3 * a) / _half_line_moment(a) * r * r / (3 * a - 2)]
+        rem = 2.0 * x * t * (abs(sum(terms)) + sum(map(abs, terms)) * (t + a * a * x2 + r))
+        half = -0.5 * x * np.expm1(-t * 2.0 ** (1.0 - a))
+        ok = (rem <= tol) | (rem <= half) & (np.exp(-span * half) <= quad.abs_tol)
+        panels = np.where(panels | ~ok.any(axis=-1), panels, p + np.argmax(ok, axis=-1))
+        if panels.all():
+            return panels
+    raise QuadratureNotConverged(math.nan, float(np.max(span * rem)), "far tail")
+
+
+def _r_edges(beta: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    """The xi-panel edges c [0, 1, 4, ..., 4^(panels - 1)] of each beta, padded at the end."""
+    j = np.arange(max(panels.max(initial=2), _XI_SHARES) + 1)
+    return np.maximum(1.0, beta)[..., None] * np.where(
+        j > 0, _R_RATIO ** (np.minimum(j, panels[..., None]) - 1.0), 0.0)
 
 
 def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
@@ -361,13 +378,11 @@ def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
     """
     v, w = 0.5 * (leggauss(n)[0] + 1.0), 0.5 * leggauss(n)[1]
     x_flat, b_flat = (a.ravel() for a in np.broadcast_arrays(xi, beta[:, None]))
-    k = np.empty(x_flat.size)
-    step = max(1, min(_MAX_ELEMENTS // (2 * n), x_flat.size))
+    k, step = np.empty(x_flat.size), max(1, min(_MAX_ELEMENTS // (2 * n), x_flat.size))
     buffers = [np.empty(2 * n * step) for _ in range(4)] + [np.empty(2 * n * step, np.intp)]
     for i in range(0, x_flat.size, step):
         xc, bc = x_flat[i:i + step], b_flat[i:i + step]
-        # each pass works in the buffers, as (side, node, element) so that loops run
-        # along the elements
+        # a pass works in the buffers, as (side, node, element): loops run along the elements
         rise, sin, phi, x, index = (a[:2 * n * xc.size].reshape(2, n, xc.size) for a in buffers)
         inside = xc < 1.0
         anchor = np.where(inside, -np.arcsin(np.minimum(xc, 1.0)),
@@ -380,16 +395,10 @@ def _line_exponent(profile: _PhiProfile, xi: np.ndarray, beta: np.ndarray,
         # |width| c e^(c v) / grow; v = sin(phi) brings cos^2(phi)
         np.exp(np.multiply(c[:, None], v[:, None], out=rise), out=rise)
         scale = (width / grow)[:, None]
-        np.multiply(scale, rise, out=sin)
-        sin += anchor[:, None] - scale
-        np.sin(sin, out=sin)
-        np.multiply(sin, sin, out=x)
-        rise *= np.subtract(1.0, x, out=x)  # cos^2(phi)
-        sin += xc
-        np.abs(sin, out=sin)
-        sin /= bc
-        phi = profile(sin, phi, x, index)
-        phi *= rise
+        np.sin(np.add(np.multiply(scale, rise, out=sin), anchor[:, None] - scale, out=sin), out=sin)
+        rise *= np.subtract(1.0, np.multiply(sin, sin, out=x), out=x)  # cos^2(phi)
+        np.divide(np.abs(np.add(sin, xc, out=sin), out=sin), bc, out=sin)
+        phi = np.multiply(profile(sin, phi, x, index), rise, out=phi)
         k[i:i + step] = ((w @ phi) * (np.abs(width) * c / grow)).sum(axis=0)
     return beta[:, None] * k.reshape(xi.shape) / _HALF_PI
 
@@ -402,9 +411,11 @@ def _tail(profile: _PhiProfile, m, beta: np.ndarray, xi: np.ndarray) -> np.ndarr
     (alpha-1) / (8 x^2)) + B x^(1-2 alpha), A = m a1 beta^alpha, B = m a2
     beta^(2 alpha).  The A term integrates exactly: with k = 1 / (alpha-1) and
     T = A x^(1-alpha) to A^k [gamma(1-k, T) - (1 - e^-T) T^-k], gamma the lower
-    incomplete gamma function; the others enter to first
-    order.  What is left out is of relative order xi^-4, T xi^-2 and
-    (beta / xi)^alpha.
+    incomplete gamma function; the others enter to first order.  What is left out, of
+    relative order xi^-4, T xi^-2 and r = (beta / xi)^alpha, is at most R = 2 xi T (|S| +
+    (T + (alpha / xi)^2 + r) S'), S and S' the sum and the sum of sizes of its leading
+    terms (alpha-1) alpha (alpha+1) xi^-4 / 192, -alpha (alpha-1) T xi^-2 / (16 alpha - 8),
+    a2 / a1 r ((2 alpha - 1) xi^-2 / 8 - T / (3 alpha - 3)) and a3 / a1 r^2 / (3 alpha - 2).
     """
     alpha, sp = profile.alpha, beta ** profile.alpha
     a = m * profile.tail_a1 * sp
@@ -446,12 +457,14 @@ class LaplaceEvaluator:
             p, q = self.params, self.quad
             m, span = p.mu * p.nu, 2.0 * p.lambda_l * p.nu
             beta = (flat[pos] * p.power) ** (1.0 / p.alpha) / p.nu
-            edges = _r_edges(beta)
+            edges = _r_edges(beta, _tail_panels(self._profile, m, span, beta, q))
             xi_tol = min(max(q.abs_tol, 0.25 * q.rel_tol / span), 0.5)
 
             def outer(xi: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-                k = _line_exponent(self._profile, xi[:, 0], beta[rows], xi.shape[-1])
-                return -np.expm1(-m * k)[:, None, :]
+                out, live = np.zeros(xi.shape), edges[rows, cols + 1] > edges[rows, cols]
+                k = _line_exponent(self._profile, xi[live, 0], beta[rows[live]], xi.shape[-1])
+                out[live, 0] = -np.expm1(-m * k)
+                return out
 
             near = gauss_legendre(outer, edges, replace(q, abs_tol=xi_tol))[0].sum(axis=1)
             other[pos] = span * (near + _tail(self._profile, m, beta, edges[:, -1]))
@@ -517,48 +530,42 @@ class _CellEngine:
     the map ``outer``: x -> (beta, g), and so k of ``_line_exponent``, the costly part.
     Each cell is one row of one ``gauss_legendre`` integral, so it refines, is accepted
     and raises like every other integral.  A pass of n nodes on panel j reads level
-    (j, n), kept once built: k on n nodes per r-panel (``_r_edges``) and n semicircle
-    nodes per side; a cell adds a pass over mu nu k.  Each cell's sums are its own, so
-    no cell's value depends on the rest of the grid or on the levels already kept.
+    (j, n): k(0), and k on n nodes per r-panel (``_r_edges``) and n semicircle nodes per
+    side, each r-panel taken by a call of its own when a cell first needs it.  A cell adds
+    a pass over mu nu k on the most ``_tail_panels`` of its rows, so no cell's value
+    depends on the rest of the grid or on the levels already kept.
     """
 
     def __init__(self, profile: _PhiProfile, edges, outer):
         self._profile, self._edges, self._outer = profile, np.asarray(edges, dtype=float), outer
         self._levels: dict[tuple[int, int], tuple] = {}
 
-    def _level(self, panel: int, x: np.ndarray) -> tuple:
-        """(g at the nodes x of ``panel``, the nodes with beta > 0, their r-weights, k at
-        the r-nodes, k(0), (beta, last r-edge) for ``_tail``) of level (panel, x.size)."""
-        n = x.size
-        if (panel, n) not in self._levels:
-            t, w = leggauss(n)
-            beta, weight = self._outer(x)
-            pos = np.flatnonzero(beta)  # at beta = 0 (tau = 0) there is no interference
-            beta = beta[pos]
-            edges = _r_edges(beta)
-            half = 0.5 * np.diff(edges, axis=1)[:, :, None]
-            xi = (edges[:, :-1, None] + half * (t + 1.0)).reshape(pos.size, _R_PANELS * n)
-            k = _line_exponent(self._profile, xi, beta, n)
-            k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta, n)[:, 0]
-            self._levels[panel, n] = (weight, pos, (half * w).reshape(xi.shape), k, k0, beta,
-                                      edges[:, -1])
-        return self._levels[panel, n]
-
     def __call__(self, span: np.ndarray, m: np.ndarray, quad: QuadratureSpec):
         """(integral, difference estimate) per cell, span = 2 lambda_l nu and m = mu nu."""
 
         def f(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            out = np.empty(x.shape)
+            out, n, (t, w) = np.empty(x.shape), x.shape[-1], leggauss(x.shape[-1])
             for panel in set(cols.tolist()):  # not np.unique, whose first call imports 12 ms
                 at = np.flatnonzero(cols == panel)
-                weight, pos, r_weight, k, k0, beta, far = self._level(panel, x[at[0], 0])
-                i = rows[at, None]
+                if (panel, n) not in self._levels:
+                    beta, weight = self._outer(x[at[0], 0])
+                    pos = np.flatnonzero(beta)  # at beta = 0 (tau = 0) there is no interference
+                    k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta[pos], n)
+                    self._levels[panel, n] = (weight, pos, beta[pos], k0[:, 0], [])
+                (weight, pos, beta, k0, ks), i = self._levels[panel, n], rows[at, None]
+                panels = _tail_panels(self._profile, m[i], span[i], beta, quad).max(1, initial=2)
+                edges = _r_edges(beta, np.full(beta.size, panels.max()))
+                for j in range(len(ks), panels.max()):
+                    lo, h = edges[:, j, None], 0.5 * np.diff(edges[:, j:j + 2])  # h: half-width
+                    ks.append((h * w, _line_exponent(self._profile, lo + h * (t + 1), beta, n)))
+                r_weight, k = (np.hstack(a) for a in zip(*ks))
                 # the r-sums go a cell at a time, so their roundings are the same in any
                 # grid; the rest is elementwise and takes all the pass's cells at once
-                near = np.array([-(r_weight * np.expm1(-m[j] * k)).sum(axis=1) for j in i[:, 0]])
+                near = np.array([-(r_weight[:, :p] * np.expm1(-m[c] * k[:, :p])).sum(axis=1)
+                                 for c, p in zip(i[:, 0], n * panels)])
                 out[at, 0] = weight
-                out[at[:, None], 0, pos] *= np.exp(
-                    -(span[i] * (near + _tail(self._profile, m[i], beta, far)) + m[i] * k0))
+                out[at[:, None], 0, pos] *= np.exp(-(span[i] * (
+                    near + _tail(self._profile, m[i], beta, edges[:, panels].T)) + m[i] * k0))
             return out
 
         value, diff = gauss_legendre(f, np.tile(self._edges, (m.size, 1)), quad)

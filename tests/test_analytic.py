@@ -201,6 +201,45 @@ def test_line_exponent_bits_pinned():
     assert digest.hexdigest() == "e73f90d86599065b95923d8b4d837899ffa31d39b27feb8f845b61a00725be02"
 
 
+D30 = NetworkParams(lambda_l=30.0, mu=30.0, nu=0.1, speed=V)
+
+
+# (base, alpha, rel_tol) of the tail-start sweep; at P33, alpha = 12, beta = 0.01 and
+# 1e-9 the xi-rule misses, as it did with the fixed six-panel start
+EDGE_LAYER = pytest.mark.xfail(strict=True, reason="the xi-rule's n-to-2n estimate misses the "
+                               "edge layer at xi = 1 by 6.2 rel_tol (ROADMAP item 6)")
+TAIL_CASES = [
+    pytest.param(base, alpha, rel_tol, id=f"{name}-{alpha}-{rel_tol}",
+                 marks=EDGE_LAYER if (name, alpha, rel_tol) == ("P33", 12.0, 1e-9) else ())
+    for name, base in (("P33", P33), ("FIG3", FIG3), ("D30", D30))
+    for alpha in (2.05, 2.2, 3.0, 4.0, 12.0) for rel_tol in (1e-6, 1e-9)]
+
+
+class TestTailStart:
+    # each factor against the fixed six-panel start at rel_tol 1e-10, at beta from 1e-2
+    # to 30; a fixed start of three or four panels misses by up to 1.4e4 rel_tol (alpha =
+    # 2.2, FIG3, beta = 11)
+    @pytest.mark.parametrize("base, alpha, rel_tol", TAIL_CASES)
+    def test_factors_match_six_panel_start(self, monkeypatch, base, alpha, rel_tol):
+        params, q = replace(base, alpha=alpha), QuadratureSpec(rel_tol=rel_tol)
+        beta = np.geomspace(1e-2, 30.0, 9)
+        s = (beta * params.nu) ** alpha / params.power
+        got = LaplaceEvaluator(params, q).laplace_factors(s)
+        monkeypatch.setattr(analytic, "_tail_panels", lambda *args: np.full(beta.shape, 6))
+        ref = LaplaceEvaluator(params, QuadratureSpec(rel_tol=1e-10)).laplace_factors(s)
+        np.testing.assert_allclose(got, ref, rtol=rel_tol, atol=q.abs_tol)
+
+    def test_benchmark_arguments_keep_three_panels(self):
+        # the fig3 transform and the fig5 coverage curve: alpha = 3, rel_tol 1e-6 and
+        # beta up to 1 (FIG3) and 100^(1/3) (P33)
+        q = QuadratureSpec()
+        for params, top in ((FIG3, 1.0), (P33, 100.0 ** (1.0 / 3.0))):
+            beta = np.linspace(0.0, top, 201)[1:]
+            panels = analytic._tail_panels(_phi_profile(3.0, q.rel_tol), params.mu * params.nu,
+                                           2.0 * params.lambda_l * params.nu, beta, q)
+            assert panels.max() == 3
+
+
 class TestLaplaceShape:
     def test_at_zero(self):
         assert laplace(P33, 0.0) == 1.0
@@ -580,22 +619,25 @@ class TestSpecialFunctions:
             assert all(batch[i] == analytic._beta_ratio(2.0 / alpha, x[i]) for i in range(x.size))
 
     def test_transform_tail_reaches_continued_fraction(self, monkeypatch):
-        # a dense mu nu puts the far tail's T at the last r-edge past a + 1,
-        # where no benchmark workload goes; scipy's gamma gives the same factor
-        params = NetworkParams(lambda_l=0.01, mu=1e4, nu=0.1, speed=V, alpha=2.05)
-        s = params.nu ** params.alpha / params.power  # beta = 1
-        evaluator = LaplaceEvaluator(params)
+        # _tail at T = m a1 beta^alpha xi^(1 - alpha) from a + 1 on, where gamma takes
+        # its continued fraction; the transform starts its tail there only when the
+        # factor is below abs_tol (e^-400 or less, see _tail_panels), so the tail is
+        # checked on its own; scipy's gamma gives the same values
+        profile = _phi_profile(2.05, QuadratureSpec().rel_tol)
+        a, m, beta = 1.0 - 1.0 / (profile.alpha - 1.0), 1e3, np.ones(6)
+        t = np.geomspace(1.01 * (a + 1.0), 1e3, beta.size)
+        xi = (m * profile.tail_a1 / t) ** (1.0 / (profile.alpha - 1.0))
         numpy_gamma, reached = analytic._lower_gamma, []
 
         def spy(a, t):
-            reached.append(np.max(t) >= a + 1.0)
+            reached.append(np.min(t) >= a + 1.0)
             return numpy_gamma(a, t)
 
         monkeypatch.setattr(analytic, "_lower_gamma", spy)
-        other, _ = evaluator.laplace_factors(s)
-        assert any(reached) and 0.0 < other < 1.0
+        tail = analytic._tail(profile, m, beta, xi)
+        assert all(reached) and np.all(tail > 0.0)
         monkeypatch.setattr(analytic, "_lower_gamma", self._gamma_reference)
-        assert other == pytest.approx(evaluator.laplace_factors(s)[0], rel=1e-13)
+        np.testing.assert_allclose(tail, analytic._tail(profile, m, beta, xi), rtol=1e-13, atol=0)
 
 
 def _af_oracle(params, t, sweep):
