@@ -189,8 +189,8 @@ class TestSemicircleRule:
 
 def test_line_exponent_bits_pinned():
     # k(xi; beta) on xi below and above 1, beta from 1e-3 to 30 (so that |xi + v| / beta
-    # passes _PHI_YMAX) and three node counts, as the kernel gave them before its
-    # passes ran in place
+    # passes _PHI_YMAX) and three node counts, to the bit: the digest is that of the
+    # allocating form of the kernel, which the in-place passes must reproduce
     profile = _phi_profile(3.0, 1e-6)
     beta = np.geomspace(1e-3, 30.0, 9)
     xi = np.tile([0.0, 1e-3, 0.3, 0.9, 0.999, 1.0, 1.001, 2.0, 10.0, 300.0], (beta.size, 1))
@@ -207,7 +207,7 @@ D30 = NetworkParams(lambda_l=30.0, mu=30.0, nu=0.1, speed=V)
 # (base, alpha, rel_tol) of the tail-start sweep; at P33, alpha = 12, beta = 0.01 and
 # 1e-9 the xi-rule misses, as it did with the fixed six-panel start
 EDGE_LAYER = pytest.mark.xfail(strict=True, reason="the xi-rule's n-to-2n estimate misses the "
-                               "edge layer at xi = 1 by 6.2 rel_tol (ROADMAP item 6)")
+                               "edge layer at xi = 1 by 6.2 rel_tol")
 TAIL_CASES = [
     pytest.param(base, alpha, rel_tol, id=f"{name}-{alpha}-{rel_tol}",
                  marks=EDGE_LAYER if (name, alpha, rel_tol) == ("P33", 12.0, 1e-9) else ())
