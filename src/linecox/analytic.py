@@ -335,13 +335,19 @@ _MAX_ELEMENTS = 2 ** 14
 _HALF_PI = 0.5 * math.pi
 
 
+def _xi_tol(quad: QuadratureSpec, span):
+    """The xi-integral's tolerance, max(abs_tol, rel_tol / (4 span)) capped at 1/2: span times
+    it is rel_tol / 4, and the cap binds only where even 1/2 moves the exponent less."""
+    return np.minimum(np.maximum(quad.abs_tol, 0.25 * quad.rel_tol / span), 0.5)
+
+
 def _tail_panels(profile: _PhiProfile, m, span, beta: np.ndarray, quad: QuadratureSpec):
     """Per beta, the fewest xi-panels past which ``_tail``'s bound R meets laplace_factors'
     tolerance (m, span broadcast against beta), or R <= L / 2 and e^(-span L / 2) <= abs_tol
     for L = X (1 - e^(-T(2X))) <= the tail: both factors are then within abs_tol of 0."""
     a, m, span = profile.alpha, *(np.asarray(v, dtype=float)[..., None] for v in (m, span))
     panels = np.zeros(np.broadcast(m, span, beta[..., None]).shape[:-1], dtype=int)
-    tol = np.minimum(np.maximum(quad.abs_tol, 0.25 * quad.rel_tol / span), 0.5)
+    tol = _xi_tol(quad, span)
     for p in range(2, _R_MAX_PANELS, 8):  # the tail's starts X after p, ..., p + 7 panels
         x = np.maximum(1.0, beta)[..., None] * _R_RATIO ** np.arange(p - 1.0, p + 7.0)
         x2, r = x ** -2.0, (beta[..., None] / x) ** a
@@ -442,13 +448,12 @@ class LaplaceEvaluator:
         """(other-line factor, own-line factor) of L(s), elementwise over s;
         their product is laplace(s).
 
-        Power enters only through beta = (s p)^(1/alpha) / nu.  Each exponent
-        is held to rel_tol / 4, so the xi-integral to max(abs_tol, rel_tol /
-        (8 lambda_l nu)), capped at 1/2: the cap binds only when lambda_l nu <
-        rel_tol / 4, where even an error of 1/2 moves the exponent by less than
-        rel_tol / 4.  At each xi-node the semicircle average takes as
-        many nodes per side as the xi-rule takes on that panel, so the rule's
-        n-to-2n differences, and its refinement, cover both.
+        Power enters only through beta = (s p)^(1/alpha) / nu.  Each exponent is held to
+        rel_tol / 4 (the xi-integral to ``_xi_tol``).  At each xi-node the semicircle average
+        takes as many nodes per side as the xi-rule takes on that panel, so the rule's n-to-2n
+        differences, and its refinement, cover both.  For beta >= 1, k >= beta Phi(2) >= 2 beta
+        / (1 + 5^(alpha/2)) on xi <= beta: a factor this bound takes to 0.0 is 0.0 and is not
+        integrated (its far tail would overflow).
         """
         flat, shaped = batch(s, "transform argument")
         other, own = np.zeros(flat.size), np.zeros(flat.size)
@@ -457,8 +462,13 @@ class LaplaceEvaluator:
             p, q = self.params, self.quad
             m, span = p.mu * p.nu, 2.0 * p.lambda_l * p.nu
             beta = (flat[pos] * p.power) ** (1.0 / p.alpha) / p.nu
+            own[pos] = self._own_exponent(beta)
+            low = span * beta * -np.expm1(-2.0 * m * beta / (1.0 + 5.0 ** (0.5 * p.alpha)))
+            far = (beta >= 1.0) & (np.exp(-low) == 0.0)
+            other[pos[far]] = np.inf
+            pos, beta = pos[~far], beta[~far]
             edges = _r_edges(beta, _tail_panels(self._profile, m, span, beta, q))
-            xi_tol = min(max(q.abs_tol, 0.25 * q.rel_tol / span), 0.5)
+            xi_tol = _xi_tol(q, span)
 
             def outer(xi: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
                 out, live = np.zeros(xi.shape), edges[rows, cols + 1] > edges[rows, cols]
@@ -468,7 +478,6 @@ class LaplaceEvaluator:
 
             near = gauss_legendre(outer, edges, replace(q, abs_tol=xi_tol))[0].sum(axis=1)
             other[pos] = span * (near + _tail(self._profile, m, beta, edges[:, -1]))
-            own[pos] = self._own_exponent(beta)
         return shaped(np.exp(-other)), shaped(np.exp(-own))
 
     def _own_exponent(self, beta: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Experiment runner: every analytic and Monte Carlo quantity as a subcommand.
+"""Experiment runner: every analytic and Monte Carlo quantity as a command.
 
 Configuration is layered with precedence flag > config file > preset >
 default.  Config files are INI-style with [params], [run] and [grid]
@@ -21,7 +21,6 @@ import json
 import math
 import os
 import resource
-import shutil
 import subprocess
 import sys
 import time
@@ -276,9 +275,7 @@ def _write_csv(header: list[str], rows: list[list], path: str) -> None:
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return repr(float(value))
+    return repr(float(value))  # "nan" for every NaN
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +448,7 @@ def _target(config: dict[str, dict[str, str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers: inputs -> (files, manifest extras, status); none writes a file
+# command drivers: inputs -> (files, manifest extras, status); none writes a file
 
 
 def _run_quantity(x: _Inputs) -> tuple[list[_File], dict, int]:
@@ -535,7 +532,7 @@ def _run_validate(x: _Inputs) -> tuple[list[_File], dict, int]:
 
 
 class _Command(NamedTuple):
-    """A subcommand: the resolve step that checks its inputs, the driver that runs
+    """A command: the resolve step that checks its inputs, the driver that runs
     on them, and the [run] and [grid] keys it reads."""
 
     resolve: Callable[[dict[str, dict[str, str]], dict], object]
@@ -560,7 +557,6 @@ _COMMANDS: dict[str, _Command] = {
     "validate": _Command(lambda config, run: _quantity_inputs(_target(config), config, run),
                          _run_validate),
 }
-QUANTITIES = tuple(_COMMANDS)
 
 # every key a config may set: those the commands read, and validate's target
 _KNOWN = {"params": tuple(_DEFAULTS["params"]),
@@ -593,24 +589,15 @@ def _git_describe() -> str:
 
 
 def _parser() -> argparse.ArgumentParser:
-    # argparse makes a HelpFormatter per argument, and one given no width reads
-    # the terminal size; the width it would read is read once here instead
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="linecox",
-        description="Vehicular line-network simulator and analytic evaluator",
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(dest="quantity", required=True)
-    for name in QUANTITIES:
-        p = sub.add_parser(name, formatter_class=formatter)
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--preset", choices=sorted(_PRESETS),
-                       help="named scenario preset")
-        for key, options in _FLAGS.items():
-            p.add_argument("--" + key.replace("_", "-"), **options)
-        p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
-                       help="override any config value")
+        prog="linecox", description="Vehicular line-network simulator and analytic evaluator")
+    parser.add_argument("quantity", choices=_COMMANDS, help="the command to run")
+    parser.add_argument("--config", help="INI config file")
+    parser.add_argument("--preset", choices=sorted(_PRESETS), help="named scenario preset")
+    for key, options in _FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), **options)
+    parser.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
+                        help="override any config value")
     return parser
 
 

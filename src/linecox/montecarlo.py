@@ -300,24 +300,17 @@ def _staged_estimates(
     n: int,
     seed: int,
     policy: WindowPolicy,
-    stat_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    need_signal: bool,
+    stat_fn: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, WindowReport]:
     """Run the coupled window-doubling scheme and return final per-sample stats.
 
-    ``stat_fn(interference, signal) -> (n, G)`` evaluates every grid point on
+    ``stat_fn(interference) -> (n, G)`` evaluates every grid point on
     the current interference; the same realisations serve all grid points and
     all stages, so stage-to-stage shifts isolate truncation bias.
     """
     _check_sample_size(n)
     i1 = np.zeros(n)
     i2 = np.zeros(n)
-    if need_signal:
-        rng = substream(seed, 2)
-        rho = params.nu * np.sqrt(rng.uniform(size=n))
-        signal = params.power * rng.exponential(size=n) * rho ** (-params.alpha)
-    else:
-        signal = np.zeros(n)
     lines = [np.empty(0)] * n
 
     prev_mean: Optional[np.ndarray] = None
@@ -326,7 +319,7 @@ def _staged_estimates(
         other, own = _stage_interference(params, seed, stage, policy, lines)
         i1 += other
         i2 += own
-        stats = stat_fn(i1 + i2, signal)
+        stats = stat_fn(i1 + i2)
         mean = stats.mean(axis=0)
         if prev_mean is not None:
             se = stats.std(axis=0, ddof=1) / math.sqrt(n)
@@ -360,6 +353,14 @@ def _grid_result(
     return GridEstimate(grid=grid, estimates=estimates, window=report)
 
 
+def _serving_signal(params: NetworkParams, n: int, seed: int) -> np.ndarray:
+    """Serving-link power per realisation: a unit fade over rho^alpha, rho uniform in the disk."""
+    _check_sample_size(n)
+    rng = substream(seed, 2)
+    rho = params.nu * np.sqrt(rng.uniform(size=n))
+    return params.power * rng.exponential(size=n) * rho ** (-params.alpha)
+
+
 def estimate_laplace(
     params: NetworkParams,
     s_values: Sequence[float],
@@ -375,10 +376,10 @@ def estimate_laplace(
     """
     grid = _nonempty(s_values, "transform argument")
 
-    def stat(total: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    def stat(total: np.ndarray) -> np.ndarray:
         return np.exp(-np.outer(total, grid))
 
-    stats, report = _staged_estimates(params, n, seed, window, stat, need_signal=False)
+    stats, report = _staged_estimates(params, n, seed, window, stat)
     return _grid_result(grid, stats, report)
 
 
@@ -391,12 +392,13 @@ def estimate_coverage(
 ) -> GridEstimate:
     """Estimate P(SIR >= tau) of the typical link for each threshold."""
     grid = _nonempty(thresholds, "tau")
+    signal = _serving_signal(params, n, seed)
 
-    def stat(total: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    def stat(total: np.ndarray) -> np.ndarray:
         # signal >= tau * I avoids 0/0 when a window stage has no interferer
         return (signal[:, None] >= np.outer(total, grid)).astype(float)
 
-    stats, report = _staged_estimates(params, n, seed, window, stat, need_signal=True)
+    stats, report = _staged_estimates(params, n, seed, window, stat)
     return _grid_result(grid, stats, report)
 
 
@@ -412,13 +414,14 @@ def estimate_ase(
     samples infinite; the stability rule cannot pass while such samples
     persist, and they vanish as the window grows.
     """
+    signal = _serving_signal(params, n, seed)
 
-    def stat(total: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    def stat(total: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             rate = np.log2(1.0 + signal / total)
         return rate[:, None]
 
-    stats, report = _staged_estimates(params, n, seed, window, stat, need_signal=True)
+    stats, report = _staged_estimates(params, n, seed, window, stat)
     scale = params.lambda_l * params.mu
     samples = scale * stats[:, 0]
     return Estimate.from_samples(samples), report

@@ -261,6 +261,21 @@ class TestLaplaceShape:
         np.testing.assert_allclose(coverage_probability(sparse, tau, q),
                                    coverage_probability(sparse, tau, tight), rtol=rel_tol, atol=0)
 
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 12.0])
+    def test_huge_arguments_compute(self, alpha):
+        # s = 1e300 once raised (alpha 2.05, 12) or gave nan (alpha 3); every smaller s
+        # gave (0, 0) but at alpha = 12, s = 1e8, and none of those values may move
+        before = {1e8: (1.3610456441806628e-16, 5.841665338076607e-13) if alpha == 12.0
+                  else (0.0, 0.0), 1e30: (0.0, 0.0), 1e100: (0.0, 0.0)}
+        evaluator = LaplaceEvaluator(replace(P33, alpha=alpha))
+        s = [1e8, 1e30, 1e100, 1e300]
+        factors = np.array([evaluator.laplace_factors(x) for x in s])
+        assert np.all(np.isfinite(factors))
+        assert np.all((factors >= 0.0) & (factors <= 1.0))
+        assert np.all(np.diff(factors, axis=0) <= 0.0)
+        for x, got in zip(s, factors):
+            assert tuple(got) == before.get(x, tuple(got))
+
     def test_negative_argument_rejected(self):
         # every entry point names its argument; a non-finite one would reach the Phi
         # table's index arithmetic

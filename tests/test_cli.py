@@ -1,11 +1,11 @@
 """End-to-end runs of the command line driver, in process."""
 
+import argparse
 import csv
 import hashlib
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -147,14 +147,33 @@ class TestImport:
 
 
 class TestParser:
-    def test_terminal_size_read_once_per_build(self, monkeypatch):
-        # argparse's default formatter reads it once per argument, about 100 times
-        calls = []
-        real = shutil.get_terminal_size
-        monkeypatch.setattr(shutil, "get_terminal_size",
-                            lambda *args: calls.append(args) or real(*args))
-        _parser()
-        assert len(calls) == 1
+    def test_one_parser_for_every_command(self):
+        assert not any(isinstance(action, argparse._SubParsersAction)
+                       for action in _parser()._actions)
+
+    def test_options_before_the_command_write_the_same_bytes(self, tmp_path):
+        options = ["--preset", "fig7", "--mode", "both", "--seed", "3", "--n", "200",
+                   "--set", "grid.t=0,50"]
+        assert main(["af-cumulative", *options, "--out", str(tmp_path / "after")]) == 0
+        assert main([*options, "--out", str(tmp_path / "before"), "af-cumulative"]) == 0
+        for name in ("af-cumulative_analytic.csv", "af-cumulative_mc.csv"):
+            assert (tmp_path / "before" / name).read_bytes() == \
+                (tmp_path / "after" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "1"]],
+                             ids=["unknown", "missing", "missing-after-options"])
+    def test_bad_command_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_flag_refused_where_not_read(self, tmp_path):
+        # geometry-dump reads no n, yet a value that is not an int is still refused
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, "geometry-dump", "--seed", "1", "--n", "abc")
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyticOutputs:

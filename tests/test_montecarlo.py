@@ -232,11 +232,11 @@ class TestStagedStreams:
         totals = []
         run = montecarlo._staged_estimates
 
-        def recording(params, n, seed, policy, stat_fn, need_signal):
-            def stat(total, signal):
+        def recording(params, n, seed, policy, stat_fn):
+            def stat(total):
                 totals.append(total.copy())
-                return stat_fn(total, signal)
-            return run(params, n, seed, policy, stat, need_signal)
+                return stat_fn(total)
+            return run(params, n, seed, policy, stat)
 
         monkeypatch.setattr(montecarlo, "_staged_estimates", recording)
         res = estimator(params, np.array(grid), n=n, seed=seed, window=window)
