@@ -341,6 +341,15 @@ def _xi_tol(quad: QuadratureSpec, span):
     return np.minimum(np.maximum(quad.abs_tol, 0.25 * quad.rel_tol / span), 0.5)
 
 
+def _underflows(alpha: float, m, span, beta: np.ndarray) -> np.ndarray:
+    """Where the other-line factor e^-(span int_0^inf (1 - e^(-m k)) dxi) is 0.0 without
+    integrating (m, span broadcast against beta): for beta >= 1, k >= beta Phi(2) >= 2 beta
+    / (1 + 5^(alpha/2)) on xi <= beta, and e^-(span beta (1 - e^(-m beta Phi(2)))) is
+    0.0.  Such a factor is not integrated: its far tail would overflow."""
+    low = span * beta * -np.expm1(-2.0 * m * beta / (1.0 + 5.0 ** (0.5 * alpha)))
+    return (beta >= 1.0) & (np.exp(-low) == 0.0)
+
+
 def _tail_panels(profile: _PhiProfile, m, span, beta: np.ndarray, quad: QuadratureSpec):
     """Per beta, the fewest xi-panels past which ``_tail``'s bound R meets laplace_factors'
     tolerance (m, span broadcast against beta), or R <= L / 2 and e^(-span L / 2) <= abs_tol
@@ -451,9 +460,7 @@ class LaplaceEvaluator:
         Power enters only through beta = (s p)^(1/alpha) / nu.  Each exponent is held to
         rel_tol / 4 (the xi-integral to ``_xi_tol``).  At each xi-node the semicircle average
         takes as many nodes per side as the xi-rule takes on that panel, so the rule's n-to-2n
-        differences, and its refinement, cover both.  For beta >= 1, k >= beta Phi(2) >= 2 beta
-        / (1 + 5^(alpha/2)) on xi <= beta: a factor this bound takes to 0.0 is 0.0 and is not
-        integrated (its far tail would overflow).
+        differences, and its refinement, cover both.  A factor ``_underflows`` flags is 0.0.
         """
         flat, shaped = batch(s, "transform argument")
         other, own = np.zeros(flat.size), np.zeros(flat.size)
@@ -463,8 +470,7 @@ class LaplaceEvaluator:
             m, span = p.mu * p.nu, 2.0 * p.lambda_l * p.nu
             beta = (flat[pos] * p.power) ** (1.0 / p.alpha) / p.nu
             own[pos] = self._own_exponent(beta)
-            low = span * beta * -np.expm1(-2.0 * m * beta / (1.0 + 5.0 ** (0.5 * p.alpha)))
-            far = (beta >= 1.0) & (np.exp(-low) == 0.0)
+            far = _underflows(p.alpha, m, span, beta)
             other[pos[far]] = np.inf
             pos, beta = pos[~far], beta[~far]
             edges = _r_edges(beta, _tail_panels(self._profile, m, span, beta, q))
@@ -562,7 +568,12 @@ class _CellEngine:
                     k0 = _line_exponent(self._profile, np.zeros((pos.size, 1)), beta[pos], n)
                     self._levels[panel, n] = (weight, pos, beta[pos], k0[:, 0], [])
                 (weight, pos, beta, k0, ks), i = self._levels[panel, n], rows[at, None]
-                panels = _tail_panels(self._profile, m[i], span[i], beta, quad).max(1, initial=2)
+                # a (cell, node) pair whose factor underflows gives 0.0 and takes no tail
+                live = ~_underflows(self._profile.alpha, m[i], span[i], beta)
+                ml, spl, bl = (a[live] for a in np.broadcast_arrays(m[i], span[i], beta))
+                panels = np.full(live.shape, 2)
+                panels[live] = _tail_panels(self._profile, ml, spl, bl, quad)
+                panels = panels.max(1, initial=2)
                 edges = _r_edges(beta, np.full(beta.size, panels.max()))
                 for j in range(len(ks), panels.max()):
                     lo, h = edges[:, j, None], 0.5 * np.diff(edges[:, j:j + 2])  # h: half-width
@@ -572,9 +583,11 @@ class _CellEngine:
                 # grid; the rest is elementwise and takes all the pass's cells at once
                 near = np.array([-(r_weight[:, :p] * np.expm1(-m[c] * k[:, :p])).sum(axis=1)
                                  for c, p in zip(i[:, 0], n * panels)])
+                tail = np.zeros(live.shape)
+                tail[live] = _tail(self._profile, ml, bl, edges[:, panels].T[live])
                 out[at, 0] = weight
-                out[at[:, None], 0, pos] *= np.exp(-(span[i] * (
-                    near + _tail(self._profile, m[i], beta, edges[:, panels].T)) + m[i] * k0))
+                out[at[:, None], 0, pos] *= np.where(
+                    live, np.exp(-(span[i] * (near + tail) + m[i] * k0)), 0.0)
             return out
 
         value, diff = gauss_legendre(f, np.tile(self._edges, (m.size, 1)), quad)

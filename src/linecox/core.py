@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Sequence
@@ -23,7 +22,7 @@ __all__ = [
     "LinecoxError", "ParameterError", "AlphaOutOfRange", "NonPositiveDensity",
     "NegativeSpeed", "ZeroSpeed", "UnitParseError",
     "NumericalError", "QuadratureNotConverged", "WindowNotConverged", "EmptyFeasibleSet",
-    "convert_units", "NetworkParams", "validate", "Estimate", "QuadratureSpec",
+    "convert_units", "NetworkParams", "Estimate", "QuadratureSpec",
     "LatencyVariant", "substream", "params_digest",
 ]
 
@@ -171,8 +170,11 @@ def convert_units(value: float | str, field_name: str) -> float:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Physical parameters of the line network, in canonical units, checked by
-    :func:`validate` on construction (``replace`` and :meth:`scaled` included).
+    """Physical parameters of the line network, in canonical units, checked on
+    construction (``replace`` and :meth:`scaled` included).  Every violation is
+    collected before the raise, so one failure names every bad field; a single
+    broken rule raises its specific error class, mixed failures a plain
+    :class:`ParameterError`.
 
     lambda_l        line density (per km); the cylinder intensity is lambda_l/pi
     mu              vehicle density on each line (per km)
@@ -190,7 +192,36 @@ class NetworkParams:
     alpha: float = 3.0
 
     def __post_init__(self):
-        validate(self)
+        violations: list[tuple[str, str, type]] = []
+
+        def bad(field_name: str, message: str, cls: type = ParameterError) -> None:
+            violations.append((field_name, message, cls))
+
+        for name in ("lambda_l", "mu", "nu", "speed", "power", "alpha"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float)) or not math.isfinite(v):
+                bad(name, f"must be a finite number, got {v!r}")
+
+        if not violations:
+            if self.lambda_l <= 0:
+                bad("lambda_l", f"line density must be > 0, got {self.lambda_l}",
+                    NonPositiveDensity)
+            if self.mu <= 0:
+                bad("mu", f"vehicle density must be > 0, got {self.mu}", NonPositiveDensity)
+            if self.nu <= 0:
+                bad("nu", f"disk radius must be > 0, got {self.nu}")
+            if self.speed < 0:
+                bad("speed", f"speed must be >= 0, got {self.speed}", NegativeSpeed)
+            if self.power <= 0:
+                bad("power", f"transmit power must be > 0, got {self.power}")
+            if self.alpha <= 2:
+                bad("alpha", f"path-loss exponent must exceed 2, got {self.alpha}",
+                    AlphaOutOfRange)
+
+        if violations:
+            classes = {cls for _, _, cls in violations}
+            err_cls = classes.pop() if len(classes) == 1 else ParameterError
+            raise err_cls([(f, m) for f, m, _ in violations])
 
     def scaled(self, kappa: float) -> "NetworkParams":
         """Unit-rescaled copy: densities / kappa, lengths and speed * kappa.
@@ -205,46 +236,6 @@ class NetworkParams:
             nu=self.nu * kappa,
             speed=self.speed * kappa,
         )
-
-
-def validate(params: NetworkParams) -> NetworkParams:
-    """Check every parameter invariant, returning ``params`` unchanged if sound.
-
-    All violations are collected before raising, so one failure names every
-    bad field.  When a single rule is broken the raise uses the specific
-    error class for it; mixed failures come out as a plain
-    :class:`ParameterError`.
-    """
-    violations: list[tuple[str, str, type]] = []
-
-    def bad(field_name: str, message: str, cls: type = ParameterError) -> None:
-        violations.append((field_name, message, cls))
-
-    for name in ("lambda_l", "mu", "nu", "speed", "power", "alpha"):
-        v = getattr(params, name)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            bad(name, f"must be a finite number, got {v!r}")
-
-    if not violations:
-        if params.lambda_l <= 0:
-            bad("lambda_l", f"line density must be > 0, got {params.lambda_l}", NonPositiveDensity)
-        if params.mu <= 0:
-            bad("mu", f"vehicle density must be > 0, got {params.mu}", NonPositiveDensity)
-        if params.nu <= 0:
-            bad("nu", f"disk radius must be > 0, got {params.nu}")
-        if params.speed < 0:
-            bad("speed", f"speed must be >= 0, got {params.speed}", NegativeSpeed)
-        if params.power <= 0:
-            bad("power", f"transmit power must be > 0, got {params.power}")
-        if params.alpha <= 2:
-            bad("alpha", f"path-loss exponent must exceed 2, got {params.alpha}", AlphaOutOfRange)
-
-    if violations:
-        classes = {cls for _, _, cls in violations}
-        err_cls = classes.pop() if len(classes) == 1 else ParameterError
-        raise err_cls([(f, m) for f, m, _ in violations])
-
-    return params
 
 
 def batch(x, name: str):
@@ -288,11 +279,6 @@ class Estimate:
             std_error=float(np.std(samples, ddof=1) / math.sqrt(n)),
             n_samples=n,
         )
-
-    def ci(self, level: float = 0.95) -> tuple[float, float]:
-        """Normal-approximation confidence interval."""
-        q = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
-        return (self.value - q * self.std_error, self.value + q * self.std_error)
 
     def z_score(self, reference: float) -> float:
         """Signed distance to ``reference`` in standard errors."""

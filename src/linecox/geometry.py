@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -258,17 +258,15 @@ _CSV_COLUMNS = ["schema_version", "section", "offset", "angle",
                 "line_index", "abscissa", "direction", "x", "y"]
 
 
-def snapshot_to_csv(snapshot: Snapshot, dest: Union[str, IO[str]]) -> None:
-    """Write a snapshot as one CSV with a section column.
+def snapshot_to_csv(snapshot: Snapshot, path: str) -> None:
+    """Write a snapshot to ``path`` as one CSV with a section column.
 
     Rows carry section 'line' (offset, angle), 'vehicle' (line_index,
     abscissa, direction) or 'device' (x, y); unused columns stay empty so a
     single header serves all three.
     """
-    own = isinstance(dest, str)
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
     v = SCHEMA_VERSION
-    try:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         # one formatted line per entity; repr of a float round-trips exactly
         fh.write(",".join(_CSV_COLUMNS) + "\n")
         fh.writelines(f"{v},line,{r!r},{a!r},,,,,\n" for r, a in zip(
@@ -279,6 +277,3 @@ def snapshot_to_csv(snapshot: Snapshot, dest: Union[str, IO[str]]) -> None:
         if snapshot.device_xy is not None:
             fh.writelines(f"{v},device,,,,,,{x!r},{y!r}\n"
                           for x, y in snapshot.device_xy.tolist())
-    finally:
-        if own:
-            fh.close()

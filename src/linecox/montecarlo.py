@@ -116,12 +116,6 @@ class GridEstimate:
     estimates: tuple[Estimate, ...]
     window: WindowReport
 
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.estimates])
-
-    def std_errors(self) -> np.ndarray:
-        return np.array([e.std_error for e in self.estimates])
-
 
 def _side_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     """The draws of ``integers(0, 2, size=count)``, as float32 uniforms.

@@ -130,18 +130,6 @@ def _evaluate_cell(
     )
 
 
-def _argmax(cells: list[SurfaceCell]) -> Optional[SurfaceCell]:
-    # strict > over cells ordered by (nu, mu) ascending breaks ties toward
-    # the smaller radius, then the smaller density
-    best: Optional[SurfaceCell] = None
-    for cell in cells:
-        if not cell.feasible:
-            continue
-        if best is None or cell.utility > best.utility:
-            best = cell
-    return best
-
-
 def _refinement_axis(values: np.ndarray, i: int) -> np.ndarray:
     """Five points around values[i]: its coarse neighbours with the midpoints
     between, so the even positions are coarse values; at an edge of the axis
@@ -182,7 +170,9 @@ def optimize_grid(
                 for a, b, c in zip(nu, mu, p_c)]
 
     cells = evaluate([(float(nu), float(mu)) for nu in nus for mu in mus])
-    best = _argmax(cells)
+    # max keeps the first of equal utilities, and cells go in (nu, mu) order: a tie
+    # goes to the smaller radius, then the smaller density
+    best = max((c for c in cells if c.feasible), key=lambda c: c.utility, default=None)
     if best is None:
         raise EmptyFeasibleSet(
             f"no grid cell satisfies mean latency < {constraint}"
@@ -197,9 +187,9 @@ def optimize_grid(
         fresh = [(float(nu), float(mu)) for nu in nu_axis for mu in mu_axis
                  if (float(nu), float(mu)) not in known]
         known.update({(c.nu, c.mu): c for c in evaluate(fresh)})
-        refined_best = _argmax(sorted(known.values(), key=lambda c: (c.nu, c.mu)))
-        if refined_best is not None:
-            best = refined_best
+        # the coarse cells are among them, so one is feasible
+        best = max((c for c in sorted(known.values(), key=lambda c: (c.nu, c.mu))
+                    if c.feasible), key=lambda c: c.utility)
 
     return OptimizeResult(
         nu_opt=best.nu,

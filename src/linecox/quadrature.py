@@ -40,11 +40,12 @@ def gauss_legendre(f: Callable, edges: np.ndarray,
     (len(rows), 1, n): panel cols[k] of integrand rows[k] per x[k].  Every
     panel is taken with n = GL_NODES, then 2n nodes, a call each; a panel's
     estimate is the difference of its last two values, and a row is accepted
-    once the sum of its panels' estimates is within max(abs_tol, rel_tol *
-    |value|).  Each further pass doubles n and, in the rows not yet accepted,
-    takes again only the panels whose estimate exceeds that tolerance over
-    the panel count; past GL_MAX_NODES that raises QuadratureNotConverged.
-    A row's result does not depend on the rest of the batch.
+    once its value is finite and the sum of its panels' estimates is within
+    max(abs_tol, rel_tol * |value|).  Each further pass doubles n and, in the
+    rows not yet accepted, takes again only the panels whose estimate exceeds
+    that tolerance over the panel count; past GL_MAX_NODES that raises
+    QuadratureNotConverged.  A row's result does not depend on the rest of
+    the batch.
     """
     edges = np.asarray(edges, dtype=float)
     lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=1)
@@ -64,7 +65,8 @@ def gauss_legendre(f: Callable, edges: np.ndarray,
     while True:
         total, err = value[active].sum(axis=1), diff[active].sum(axis=1)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        left = err > tol
+        # err > tol is False for a NaN: accept only an err shown to be within tol
+        left = ~((err <= tol) & np.isfinite(total))
         if not left.any():
             return value, diff
         if n >= GL_MAX_NODES:

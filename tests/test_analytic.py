@@ -442,6 +442,11 @@ class TestCoverageSurface:
         for nu, mu in zip(FIG10_NU, FIG10_MU):
             assert coverage_probability(replace(FIG10, nu=nu, mu=mu), 0.0) == 1.0
 
+    def test_huge_threshold_gives_zero(self):
+        # from tau = 1e200 the far tail of an underflowing node once overflowed to nan
+        for tau in (1e30, 1e100, 1e200, 1e300):
+            assert tuple(CoverageSurface(P33, tau)(0.1, 3.0)) == (0.0, 0.0)
+
     def test_ladder_cap_raises(self, monkeypatch):
         # at rel_tol 1e-9 this cell needs more than 32 nodes in x
         monkeypatch.setattr(quadrature, "GL_MAX_NODES", 32)
@@ -525,6 +530,13 @@ class TestAse:
         params = replace(P33, alpha=alpha)
         got = area_spectral_efficiency(params, QuadratureSpec(rel_tol=rel_tol))
         assert got == pytest.approx(value, rel=rel_tol)
+
+    def test_steep_path_loss_within_tolerance(self):
+        # at alpha = 24 the far tail of an underflowing node once overflowed to nan
+        params = replace(P33, alpha=24.0)
+        got = area_spectral_efficiency(params)
+        tight = area_spectral_efficiency(params, QuadratureSpec(rel_tol=1e-9))
+        assert math.isfinite(got) and got == pytest.approx(tight, rel=QuadratureSpec().rel_tol)
 
     def test_tight_tolerance_near_two(self):
         # a semicircle rule held to an absolute share of the xi-tolerance raised here

@@ -121,6 +121,13 @@ class TestExitCodes:
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
 
+    def test_nan_quadrature_is_numerical_failure(self, tmp_path, capsys):
+        # the ASE's far tail is nan at alpha = 40, which a quadrature once accepted
+        code, out = _run(tmp_path, "ase", "--preset", "fig5", "--set", "params.alpha=40")
+        assert code == 1
+        assert "quadrature stalled" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # one named test per table row, so each case reports on its own
 for _name, (_argv, _field) in BAD_INPUTS.items():
@@ -144,6 +151,12 @@ class TestImport:
     def test_cli_import_leaves_out_scipy(self):
         # scipy.special then took 0.29 s of the 0.50 s import; no scipy module is needed
         assert _after_cli_import("[m for m in sys.modules if m.startswith('scipy')]") == "[]"
+
+    def test_cli_import_leaves_out_statistics(self):
+        # a confidence interval no command printed loaded statistics, fractions and
+        # decimal: about 2.5 ms of every start-up
+        assert _after_cli_import(
+            "[m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]") == "[]"
 
 
 class TestParser:
@@ -430,6 +443,13 @@ class TestOptimizeCommand:
                          "--set", "run.constraint=1e-9")
         assert code == 1
         assert not out.exists()
+
+    def test_huge_threshold_computes(self, tmp_path):
+        # the surface's far tail once overflowed here, and every utility was nan
+        code, out = _run(tmp_path, "optimize", "--preset", "fig10", "--set", "run.tau=1e200")
+        assert code == 0
+        rows = _read_csv(out / "optimize.csv")
+        assert len(rows) == 8 * 4 and all(math.isfinite(float(r["utility"])) for r in rows)
 
 
 class TestValidateCommand:

@@ -1,6 +1,5 @@
 """Sampling laws and conventions of the planar snapshot layer."""
 
-import io
 import math
 
 import numpy as np
@@ -234,12 +233,11 @@ class TestDistance:
 
 
 class TestCsv:
-    def test_sections_and_counts(self):
+    def test_sections_and_counts(self, tmp_path):
         snap = palm_snapshot(PARAMS, 1.0, 1.0, substream(16, 913))
         snap = place_devices(snap, PARAMS.nu, substream(16, 914))
-        buf = io.StringIO()
-        snapshot_to_csv(snap, buf)
-        rows = buf.getvalue().splitlines()
+        snapshot_to_csv(snap, str(tmp_path / "geometry.csv"))
+        rows = (tmp_path / "geometry.csv").read_text().splitlines()
         header, body = rows[0], rows[1:]
         assert header.split(",")[:2] == ["schema_version", "section"]
         sections = [r.split(",")[1] for r in body]
@@ -247,11 +245,10 @@ class TestCsv:
         assert sections.count("vehicle") == snap.n_vehicles
         assert sections.count("device") == snap.n_vehicles
 
-    def test_round_trip_values(self):
+    def test_round_trip_values(self, tmp_path):
         snap = ordinary_snapshot(PARAMS, 1.0, 1.0, substream(17, 915))
-        buf = io.StringIO()
-        snapshot_to_csv(snap, buf)
-        body = buf.getvalue().splitlines()[1:]
+        snapshot_to_csv(snap, str(tmp_path / "geometry.csv"))
+        body = (tmp_path / "geometry.csv").read_text().splitlines()[1:]
         offs = [float(r.split(",")[2]) for r in body if r.split(",")[1] == "line"]
         # repr round-trips floats exactly
         assert offs == list(snap.line_offset)

@@ -40,10 +40,6 @@ class TestAgreementWithAnalytic:
         # the doubling schedule stops only once the last doubling moved
         # every point by less than half a standard error
         assert res.window.max_shift_over_se <= 0.5
-        assert np.array_equal(res.values(),
-                              [e.value for e in res.estimates])
-        assert np.array_equal(res.std_errors(),
-                              [e.std_error for e in res.estimates])
 
     def test_coverage(self):
         grid = np.array([0.5, 2.0])
@@ -241,7 +237,8 @@ class TestStagedStreams:
         monkeypatch.setattr(montecarlo, "_staged_estimates", recording)
         res = estimator(params, np.array(grid), n=n, seed=seed, window=window)
         assert len(totals) == res.window.stages
-        assert _sha256(*totals, res.values(), res.std_errors()) == digest
+        assert _sha256(*totals, np.array([e.value for e in res.estimates]),
+                       np.array([e.std_error for e in res.estimates])) == digest
 
     # a small chunk puts the flushes inside and across realisations
     @pytest.mark.parametrize("alpha", [2.5, 4.0])

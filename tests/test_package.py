@@ -13,14 +13,14 @@ from linecox import analytic, core, geometry, montecarlo, optimize
 MODULES = (core, geometry, analytic, montecarlo, optimize)
 
 # every name the package exported while it listed them by hand, plus
-# LaplaceEvaluator, which analytic already declared public
+# LaplaceEvaluator, which analytic already declared public, less validate, whose
+# checks NetworkParams runs on construction
 PUBLIC = {
     "__version__", "SCHEMA_VERSION",
     "AlphaOutOfRange", "EmptyFeasibleSet", "Estimate", "LatencyVariant", "LinecoxError",
     "NegativeSpeed", "NetworkParams", "NonPositiveDensity", "NumericalError",
     "ParameterError", "QuadratureNotConverged", "QuadratureSpec", "UnitParseError",
     "WindowNotConverged", "ZeroSpeed", "convert_units", "params_digest", "substream",
-    "validate",
     "Snapshot", "advance", "nearest_vehicle_distance", "ordinary_snapshot", "palm_snapshot",
     "place_devices", "sample_lines", "sample_manhattan_lines", "sample_vehicles_on_line",
     "snapshot_from_lines", "snapshot_to_csv",
@@ -36,7 +36,7 @@ PUBLIC = {
 
 class TestExports:
     def test_all_lists_each_public_name_once(self):
-        assert len(PUBLIC) == 60
+        assert len(PUBLIC) == 59
         assert sorted(linecox.__all__) == sorted(PUBLIC)
 
     def test_each_name_is_its_module_attribute(self):
@@ -51,8 +51,8 @@ class TestExports:
 
 
 def test_only_core_calls_validate():
-    # NetworkParams runs validate on construction; a second call elsewhere is a copy
-    # of the rule that can drift from it
+    # NetworkParams checks itself on construction; a validate called elsewhere is a
+    # copy of the rule that can drift from it
     calls = []
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         if path.name == "core.py":
@@ -67,7 +67,8 @@ def test_only_core_calls_validate():
 def test_benchmark_tracer_still_installs(tmp_path):
     # perfbench/tracing.py patches library functions by name (integrate_halfline,
     # optimize._evaluate_cell, montecarlo.substream, ...); a refactor that removes
-    # one breaks every traced benchmark run, so install it and trace one command
+    # one breaks every traced benchmark run, so install it and trace a transform and
+    # the optimiser
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(linecox.__file__).parents[1]), str(root / "perfbench")]))
@@ -76,13 +77,16 @@ def test_benchmark_tracer_still_installs(tmp_path):
         "from linecox import cli\n"
         "tracer = tracing.Tracer()\n"
         "tracing.install(tracer)\n"
-        "status = cli.main(['laplace', '--preset', 'fig3', '--threads', '1',\n"
-        "                   '--out', sys.argv[1]])\n"
+        "status = [cli.main([*argv, '--threads', '1', '--out', f'{sys.argv[1]}/{argv[0]}'])\n"
+        "          for argv in (['laplace', '--preset', 'fig3'],\n"
+        "                       ['optimize', '--preset', 'fig10', '--set', 'run.constraint=30'])]\n"
         "print(json.dumps({'status': status, 'metrics': tracing.layer_metrics(tracer, 0.0)}))\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    assert result["status"] == 0
+    assert result["status"] == [0, 0]
     assert result["metrics"]["analytic.transform.calls"] > 0
+    # 32 coarse cells and the 16 of the 5 x 5 refinement that are not on the coarse grid
+    assert result["metrics"]["optimize.cells"] == 48

@@ -152,6 +152,15 @@ class TestGaussLegendre:
             gauss_legendre(sqrt_at_edge, PANELS[None, :], spec)
         assert exc.value.error_bound > spec.rel_tol * abs(exc.value.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_row_not_accepted(self, bad):
+        # err > tol is False for a nan err, so a nan integrand was once accepted at 16 nodes
+        def f(x, rows, cols):
+            return np.where(rows[:, None, None] == 1, bad, x)
+
+        with pytest.raises(QuadratureNotConverged, match=f"{GL_MAX_NODES} Gauss-Legendre"):
+            gauss_legendre(f, np.array([[0.0, 1.0], [0.0, 1.0]]), QuadratureSpec())
+
 
 # positive integrands with closed-form integrals over [a, b] (written without
 # cancellation, so the references are good to a few ulps), and the range of the
