@@ -580,9 +580,16 @@ def _reads(command: str, config: dict[str, dict[str, str]]) -> dict[str, tuple[s
 
 @lru_cache(maxsize=None)  # taken once per process: each call forks git
 def _git_describe() -> str:
+    # only a source checkout, <root>/src/linecox beside <root>/.git, describes its
+    # own build; git would describe any work tree around an installed copy
+    package = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(package)
+    if os.path.basename(src) != "src" or not os.path.exists(
+            os.path.join(os.path.dirname(src), ".git")):
+        return "unknown"
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
-                             text=True, timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
+                             text=True, timeout=5, cwd=package)
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"

@@ -14,8 +14,6 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
-# numpy imports its random module lazily; load it with the package, not at the first draw
-import numpy.random  # noqa: F401
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -269,8 +267,14 @@ class Estimate:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "Estimate":
-        """Mean with std error = sample standard deviation (ddof=1) / sqrt(n)."""
-        samples = np.asarray(samples, dtype=float)
+        """Mean with std error = sample standard deviation (ddof=1) / sqrt(n).
+
+        A bool array of indicators is read through a uint8 view: the mean and
+        std come out bit for bit as from its float copy, without the copy.
+        """
+        samples = np.asarray(samples)
+        samples = (samples.view(np.uint8) if samples.dtype == bool
+                   else samples.astype(float, copy=False))
         n = samples.size
         if n < 2:
             raise ValueError("need at least 2 samples for a standard error")

@@ -25,7 +25,9 @@ The availability and latency samplers draw from one stream each across all
 realisations.  They read their per-vehicle (per-line) draws in pieces of
 ``_CHUNK`` and fold each piece into per-realisation results at once, so their
 working memory is O(n + lines) plus one piece; the stream layout, and hence
-every output, is the same as drawing each array whole.
+every output, is the same as drawing each array whole.  Per-line arrays are
+freed once used, and indicators are summarised as bool arrays, without float
+copies (:meth:`~linecox.core.Estimate.from_samples`).
 
 Interference estimators grow the simulation window adaptively: stage k adds
 the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k, and extends all
@@ -425,7 +427,7 @@ def estimate_ase(
 # availability
 
 # per-vehicle (per-line) draws the bulk samplers read at a time
-_CHUNK = 2**18
+_CHUNK = 2**16
 
 
 def _pieces(ends: np.ndarray, labels: Optional[np.ndarray] = None):
@@ -486,11 +488,13 @@ def _af_event_times(
 
     covered0 = np.zeros(n, dtype=bool)
     np.logical_or.at(covered0, rid, on_disk > 0)
+    del offsets, chord, on_disk
 
     first = np.full(n, np.inf)
     reach = (v + 6.0 * sigma) * t_max
     if reach > 0.0 and total:
-        ends = np.cumsum(rng.poisson(2.0 * params.mu * reach, size=total))
+        counts = rng.poisson(2.0 * params.mu * reach, size=total)
+        ends = np.cumsum(counts, out=counts)
         ntail = int(ends[-1])
         # a gap takes one 64-bit output and a heading one 32-bit half, the
         # first heading the half left pending, if any: both sections have
@@ -501,7 +505,7 @@ def _af_event_times(
         slow_rid, slow_gap = [], []
         for veh_rid in _pieces(ends, rid):
             gap = rng.uniform(0.0, reach, size=veh_rid.size)
-            gap[heads.integers(0, 2, size=veh_rid.size) == 0] = np.inf
+            gap[_side_draws(heads, veh_rid.size) < 0.5] = np.inf
             # at sigma = 0 the speed is v exactly, so the normals (drawn last) are skipped
             speeds = (v + sigma * normals.standard_normal(size=veh_rid.size) if sigma > 0.0
                       else np.full(veh_rid.size, v))
@@ -548,7 +552,7 @@ def estimate_af_cumulative(
     grid = _nonempty(times, "t")
     covered0, first = _af_event_times(params, float(grid.max()), n, seed, sigma)
     hit = covered0[:, None] | (first[:, None] <= grid[None, :])
-    return tuple(Estimate.from_samples(hit[:, g].astype(float)) for g in range(grid.size))
+    return tuple(Estimate.from_samples(hit[:, g]) for g in range(grid.size))
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +572,17 @@ class LatencyResult:
 def _conditioned_line_counts(
     rng: np.random.Generator, lam: float, size: int
 ) -> np.ndarray:
-    # Poisson(lam) conditioned on >= 1 by redrawing zeros
+    # Poisson(lam) conditioned on >= 1 by redrawing zeros in index order; after
+    # the first round (a mask: smaller than the indices of all first zeros) only
+    # the indices still zero are visited
     counts = rng.poisson(lam, size=size)
     zero = counts == 0
-    while np.any(zero):
-        counts[zero] = rng.poisson(lam, size=int(zero.sum()))
-        zero = counts == 0
+    counts[zero] = rng.poisson(lam, size=int(zero.sum()))
+    zero = np.flatnonzero(counts == 0)
+    while zero.size:
+        redraw = rng.poisson(lam, size=zero.size)
+        counts[zero] = redraw
+        zero = zero[redraw == 0]
     return counts
 
 
@@ -591,7 +600,8 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     """
     nu, v = params.nu, params.speed
     rng = substream(seed, 4)
-    ends = np.cumsum(_conditioned_line_counts(rng, 2.0 * params.lambda_l * nu, n))
+    counts = _conditioned_line_counts(rng, 2.0 * params.lambda_l * nu, n)
+    ends = np.cumsum(counts, out=counts)
     total = int(ends[-1])
     vacancy = skip_ahead(rng, total)
     exponentials = skip_ahead(rng, 2 * total)
@@ -625,12 +635,10 @@ def estimate_latency(
     _check_sample_size(n)
     grid = batch(waits_grid, "w")[0]
     waits = _latency_waits(params, n, seed)
-    ccdf = tuple(
-        Estimate.from_samples((waits > w).astype(float)) for w in grid
-    )
+    ccdf = tuple(Estimate.from_samples(waits > w) for w in grid)
     return LatencyResult(
         mean=Estimate.from_samples(waits),
-        p_zero=Estimate.from_samples((waits == 0.0).astype(float)),
+        p_zero=Estimate.from_samples(waits == 0.0),
         grid=grid,
         ccdf=ccdf,
     )

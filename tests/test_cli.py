@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,12 @@ class TestImport:
         # decimal: about 2.5 ms of every start-up
         assert _after_cli_import(
             "[m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules]") == "[]"
+
+    def test_cli_import_leaves_out_numpy_random(self):
+        # nothing draws at import, and the first np.random access loads it: about
+        # 15 ms and 5 MB of every start-up that draws nothing
+        assert _after_cli_import(
+            "[m for m in sys.modules if m.startswith('numpy.random')]") == "[]"
 
 
 class TestParser:
@@ -358,7 +365,24 @@ class TestConfigResolution:
             code, out = _run(tmp_path / name, "af-snapshot")
             assert code == 0
             builds.append(json.loads((out / "af-snapshot_manifest.json").read_text())["build"])
-        assert len(calls) == 1 and builds == [build, build]
+        # a copy without <root>/.git, such as an export of the tree, forks no git
+        checkout = (Path(cli.__file__).parents[2] / ".git").exists()
+        assert len(calls) == int(checkout) and builds == [build, build]
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_installed_copy_in_another_work_tree_reports_unknown(self, tmp_path):
+        # git describe run in the package directory would name the outer tree's commit
+        git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "outer"], check=True)
+        site = tmp_path / "site-packages"
+        shutil.copytree(Path(linecox.__file__).parent, site / "linecox",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(site))
+        out = subprocess.run(
+            [sys.executable, "-c", "import linecox.cli; print(linecox.cli._git_describe())"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "unknown"
 
 
 class TestGeometryDump:

@@ -138,6 +138,16 @@ class TestEstimate:
         with pytest.raises(ValueError):
             Estimate.from_samples(np.array([1.0]))
 
+    # sizes on both sides of numpy's 8192-item buffer; columns of a (n, 3) array
+    # are strided, as the estimators' hit[:, g] are
+    @pytest.mark.parametrize("n", [100, 8191, 8192, 8193, 50_000, 1_230_001])
+    @pytest.mark.parametrize("p", [0.001, 0.3, 0.97])
+    def test_bool_samples_match_their_float_copy(self, n, p):
+        hits = np.random.default_rng(n).random((n, 3)) < p
+        for samples in (hits[:, 0].copy(), hits[:, 1]):
+            assert Estimate.from_samples(samples) == Estimate.from_samples(
+                samples.astype(float))
+
     def test_z_score(self):
         est = Estimate(1.2, 0.1, 50)
         assert est.z_score(1.0) == pytest.approx(2.0)
