@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -137,11 +137,28 @@ def _phi_direct(y: np.ndarray, alpha: float, slope: bool = False):
 # the two incomplete special functions the closed forms need
 # ---------------------------------------------------------------------------
 
-# a series or continued fraction stops once an element's relative step is this
-# small: a few ulp, since 1e-16 is never reached and the loop would run to its cap
+# a few ulp: a relative step of 1e-16 is never reached, and the loop would run to its cap
 _STEP_TOL = 4.0 * np.finfo(float).eps
-# the slowest case, the gamma fraction at t = a + 1 as a -> 0, takes 82 steps
+# the slowest case, the gamma fraction near t = a + 1 as a -> 0, stops at round 83
 _MAX_STEPS = 100
+
+
+def _summed(what: str, total: np.ndarray, step: np.ndarray,
+            factors: Callable[[int], Iterator[np.ndarray]]) -> np.ndarray:
+    """A series or continued fraction, elementwise: round n = 1, 2, ... multiplies
+    ``step`` by each factor ``factors(n)`` yields and adds it to ``total``.  Each
+    element stops at the first round whose last step is within ``_STEP_TOL`` of its total."""
+    out, left = np.empty(total.size), np.ones(total.size, dtype=bool)
+    for n in range(1, _MAX_STEPS):
+        for factor in factors(n):
+            step *= factor
+            total += step
+        done = left & (np.abs(step) <= _STEP_TOL * total)
+        np.copyto(out, total, where=done)
+        left ^= done
+        if not np.count_nonzero(left):
+            return out
+    raise NumericalError(f"{what}: {_MAX_STEPS} steps")
 
 
 def _lower_gamma(a: float, t: np.ndarray) -> np.ndarray:
@@ -149,11 +166,9 @@ def _lower_gamma(a: float, t: np.ndarray) -> np.ndarray:
 
     Below t = a + 1, t^a e^-t sum_n t^n / (a (a+1) ... (a+n)) (DLMF 8.7.1); from
     there, Gamma(a) less t^a e^-t times the continued fraction for Gamma(a, t)
-    (DLMF 8.9.2; Numerical Recipes 3rd ed. 6.2), summed like the one in
-    ``_beta_ratio``.  Both are sums whose next step is the last one times a
-    factor, so one loop takes every element, each stopping at its own step.
-    The fraction's denominators b_n + a_n D are ratios of Laguerre polynomials
-    at -t <= 0, which have no zeros there, so none needs a guard.
+    (DLMF 8.9.2; Numerical Recipes 3rd ed. 6.2), summed like ``_beta_ratio``'s; each
+    takes one factor a round.  The fraction's denominators b_n + a_n D are ratios of
+    Laguerre polynomials at -t <= 0, which have no zeros there, so none needs a guard.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
@@ -161,19 +176,14 @@ def _lower_gamma(a: float, t: np.ndarray) -> np.ndarray:
     b = flat + (1.0 - a)  # the fraction's b_0; b_n = b_0 + 2n
     d = 1.0 / b
     step = np.where(frac, d, 1.0 / a)
-    total, out, left = step.copy(), np.empty(flat.size), np.ones(flat.size, dtype=bool)
-    for n in range(1, _MAX_STEPS):
+
+    def factors(n: int) -> Iterator[np.ndarray]:
+        nonlocal b, d
         b += 2.0
         d = 1.0 / (b - n * (n - a) * d)
-        step *= np.where(frac, b * d - 1.0, flat / (a + n))
-        total += step
-        done = left & (np.abs(step) <= _STEP_TOL * total)
-        np.copyto(out, total, where=done)
-        left ^= done
-        if not np.count_nonzero(left):
-            break
-    else:
-        raise NumericalError(f"incomplete gamma at a={a:g}: {_MAX_STEPS} steps")
+        yield np.where(frac, b * d - 1.0, flat / (a + n))
+
+    out = _summed(f"incomplete gamma at a={a:g}", step.copy(), step, factors)
     out *= flat ** a * np.exp(-flat)
     return np.where(frac, math.gamma(a) - out, out).reshape(t.shape)
 
@@ -184,12 +194,11 @@ def _beta_ratio(a: float, x: np.ndarray) -> np.ndarray:
 
     Below x = (a+1)/(a+b+2) = (a+1)/3, b = 1 - a, it is x^a (1-x)^b / (a B(a, b))
     times the continued fraction of DLMF 8.17.22 (Numerical Recipes 3rd ed.
-    6.4); past it, 1 - I_(1-x)(b, a).  Each element carries its own (a', b',
-    x'), so one loop serves both sides and each element stops at its own step.
-    The fraction is summed by Steed's method: modified Lentz's recurrence for
-    D, with the convergents' differences added up rather than multiplied, which
-    rounds closer (with the product, one fig5 ASE value moved by an ulp).  The
-    denominators 1 + d_k D stay above 2/3 for every a and x' below the swap
+    6.4); past it, 1 - I_(1-x)(b, a).  Each element carries its own (a', b', x'),
+    so one ``_summed`` call, the even and the odd term a round, serves both sides.
+    Steed's method adds the convergents' differences rather than multiplying them,
+    which rounds closer (with the product, one fig5 ASE value moved by an ulp).
+    The denominators 1 + d_k D stay above 2/3 for every a and x' below the swap
     (checked on a grid), so none needs a guard.
     """
     b = 1.0 - a
@@ -198,27 +207,18 @@ def _beta_ratio(a: float, x: np.ndarray) -> np.ndarray:
     swap = flat > (a + 1.0) / 3.0
     ap, bp, xp = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - flat, flat)
     d = 1.0 / (1.0 - xp / (ap + 1.0))  # a' + b' = 1
-    total, step, out, left = d.copy(), d - 1.0, np.empty(flat.size), np.ones(flat.size, dtype=bool)
-    for m in range(1, _MAX_STEPS):
+
+    def factors(m: int) -> Iterator[np.ndarray]:
         # the terms d_2m = m (b' - m) x' / ((a' + 2m - 1)(a' + 2m)) and
-        # d_2m+1 = -odd, odd = (a' + m)(a' + b' + m) x' / ((a' + 2m)(a' + 2m + 1))
-        even = np.where(swap, m * (a - m) / ((b + 2 * m - 1) * (b + 2 * m)),
-                        m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))) * xp
-        d = 1.0 / (1.0 + even * d)
-        step *= d - 1.0
-        total += step
-        odd = np.where(swap, (b + m) * (1 + m) / ((b + 2 * m) * (b + 2 * m + 1)),
-                       (a + m) * (1 + m) / ((a + 2 * m) * (a + 2 * m + 1))) * xp
-        d = 1.0 / (1.0 - odd * d)
-        step *= d - 1.0
-        total += step
-        done = left & (np.abs(step) <= _STEP_TOL * total)
-        np.copyto(out, total, where=done)
-        left ^= done
-        if not np.count_nonzero(left):
-            break
-    else:
-        raise NumericalError(f"incomplete beta at a={a:g}: {_MAX_STEPS} steps")
+        # d_2m+1 = -(a' + m)(a' + b' + m) x' / ((a' + 2m)(a' + 2m + 1))
+        nonlocal d
+        c = ap + 2 * m
+        d = 1.0 / (1.0 + m * (bp - m) / ((c - 1) * c) * xp * d)
+        yield d - 1.0
+        d = 1.0 / (1.0 - (ap + m) * (1 + m) / (c * (c + 1)) * xp * d)
+        yield d - 1.0
+
+    out = _summed(f"incomplete beta at a={a:g}", d.copy(), d - 1.0, factors)
     # B(a, 1 - a) = pi / sin(pi a), the sine taken at the smaller of a and b
     part = xp ** ap * (1.0 - xp) ** bp / ap * out / (math.pi / math.sin(math.pi * min(a, b)))
     return np.where(swap, 1.0 - part, part).reshape(x.shape)

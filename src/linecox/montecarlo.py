@@ -392,7 +392,7 @@ def estimate_coverage(
 
     def stat(total: np.ndarray) -> np.ndarray:
         # signal >= tau * I avoids 0/0 when a window stage has no interferer
-        return (signal[:, None] >= np.outer(total, grid)).astype(float)
+        return signal[:, None] >= np.outer(total, grid)
 
     stats, report = _staged_estimates(params, n, seed, window, stat)
     return _grid_result(grid, stats, report)

@@ -64,12 +64,6 @@ class GridSpec:
                                  f"increasing values, got {values}")
             object.__setattr__(self, name, values)
 
-    def nu_values(self) -> np.ndarray:
-        return np.array(self.nu)
-
-    def mu_values(self) -> np.ndarray:
-        return np.array(self.mu)
-
 
 @dataclass(frozen=True)
 class SurfaceCell:
@@ -158,8 +152,8 @@ def optimize_grid(
     """
     if constraint is not None and not 0 <= constraint < math.inf:
         raise ValueError(f"constraint must be finite and >= 0, got {constraint}")
-    nus = grid.nu_values()
-    mus = grid.mu_values()
+    nus = np.array(grid.nu)
+    mus = np.array(grid.mu)
     surface = CoverageSurface(base, weights.tau, quad) if weights.w1 > 0 else None
 
     def evaluate(pairs: list[tuple[float, float]]) -> list[SurfaceCell]:

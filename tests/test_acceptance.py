@@ -280,7 +280,7 @@ def test_criterion_7_optimizer_sanity(report):
     problems = []
 
     af_only = optimize.optimize_grid(base, optimize.UtilityWeights(w1=0.0, w2=1.0), grid)
-    if af_only.nu_opt != grid.nu_values()[-1]:
+    if af_only.nu_opt != grid.nu[-1]:
         problems.append(f"w1=0 argmax at nu={af_only.nu_opt:g}, not the grid edge")
 
     free = optimize.optimize_grid(base, weights, grid)
@@ -288,8 +288,8 @@ def test_criterion_7_optimizer_sanity(report):
     if tight.value > free.value:
         problems.append("constrained optimum beats unconstrained")
 
-    nu_step = grid.nu_values()[1] - grid.nu_values()[0]
-    mu_step = grid.mu_values()[1] - grid.mu_values()[0]
+    nu_step = grid.nu[1] - grid.nu[0]
+    mu_step = grid.mu[1] - grid.mu[0]
     if abs(free.nu_opt - free.coarse_nu_opt) >= nu_step or (
         abs(free.mu_opt - free.coarse_mu_opt) >= mu_step
     ):
@@ -297,8 +297,8 @@ def test_criterion_7_optimizer_sanity(report):
 
     # discrete unimodality of each fixed-mu slice of the coarse surface
     cells = {(c.nu, c.mu): c.utility for c in free.surface}
-    for mu in grid.mu_values():
-        slice_vals = [cells[(nu, mu)] for nu in grid.nu_values()]
+    for mu in grid.mu:
+        slice_vals = [cells[(nu, mu)] for nu in grid.nu]
         drops = 0
         for a, b in zip(slice_vals, slice_vals[1:]):
             if b < a:

@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from linecox.core import (
     LatencyVariant,
     NetworkParams,
+    NumericalError,
     QuadratureNotConverged,
     QuadratureSpec,
     ZeroSpeed,
@@ -644,6 +645,31 @@ class TestSpecialFunctions:
             assert all(batch[i] == analytic._lower_gamma(a, t[i]) for i in range(t.size))
             batch = analytic._beta_ratio(2.0 / alpha, x)
             assert all(batch[i] == analytic._beta_ratio(2.0 / alpha, x[i]) for i in range(x.size))
+
+    def test_bits_pinned(self):
+        # both functions at eight alpha, on either side of where gamma takes its fraction
+        # (t = a + 1) and beta its swap (x = (a + 1) / 3), to the bit: the digest is that
+        # of the two loops before they shared `_summed`
+        digest = hashlib.sha256()
+        for alpha in (2.05, 2.2, 3.0, 4.0, 8.0, 12.0, 24.0, 40.0):
+            a = 1.0 - 1.0 / (alpha - 1.0)
+            t = np.concatenate(([0.0], np.geomspace(1e-14, 1e3),
+                                a + 1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3])))
+            digest.update(analytic._lower_gamma(a, t).tobytes())
+            a = 2.0 / alpha
+            x = np.concatenate((np.linspace(0.0, 1.0),
+                                (a + 1.0) / 3.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3])))
+            digest.update(analytic._beta_ratio(a, x).tobytes())
+        assert digest.hexdigest() == "5ece4cd66397182302dca42e8da2497297e07be4fd34af78614c406c1ece7821"
+
+    @pytest.mark.parametrize("name, call", [
+        ("incomplete gamma", lambda: analytic._lower_gamma(0.5, np.array([0.3, 1.6]))),
+        ("incomplete beta", lambda: analytic._beta_ratio(0.5, np.array([0.1, 0.9])))])
+    def test_step_cap_raises(self, monkeypatch, name, call):
+        # the slowest cases need a cap of 84 (gamma, t near a + 1 as a -> 0) and 14 (beta)
+        monkeypatch.setattr(analytic, "_MAX_STEPS", 2)
+        with pytest.raises(NumericalError, match=f"{name} at a=0.5: 2 steps"):
+            call()
 
     def test_transform_tail_reaches_continued_fraction(self, monkeypatch):
         # _tail at T = m a1 beta^alpha xi^(1 - alpha) from a + 1 on, where gamma takes

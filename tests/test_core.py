@@ -190,7 +190,7 @@ class TestSubstream:
         assert np.array_equal(a.uniform(size=5), a2.uniform(size=5))
 
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160)),
            head=st.integers(0, 10**6), stage=st.integers(0, 8), halves=st.integers(0, 2))
     def test_rekeyed_streams_match(self, seed, head, stage, halves):

@@ -254,7 +254,7 @@ class TestStagedStreams:
                                           policy, ref_lines[i])
                 assert (other[i], own[i]) == expect, (stage, i)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**160), halves=st.integers(0, 3),
            count=st.integers(0, 40))
     def test_side_draws_match_integers(self, seed, halves, count):

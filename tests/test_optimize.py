@@ -53,8 +53,8 @@ class TestWeights:
 
     def test_grid_values(self):
         g = GridSpec(nu=np.linspace(0.1, 0.5, 5), mu=np.linspace(1.0, 2.0, 3))
-        assert np.allclose(g.nu_values(), np.linspace(0.1, 0.5, 5))
-        assert np.allclose(g.mu_values(), np.linspace(1.0, 2.0, 3))
+        assert np.allclose(g.nu, np.linspace(0.1, 0.5, 5))
+        assert np.allclose(g.mu, np.linspace(1.0, 2.0, 3))
 
 
 class TestUtility:
@@ -88,9 +88,9 @@ class TestUtility:
 class TestGridSearch:
     def test_pure_af_maxes_nu_and_breaks_ties_down(self):
         res = optimize_grid(BASE, UtilityWeights(w1=0.0, w2=1.0), FIG10_GRID)
-        assert res.nu_opt == FIG10_GRID.nu_values()[-1]
+        assert res.nu_opt == FIG10_GRID.nu[-1]
         # every mu ties; the tie breaks toward the smallest
-        assert res.mu_opt == FIG10_GRID.mu_values()[0]
+        assert res.mu_opt == FIG10_GRID.mu[0]
 
     def test_surface_shape_and_fields(self):
         res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=False)
@@ -106,8 +106,8 @@ class TestGridSearch:
 
     def test_refinement_stays_within_one_cell(self):
         res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=True)
-        nu_step = FIG10_GRID.nu_values()[1] - FIG10_GRID.nu_values()[0]
-        mu_step = FIG10_GRID.mu_values()[1] - FIG10_GRID.mu_values()[0]
+        nu_step = FIG10_GRID.nu[1] - FIG10_GRID.nu[0]
+        mu_step = FIG10_GRID.mu[1] - FIG10_GRID.mu[0]
         assert abs(res.nu_opt - res.coarse_nu_opt) < nu_step
         assert abs(res.mu_opt - res.coarse_mu_opt) < mu_step
         # refinement can only improve on the coarse incumbent
@@ -134,7 +134,7 @@ class TestRefinementReuse:
         res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=True)
         coarse = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=False)
         assert res.surface == coarse.surface
-        nus, mus = FIG10_GRID.nu_values(), FIG10_GRID.mu_values()
+        nus, mus = np.array(FIG10_GRID.nu), np.array(FIG10_GRID.mu)
         assert nus[3] == res.coarse_nu_opt and mus[1] == res.coarse_mu_opt
         # the same refinement cells, every one evaluated afresh
         fresh = optimize_grid(BASE, FIG10_WEIGHTS,
