@@ -672,6 +672,14 @@ def _sweep_exponent_integral(params: NetworkParams, extra: np.ndarray, half_extr
     return nu * (h * np.exp(-decay) - np.expm1(-decay))
 
 
+def _checked(variant: Enum, kind: type[Enum]) -> Enum:
+    """``variant``, refused unless a member of ``kind``: the other variant enum's
+    member of the same name would quietly select a different law."""
+    if not isinstance(variant, kind):
+        raise ValueError(f"variant must be a {kind.__name__}, got {variant!r}")
+    return variant
+
+
 def af_snapshot(params: NetworkParams, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Fraction of the plane within nu of some vehicle at a fixed instant."""
     return af_cumulative(params, 0.0, quad)
@@ -688,7 +696,7 @@ def af_cumulative(params: NetworkParams, t, quad: QuadratureSpec = QuadratureSpe
     At t = 0 both coincide with :func:`af_snapshot`.
     """
     ts, shaped = batch(t, "t")
-    half = variant is AFVariant.DIRECTION_AWARE
+    half = _checked(variant, AFVariant) is AFVariant.DIRECTION_AWARE
     k = _sweep_exponent_integral(params, params.speed * ts, half, quad)
     return shaped(-np.expm1(-2.0 * params.lambda_l * k))
 
@@ -707,13 +715,17 @@ def latency_ccdf(params: NetworkParams, w, quad: QuadratureSpec = QuadratureSpec
     waiting time of a point that does eventually get covered obeys.
     """
     ws, shaped = batch(w, "w")
-    half = variant is not LatencyVariant.DIRECTION_BLIND
+    half = _checked(variant, LatencyVariant) is not LatencyVariant.DIRECTION_BLIND
     k = _sweep_exponent_integral(params, params.speed * ws, half, quad)
     raw = np.exp(-2.0 * params.lambda_l * k)
     if variant is LatencyVariant.DIRECTION_AWARE_CONDITIONED:
         miss = math.exp(-2.0 * params.lambda_l * params.nu)
         raw = np.maximum(0.0, (raw - miss) / -math.expm1(-2.0 * params.lambda_l * params.nu))
     return shaped(raw)
+
+
+# the largest x whose e^x is finite
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def mean_latency(params: NetworkParams,
@@ -727,9 +739,11 @@ def mean_latency(params: NetworkParams,
     variants return a :class:`DivergenceReport` with that tail limit instead.
     The conditioned CCDF is miss (e^(a x) - 1) / (1 - miss), x = e^(-mu v w), miss =
     e^(-2 lambda_l nu), a = 2 lambda_l nu int_0^(pi/2) e^(-2 mu nu cos t) cos t dt; the
-    mean is miss / (1 - miss) Ein(a) / (mu v), Ein(a) = sum_k a^k / (k k!) (A&S 5.1.10).
+    mean is miss / (1 - miss) S(a) / (mu v), S(a) = sum_k a^k / (k k!) = Ei(a) - ln a -
+    gamma (A&S 5.1.10; DLMF's Ein is the alternating series).  Once e^(2 lambda_l nu)
+    overflows, S(a) is summed in log space and scaled by e^(-2 lambda_l nu).
     """
-    if variant is not LatencyVariant.DIRECTION_AWARE_CONDITIONED:
+    if _checked(variant, LatencyVariant) is not LatencyVariant.DIRECTION_AWARE_CONDITIONED:
         return DivergenceReport(
             variant=variant,
             tail_limit=math.exp(-2.0 * params.lambda_l * params.nu),
@@ -739,6 +753,13 @@ def mean_latency(params: NetworkParams,
 
     z, span = 2.0 * params.mu * params.nu, 2.0 * params.lambda_l * params.nu
     q, _ = integrate(lambda th: np.exp(-z * np.cos(th)) * np.cos(th), 0.0, _HALF_PI, quad)
-    k = np.arange(1.0, 40.0 + 3.0 * span * q)  # later terms are below 1e-35 of the sum
-    ein = float(np.sum(np.cumprod(span * q / k) / k))
-    return ein / math.expm1(span) / (params.mu * params.speed)  # miss / (1 - miss) = 1 / expm1
+    a = span * q
+    k = np.arange(1.0, 40.0 + 3.0 * a)  # later terms are below 1e-35 of the sum
+    if span <= _LOG_MAX:  # a <= span, so no term overflows either
+        # miss / (1 - miss) = 1 / expm1
+        scaled = float(np.sum(np.cumprod(a / k) / k)) / math.expm1(span)
+    else:  # 1 - miss is 1 to double precision
+        log_terms = np.cumsum(np.log(a / k)) - np.log(k)
+        top = float(log_terms.max())
+        scaled = math.exp(top + math.log(float(np.sum(np.exp(log_terms - top)))) - span)
+    return scaled / (params.mu * params.speed)

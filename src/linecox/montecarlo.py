@@ -29,12 +29,14 @@ every output, is the same as drawing each array whole.  Per-line arrays are
 freed once used, and indicators are summarised as bool arrays, without float
 copies (:meth:`~linecox.core.Estimate.from_samples`).
 
-Interference estimators grow the simulation window adaptively: stage k adds
-the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k, and extends all
-existing lines from half-length L_{k-1} to L_k = R_k.  Because every stage
-only *adds* interferers to the same realisations, the stage-to-stage shift of
-an estimate directly measures the remaining truncation bias, and the run
-stops once that shift is small compared to the statistical error.
+Interference estimators grow the simulation window on one fixed schedule:
+stage k adds the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k,
+and extends all existing lines from half-length L_{k-1} to L_k = R_k.
+Because every stage only *adds* interferers to the same realisations, the
+stage-to-stage shift of an estimate directly measures the remaining
+truncation bias, and the run stops once, for every grid point, that shift is
+below ``_STABLE`` standard errors.  After ``_MAX_DOUBLINGS`` doublings it
+raises :class:`WindowNotConverged` rather than return a biased answer.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ from .core import (
 )
 
 __all__ = [
-    "WindowPolicy",
     "WindowReport",
     "GridEstimate",
     "LatencyResult",
@@ -70,35 +71,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# adaptive window control
+# window schedule: first radius (km), doublings allowed, stop below this many SE
+
+_R0, _MAX_DOUBLINGS, _STABLE = 2.0, 8, 0.5
 
 
-@dataclass(frozen=True)
-class WindowPolicy:
-    """Controls the doubling schedule of the simulation window.
-
-    The window stops growing once, for every grid point, the estimate moved
-    by less than ``stability_fraction`` standard errors when the radius last
-    doubled.  ``max_doublings`` bounds the schedule; exceeding it raises
-    :class:`WindowNotConverged` rather than returning a biased answer.
-    """
-
-    initial_radius: float = 2.0
-    max_doublings: int = 8
-    stability_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.initial_radius < math.inf:
-            raise ValueError(f"initial_radius must be finite and > 0, got {self.initial_radius}")
-        if self.max_doublings < 1:
-            raise ValueError(f"max_doublings must be >= 1, got {self.max_doublings}")
-        if not self.stability_fraction > 0:
-            raise ValueError(
-                f"stability_fraction must be > 0, got {self.stability_fraction}"
-            )
-
-    def radius(self, stage: int) -> float:
-        return self.initial_radius * 2.0**stage
+def _radius(stage: int) -> float:
+    return _R0 * 2.0**stage
 
 
 @dataclass(frozen=True)
@@ -236,7 +215,6 @@ def _stage_interference(
     params: NetworkParams,
     seed: int,
     stage: int,
-    policy: WindowPolicy,
     lines: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interference each realisation gains at one window stage.
@@ -251,8 +229,8 @@ def _stage_interference(
     of all of those.
     """
     mu = params.mu
-    r_out = policy.radius(stage)
-    r_in = policy.radius(stage - 1) if stage else 0.0
+    r_out = _radius(stage)
+    r_in = _radius(stage - 1) if stage else 0.0
     seg_len = 2.0 * r_out if stage == 0 else 2.0 * (r_out - r_in)
     # the own line spans the full segment at stage 0, two-sided extensions after
     own_low = r_in if stage else -r_out
@@ -295,7 +273,6 @@ def _staged_estimates(
     params: NetworkParams,
     n: int,
     seed: int,
-    policy: WindowPolicy,
     stat_fn: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, WindowReport]:
     """Run the coupled window-doubling scheme and return final per-sample stats.
@@ -311,8 +288,8 @@ def _staged_estimates(
 
     prev_mean: Optional[np.ndarray] = None
     ratio = math.inf
-    for stage in range(policy.max_doublings + 1):
-        other, own = _stage_interference(params, seed, stage, policy, lines)
+    for stage in range(_MAX_DOUBLINGS + 1):
+        other, own = _stage_interference(params, seed, stage, lines)
         i1 += other
         i2 += own
         stats = stat_fn(i1 + i2)
@@ -323,15 +300,15 @@ def _staged_estimates(
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(shift == 0.0, 0.0, shift / se)
             ratio = float(np.max(ratios))
-            if ratio < policy.stability_fraction:
+            if ratio < _STABLE:
                 report = WindowReport(
-                    final_radius=policy.radius(stage),
+                    final_radius=_radius(stage),
                     stages=stage + 1,
                     max_shift_over_se=ratio,
                 )
                 return stats, report
         prev_mean = mean
-    raise WindowNotConverged(policy.radius(policy.max_doublings), ratio)
+    raise WindowNotConverged(_radius(_MAX_DOUBLINGS), ratio)
 
 
 def _nonempty(values: Sequence[float], name: str) -> np.ndarray:
@@ -362,7 +339,6 @@ def estimate_laplace(
     s_values: Sequence[float],
     n: int = 10_000,
     seed: int = 0,
-    window: WindowPolicy = WindowPolicy(),
 ) -> GridEstimate:
     """Estimate E[exp(-s I)] under the palm distribution for each s.
 
@@ -375,7 +351,7 @@ def estimate_laplace(
     def stat(total: np.ndarray) -> np.ndarray:
         return np.exp(-np.outer(total, grid))
 
-    stats, report = _staged_estimates(params, n, seed, window, stat)
+    stats, report = _staged_estimates(params, n, seed, stat)
     return _grid_result(grid, stats, report)
 
 
@@ -384,7 +360,6 @@ def estimate_coverage(
     thresholds: Sequence[float],
     n: int = 10_000,
     seed: int = 0,
-    window: WindowPolicy = WindowPolicy(),
 ) -> GridEstimate:
     """Estimate P(SIR >= tau) of the typical link for each threshold."""
     grid = _nonempty(thresholds, "tau")
@@ -394,7 +369,7 @@ def estimate_coverage(
         # signal >= tau * I avoids 0/0 when a window stage has no interferer
         return signal[:, None] >= np.outer(total, grid)
 
-    stats, report = _staged_estimates(params, n, seed, window, stat)
+    stats, report = _staged_estimates(params, n, seed, stat)
     return _grid_result(grid, stats, report)
 
 
@@ -402,7 +377,6 @@ def estimate_ase(
     params: NetworkParams,
     n: int = 10_000,
     seed: int = 0,
-    window: WindowPolicy = WindowPolicy(),
 ) -> tuple[Estimate, WindowReport]:
     """Estimate the area spectral efficiency lambda_l * mu * E[log2(1 + SIR)].
 
@@ -417,7 +391,7 @@ def estimate_ase(
             rate = np.log2(1.0 + signal / total)
         return rate[:, None]
 
-    stats, report = _staged_estimates(params, n, seed, window, stat)
+    stats, report = _staged_estimates(params, n, seed, stat)
     scale = params.lambda_l * params.mu
     samples = scale * stats[:, 0]
     return Estimate.from_samples(samples), report

@@ -22,7 +22,7 @@ from linecox.geometry import (
     nearest_vehicle_distance,
     ordinary_snapshot,
 )
-from linecox.montecarlo import WindowPolicy, _stage_interference
+from linecox.montecarlo import _stage_interference
 
 V = 30.0 / 3600.0
 FIG3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
@@ -210,14 +210,14 @@ def test_criterion_5_variant_adjudication(report):
     )
 
 
-def test_criterion_6_independence_and_invariance(report):
+def test_criterion_6_independence_and_invariance(report, monkeypatch):
     problems = []
 
     # empirical factorisation of the transform across line components, on
     # the (i1, i2) of the estimators' own first window stage, radius 3
     s, n = 0.01, 2500
-    i1, i2 = _stage_interference(P33, 610, 0, WindowPolicy(initial_radius=3.0),
-                                 [np.empty(0)] * n)
+    monkeypatch.setattr(montecarlo, "_R0", 3.0)
+    i1, i2 = _stage_interference(P33, 610, 0, [np.empty(0)] * n)
     g = np.exp(-s * i1)
     h = np.exp(-s * i2)
     f = g * h

@@ -845,6 +845,28 @@ class TestMeanLatency:
         params = NetworkParams(lambda_l=lam, mu=mu, nu=nu, speed=V)
         assert mean_latency(params) == pytest.approx(value, rel=1e-12)
 
+    @pytest.mark.parametrize("lam, mu, nu", [
+        (1000.0, 0.001, 1.0),  # span 2000, a about 1997: 2.605 s
+        (237.0, 0.25, 1.5),    # span 711, just past e^span's overflow
+        (236.0, 0.25, 1.5),    # span 708, where the plain series still serves
+        (100.0, 3.0, 10.0),    # e^(-2000) underflows: 0.0
+    ])
+    def test_wide_span_matches_log_space_sum(self, lam, mu, nu):
+        # e^(2 lambda_l nu) overflows past span 709.78 and the series' terms past
+        # a = 709; the mean stays finite
+        params = NetworkParams(lambda_l=lam, mu=mu, nu=nu, speed=V)
+        z, span = 2.0 * mu * nu, 2.0 * lam * nu
+        q, _ = quad(lambda th: math.exp(-z * math.cos(th)) * math.cos(th), 0.0, math.pi / 2,
+                    epsabs=0.0, epsrel=1e-13)
+        k = np.arange(1.0, 100.0 + 4.0 * span * q)
+        log_series = special.logsumexp(k * math.log(span * q) - np.log(k) - special.gammaln(k + 1))
+        ref = math.exp(log_series - span - math.log(-math.expm1(-span))) / (mu * V)
+        assert mean_latency(params) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_plain_series_kept_below_overflow(self):
+        params = NetworkParams(lambda_l=236.0, mu=0.25, nu=1.5, speed=V)
+        assert mean_latency(params) == 5.932454693333034e-135
+
     def test_blind_diverges(self):
         report = mean_latency(P33, variant=DB)
         assert isinstance(report, DivergenceReport)
@@ -866,6 +888,17 @@ class TestMeanLatency:
         sparse = mean_latency(P33)
         dense = mean_latency(NetworkParams(lambda_l=9.0, mu=3.0, nu=0.1, speed=V))
         assert dense < sparse
+
+
+@pytest.mark.parametrize("call", [
+    # the same-named member of the other enum once picked the other law
+    lambda: af_cumulative(P33, 100.0, variant=DA),
+    lambda: latency_ccdf(P33, 10.0, variant=AFVariant.DIRECTION_BLIND),
+    lambda: mean_latency(P33, variant=AFVariant.DIRECTION_AWARE),
+], ids=["af_cumulative", "latency_ccdf", "mean_latency"])
+def test_variant_of_the_other_enum_refused(call):
+    with pytest.raises(ValueError, match="^variant must be a"):
+        call()
 
 
 class TestQuadratureSpecThreading:

@@ -122,6 +122,9 @@ class TestExitCodes:
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
 
+    # at alpha = 40 the ASE's far tail (analytic._tail) overflows, a RuntimeWarning;
+    # this test checks the named failure that follows
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_quadrature_is_numerical_failure(self, tmp_path, capsys):
         # the ASE's far tail is nan at alpha = 40, which a quadrature once accepted
         code, out = _run(tmp_path, "ase", "--preset", "fig5", "--set", "params.alpha=40")
@@ -474,6 +477,14 @@ class TestOptimizeCommand:
         assert code == 0
         rows = _read_csv(out / "optimize.csv")
         assert len(rows) == 8 * 4 and all(math.isfinite(float(r["utility"])) for r in rows)
+
+    def test_dense_roads_compute(self, tmp_path):
+        # from nu = 0.9 on, e^(2 lambda_l nu) in the mean latency once overflowed
+        code, out = _run(tmp_path, "optimize", "--preset", "fig10",
+                         "--set", "params.lambda_l=400", "--set", "run.constraint=30")
+        assert code == 0
+        rows = _read_csv(out / "optimize.csv")
+        assert len(rows) == 8 * 4 and all(math.isfinite(float(r["mean_latency"])) for r in rows)
 
 
 class TestValidateCommand:

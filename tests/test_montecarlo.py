@@ -12,7 +12,6 @@ from linecox import montecarlo
 from linecox.core import NetworkParams, ZeroSpeed, skip_ahead, substream
 from linecox.montecarlo import (
     WindowNotConverged,
-    WindowPolicy,
     estimate_af_cumulative,
     estimate_af_snapshot,
     estimate_ase,
@@ -163,13 +162,13 @@ class TestBulkStreams:
                     np.testing.assert_array_equal(a, b, err_msg=f"k={k} halves={halves}")
 
 
-def _reference_stage(rng, params, stage, policy, line_offsets):
+def _reference_stage(rng, params, stage, r0, line_offsets):
     """(other, own) interference of one realisation-stage drawn and summed on
-    its own, with ``integers`` side draws: the reference the staged
-    simulator must match bit for bit."""
+    its own, with ``integers`` side draws, for a window of first radius
+    ``r0``: the reference the staged simulator must match bit for bit."""
     p, mu, nu, alpha = params.power, params.mu, params.nu, params.alpha
-    r_out = policy.radius(stage)
-    r_in = policy.radius(stage - 1) if stage else 0.0
+    r_out = r0 * 2.0**stage
+    r_in = r0 * 2.0 ** (stage - 1) if stage else 0.0
     seg_len = 2.0 * r_out if stage == 0 else 2.0 * (r_out - r_in)
 
     def signed(count):
@@ -202,20 +201,21 @@ class TestStagedStreams:
     generator and drew and summed its interferers on its own.  They cover
     the interference total after every window stage, then the final values
     and standard errors.  A chunk of 1 flushes every realisation alone.
+    Each case names the window-schedule constants it sets; the rest keep their values.
     """
 
     FIG3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
     CASES = {
-        "laplace-p33": (estimate_laplace, P33, [0.002, 0.01], 300, 3, WindowPolicy(),
+        "laplace-p33": (estimate_laplace, P33, [0.002, 0.01], 300, 3, {},
                         "059d6ce51dfbb03fe0a9170c9a5c637a6583dde292532c0648df94f0d1d0524b"),
-        "coverage-p33": (estimate_coverage, P33, [0.5, 2.0], 300, 3, WindowPolicy(),
+        "coverage-p33": (estimate_coverage, P33, [0.5, 2.0], 300, 3, {},
                          "30a0fd2a180db6386f8ccc9d83244a88e2b3237b5e6dc4684ce173220480a065"),
         # six stages, and a seed of three 32-bit words
         "laplace-fig3": (estimate_laplace, FIG3, [1e-4, 1e-3, 1e-2, 0.1], 200, 2**64 + 9,
-                         WindowPolicy(initial_radius=0.5, stability_fraction=0.1),
+                         {"_R0": 0.5, "_STABLE": 0.1},
                          "8c7f0d0e8668d1da07f47be2ed3079005af2ac89bc5e4c43d6bae8fae2b1b0b4"),
         "coverage-fig3": (estimate_coverage, FIG3, [0.5, 2.0], 200, 2**64 + 9,
-                          WindowPolicy(initial_radius=0.25, stability_fraction=0.05),
+                          {"_R0": 0.25, "_STABLE": 0.05},
                           "ddac64bad9bae9c5787d7558d5872729c0269516bed77f50d7b94fb3b6e0b9fd"),
     }
 
@@ -224,18 +224,20 @@ class TestStagedStreams:
     def test_pinned(self, monkeypatch, case, chunk):
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_STAGE_CHUNK", chunk)
-        estimator, params, grid, n, seed, window, digest = self.CASES[case]
+        estimator, params, grid, n, seed, schedule, digest = self.CASES[case]
+        for name, value in schedule.items():
+            monkeypatch.setattr(montecarlo, name, value)
         totals = []
         run = montecarlo._staged_estimates
 
-        def recording(params, n, seed, policy, stat_fn):
+        def recording(params, n, seed, stat_fn):
             def stat(total):
                 totals.append(total.copy())
                 return stat_fn(total)
-            return run(params, n, seed, policy, stat)
+            return run(params, n, seed, stat)
 
         monkeypatch.setattr(montecarlo, "_staged_estimates", recording)
-        res = estimator(params, np.array(grid), n=n, seed=seed, window=window)
+        res = estimator(params, np.array(grid), n=n, seed=seed)
         assert len(totals) == res.window.stages
         assert _sha256(*totals, np.array([e.value for e in res.estimates]),
                        np.array([e.std_error for e in res.estimates])) == digest
@@ -244,14 +246,15 @@ class TestStagedStreams:
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_matches_per_realisation_reference(self, monkeypatch, alpha):
         monkeypatch.setattr(montecarlo, "_STAGE_CHUNK", 64)
+        monkeypatch.setattr(montecarlo, "_R0", 1.0)
         params = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V, power=0.3, alpha=alpha)
-        policy, n = WindowPolicy(initial_radius=1.0), 60
+        n = 60
         lines, ref_lines = [np.empty(0)] * n, [[] for _ in range(n)]
         for stage in range(3):
-            other, own = _stage_interference(params, 5, stage, policy, lines)
+            other, own = _stage_interference(params, 5, stage, lines)
             for i in range(n):
                 expect = _reference_stage(substream(5, i, 1, stage), params, stage,
-                                          policy, ref_lines[i])
+                                          1.0, ref_lines[i])
                 assert (other[i], own[i]) == expect, (stage, i)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -310,37 +313,33 @@ class TestSpeedScaling:
 
 
 class TestWindowControl:
-    def test_policy_validation(self):
-        for bad in ({"initial_radius": 0.0}, {"initial_radius": math.nan},
-                    {"initial_radius": math.inf}, {"max_doublings": -1},
-                    {"stability_fraction": 0.0}, {"stability_fraction": math.nan}):
-            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
-                WindowPolicy(**bad)
+    def test_radius_schedule(self, monkeypatch):
+        # the schedule runs from 2 km to at most 512 km
+        assert montecarlo._radius(0) == 2.0
+        assert montecarlo._radius(montecarlo._MAX_DOUBLINGS) == 512.0
+        monkeypatch.setattr(montecarlo, "_R0", 1.5)
+        assert montecarlo._radius(0) == 1.5
+        assert montecarlo._radius(3) == 12.0
 
-    def test_radius_schedule(self):
-        policy = WindowPolicy(initial_radius=1.5, max_doublings=4)
-        assert policy.radius(0) == 1.5
-        assert policy.radius(3) == 12.0
-
-    def test_window_not_converged(self):
+    def test_window_not_converged(self, monkeypatch):
         # an impossible stability demand must fail loudly, not silently
         fig3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
-        policy = WindowPolicy(initial_radius=1.0, max_doublings=2,
-                              stability_fraction=1e-6)
+        for name, value in {"_R0": 1.0, "_MAX_DOUBLINGS": 2, "_STABLE": 1e-6}.items():
+            monkeypatch.setattr(montecarlo, name, value)
         with pytest.raises(WindowNotConverged) as exc:
-            estimate_laplace(fig3, np.array([1e-4]), n=400, seed=32, window=policy)
+            estimate_laplace(fig3, np.array([1e-4]), n=400, seed=32)
         assert exc.value.radius == 4.0
         assert exc.value.shift_over_se > 1e-6
 
 
 class TestComponentIndependence:
-    def test_cross_line_and_own_line_uncorrelated(self):
+    def test_cross_line_and_own_line_uncorrelated(self, monkeypatch):
         # exp(-s I1) and exp(-s I2) factorise; their sample covariance must
         # vanish within 3 SE of the covariance estimator.  (I1, I2) is the
         # estimators' own first window stage, radius 3, of each realisation
         s, n = 0.01, 1200
-        i1, i2 = _stage_interference(P33, 600, 0, WindowPolicy(initial_radius=3.0),
-                                     [np.empty(0)] * n)
+        monkeypatch.setattr(montecarlo, "_R0", 3.0)
+        i1, i2 = _stage_interference(P33, 600, 0, [np.empty(0)] * n)
         g = np.exp(-s * i1)
         h = np.exp(-s * i2)
         gc = g - g.mean()

@@ -27,7 +27,7 @@ PUBLIC = {
     "AFVariant", "CoverageSurface", "DivergenceReport", "LaplaceEvaluator", "af_cumulative",
     "af_limit", "af_snapshot", "area_spectral_efficiency", "coverage_probability", "laplace",
     "latency_ccdf", "mean_latency",
-    "GridEstimate", "LatencyResult", "WindowPolicy", "WindowReport", "estimate_af_cumulative",
+    "GridEstimate", "LatencyResult", "WindowReport", "estimate_af_cumulative",
     "estimate_af_snapshot", "estimate_ase", "estimate_coverage", "estimate_laplace",
     "estimate_latency",
     "GridSpec", "OptimizeResult", "SurfaceCell", "UtilityWeights", "optimize_grid", "utility",
@@ -36,7 +36,7 @@ PUBLIC = {
 
 class TestExports:
     def test_all_lists_each_public_name_once(self):
-        assert len(PUBLIC) == 59
+        assert len(PUBLIC) == 58
         assert sorted(linecox.__all__) == sorted(PUBLIC)
 
     def test_each_name_is_its_module_attribute(self):
@@ -66,9 +66,10 @@ def test_only_core_calls_validate():
 
 def test_benchmark_tracer_still_installs(tmp_path):
     # perfbench/tracing.py patches library functions by name (integrate_halfline,
-    # optimize._evaluate_cell, montecarlo.substream, ...); a refactor that removes
-    # one breaks every traced benchmark run, so install it and trace a transform and
-    # the optimiser
+    # optimize._evaluate_cell, montecarlo.substream, ...) and reads the staged
+    # estimators' n and window report; a refactor that removes one breaks every
+    # traced benchmark run, so install it and trace a transform, the optimiser and
+    # a staged Monte Carlo
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(linecox.__file__).parents[1]), str(root / "perfbench")]))
@@ -79,14 +80,17 @@ def test_benchmark_tracer_still_installs(tmp_path):
         "tracing.install(tracer)\n"
         "status = [cli.main([*argv, '--threads', '1', '--out', f'{sys.argv[1]}/{argv[0]}'])\n"
         "          for argv in (['laplace', '--preset', 'fig3'],\n"
-        "                       ['optimize', '--preset', 'fig10', '--set', 'run.constraint=30'])]\n"
+        "                       ['optimize', '--preset', 'fig10', '--set', 'run.constraint=30'],\n"
+        "                       ['coverage', '--preset', 'fig5', '--mode', 'montecarlo',\n"
+        "                        '--seed', '1', '--n', '200'])]\n"
         "print(json.dumps({'status': status, 'metrics': tracing.layer_metrics(tracer, 0.0)}))\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    assert result["status"] == [0, 0]
+    assert result["status"] == [0, 0, 0]
     assert result["metrics"]["analytic.transform.calls"] > 0
     # 32 coarse cells and the 16 of the 5 x 5 refinement that are not on the coarse grid
     assert result["metrics"]["optimize.cells"] == 48
+    assert result["metrics"]["montecarlo.window.stages"] > 0

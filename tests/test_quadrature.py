@@ -152,7 +152,11 @@ class TestGaussLegendre:
             gauss_legendre(sqrt_at_edge, PANELS[None, :], spec)
         assert exc.value.error_bound > spec.rel_tol * abs(exc.value.value)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [
+        math.nan,
+        # the inf row's error estimate takes inf - inf, a RuntimeWarning this input causes
+        pytest.param(math.inf, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ])
     def test_non_finite_row_not_accepted(self, bad):
         # err > tol is False for a nan err, so a nan integrand was once accepted at 16 nodes
         def f(x, rows, cols):
