@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -188,25 +188,27 @@ def _lower_gamma(a: float, t: np.ndarray) -> np.ndarray:
     return np.where(frac, math.gamma(a) - out, out).reshape(t.shape)
 
 
-def _beta_ratio(a: float, x: np.ndarray) -> np.ndarray:
-    """I_x(a, 1 - a) = B_x(a, 1 - a) / B(a, 1 - a), the regularised incomplete beta
-    function, for 0 < a < 1, elementwise over x in [0, 1].
+def _beta_ratio(a: float, x: np.ndarray, b: Optional[float] = None) -> np.ndarray:
+    """I_x(a, b) = B_x(a, b) / B(a, b), the regularised incomplete beta function,
+    for a, b > 0 (b = 1 - a, the ASE kernel's, unless given), elementwise over x in [0, 1].
 
-    Below x = (a+1)/(a+b+2) = (a+1)/3, b = 1 - a, it is x^a (1-x)^b / (a B(a, b))
-    times the continued fraction of DLMF 8.17.22 (Numerical Recipes 3rd ed.
-    6.4); past it, 1 - I_(1-x)(b, a).  Each element carries its own (a', b', x'),
-    so one ``_summed`` call, the even and the odd term a round, serves both sides.
+    Below x = (a+1)/(a+b+2) it is x^a (1-x)^b / (a B(a, b)) times the continued
+    fraction of DLMF 8.17.22 (Numerical Recipes 3rd ed. 6.4); past it,
+    1 - I_(1-x)(b, a).  Each element carries its own (a', b', x'), so one
+    ``_summed`` call, the even and the odd term a round, serves both sides.
     Steed's method adds the convergents' differences rather than multiplying them,
     which rounds closer (with the product, one fig5 ASE value moved by an ulp).
-    The denominators 1 + d_k D stay above 2/3 for every a and x' below the swap
-    (checked on a grid), so none needs a guard.
+    The denominators 1 + d_k D stay above 2/3 for b = 1 - a, and above 2/(a+b+2)
+    for b = 1/2 with a in [1/2, 12], at every x' below the swap (checked on a
+    grid), so none needs a guard.
     """
-    b = 1.0 - a
+    b = 1.0 - a if b is None else b
+    ab = a + b  # exactly 1.0 for b = 1 - a, so that case keeps its bits
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    swap = flat > (a + 1.0) / 3.0
+    swap = flat > (a + 1.0) / (ab + 2.0)
     ap, bp, xp = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - flat, flat)
-    d = 1.0 / (1.0 - xp / (ap + 1.0))  # a' + b' = 1
+    d = 1.0 / (1.0 - ab * xp / (ap + 1.0))
 
     def factors(m: int) -> Iterator[np.ndarray]:
         # the terms d_2m = m (b' - m) x' / ((a' + 2m - 1)(a' + 2m)) and
@@ -215,12 +217,14 @@ def _beta_ratio(a: float, x: np.ndarray) -> np.ndarray:
         c = ap + 2 * m
         d = 1.0 / (1.0 + m * (bp - m) / ((c - 1) * c) * xp * d)
         yield d - 1.0
-        d = 1.0 / (1.0 - (ap + m) * (1 + m) / (c * (c + 1)) * xp * d)
+        d = 1.0 / (1.0 - (ap + m) * (ab + m) / (c * (c + 1)) * xp * d)
         yield d - 1.0
 
     out = _summed(f"incomplete beta at a={a:g}", d.copy(), d - 1.0, factors)
     # B(a, 1 - a) = pi / sin(pi a), the sine taken at the smaller of a and b
-    part = xp ** ap * (1.0 - xp) ** bp / ap * out / (math.pi / math.sin(math.pi * min(a, b)))
+    whole = (math.pi / math.sin(math.pi * min(a, b)) if ab == 1.0
+             else math.gamma(a) * math.gamma(b) / math.gamma(ab))
+    part = xp ** ap * (1.0 - xp) ** bp / ap * out / whole
     return np.where(swap, 1.0 - part, part).reshape(x.shape)
 
 
@@ -754,12 +758,21 @@ def mean_latency(params: NetworkParams,
     z, span = 2.0 * params.mu * params.nu, 2.0 * params.lambda_l * params.nu
     q, _ = integrate(lambda th: np.exp(-z * np.cos(th)) * np.cos(th), 0.0, _HALF_PI, quad)
     a = span * q
-    k = np.arange(1.0, 40.0 + 3.0 * a)  # later terms are below 1e-35 of the sum
     if span <= _LOG_MAX:  # a <= span, so no term overflows either
+        k = np.arange(1.0, 40.0 + 3.0 * a)  # later terms are below 1e-35 of the sum
         # miss / (1 - miss) = 1 / expm1
         scaled = float(np.sum(np.cumprod(a / k) / k)) / math.expm1(span)
     else:  # 1 - miss is 1 to double precision
-        log_terms = np.cumsum(np.log(a / k)) - np.log(k)
+        # ln(term) falls like (k - a)^2 / (2a) from its peak near k = a: past 10 sqrt(a)
+        # the terms are below e^-50 of the peak
+        width = 10.0 * math.sqrt(a)
+        first, last = max(1, math.floor(a - width)), math.ceil(40.0 + a + width)
+        k = np.arange(float(first), float(last))
+        log_terms = k * math.log(a)
+        log_terms -= np.log(k)
+        log_terms -= np.fromiter(map(math.lgamma, range(first + 1, last + 1)), float, k.size)
         top = float(log_terms.max())
-        scaled = math.exp(top + math.log(float(np.sum(np.exp(log_terms - top)))) - span)
+        log_terms -= top
+        total = float(np.sum(np.exp(log_terms, out=log_terms)))
+        scaled = math.exp(top + math.log(total) - span)
     return scaled / (params.mu * params.speed)

@@ -93,14 +93,14 @@ class QuadratureNotConverged(NumericalError):
 
 
 class WindowNotConverged(NumericalError):
-    """Monte Carlo window doubling hit its cap while estimates still drifted."""
+    """Monte Carlo window doubling hit its cap while the remainder bracket was still wide."""
 
-    def __init__(self, radius: float, shift_over_se: float):
+    def __init__(self, radius: float, half_width_over_se: float):
         self.radius = radius
-        self.shift_over_se = shift_over_se
+        self.half_width_over_se = half_width_over_se
         super().__init__(
-            f"window estimate still moving at radius {radius:g} km "
-            f"(last doubling shifted by {shift_over_se:.2f} standard errors)"
+            f"window remainder still uncertain at radius {radius:g} km "
+            f"(bracket half-width {half_width_over_se:.2f} standard errors)"
         )
 
 

@@ -31,12 +31,16 @@ copies (:meth:`~linecox.core.Estimate.from_samples`).
 
 Interference estimators grow the simulation window on one fixed schedule:
 stage k adds the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k,
-and extends all existing lines from half-length L_{k-1} to L_k = R_k.
-Because every stage only *adds* interferers to the same realisations, the
-stage-to-stage shift of an estimate directly measures the remaining
-truncation bias, and the run stops once, for every grid point, that shift is
-below ``_STABLE`` standard errors.  After ``_MAX_DOUBLINGS`` doublings it
-raises :class:`WindowNotConverged` rather than return a biased answer.
+and extends all existing lines from half-length L_{k-1} to L_k = R_k.  Given
+a realisation's lines, the interference the window misses is independent of
+what it holds, and Campbell's theorem gives closed-form bounds on its mean and
+variance (:func:`_remainder_moments`), from the lines alone: no transform,
+Phi table or line exponent.  These bracket each statistic's truncation bias
+per realisation; each estimate is the bracket's midpoint, and the run stops
+at the first stage, stage 0 included, whose bracket half-width is at most
+``_STABLE`` standard errors at every grid point.  After ``_MAX_DOUBLINGS``
+doublings it raises :class:`WindowNotConverged` rather than return a biased
+answer.
 """
 from __future__ import annotations
 
@@ -56,6 +60,7 @@ from .core import (
     substream,
     substreams,
 )
+from .analytic import _LOG2, _beta_ratio
 
 __all__ = [
     "WindowReport",
@@ -71,7 +76,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# window schedule: first radius (km), doublings allowed, stop below this many SE
+# window schedule: first radius (km), doublings allowed, stop at a bracket
+# half-width of at most this many SE
 
 _R0, _MAX_DOUBLINGS, _STABLE = 2.0, 8, 0.5
 
@@ -82,11 +88,12 @@ def _radius(stage: int) -> float:
 
 @dataclass(frozen=True)
 class WindowReport:
-    """How far the window had to grow before estimates stabilised."""
+    """How far the window grew: its final radius, its stage count and, per grid
+    point, the remainder bracket's half-width over the estimate's standard error."""
 
     final_radius: float
     stages: int
-    max_shift_over_se: float
+    half_width_over_se: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,9 @@ def _signed_segment(
 
 # interferers buffered before one arithmetic pass of the staged simulator
 _STAGE_CHUNK = 2**14
+
+# lines whose remainder moments one pass computes
+_LINE_PIECE = 2**12
 
 # line offset of the own line: its vehicles sit at r = 0
 _OWN_LINE = np.zeros(1)
@@ -269,46 +279,96 @@ def _check_sample_size(n: int) -> None:
         raise ValueError(f"need at least 100 realisations, got {n}")
 
 
+def _remainder_moments(
+    params: NetworkParams, lines: list[np.ndarray], radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m_lo, m_hi, v) per realisation: bounds on the mean of the interference F
+    that the window of ``radius`` R misses, given the realisation's lines
+    ``lines[i]`` (all with |r| <= R), and a bound on its variance.  The lines
+    are taken ``_LINE_PIECE`` at a time.
+
+    F takes the own and inner lines' vehicles with |t| > R and every line with
+    |r| > R.  Given the inner lines it is independent of the window's
+    interference, and Campbell's theorem gives its moments (E[h] = 1, E[h^2] =
+    2).  A line at offset r adds int_(|t|>R) d^-k dt = r^(1-k) B(a, 1/2)
+    I_x(a, 1/2), a = (k-1)/2, x = r^2/(r^2 + R^2), the own line 2 R^(1-k)/(k-1)
+    and the outer lines 2 lambda_l B(a, 1/2) R^(2-k)/(k-2), each per unit mu:
+    k = alpha for the mean, 2 alpha for the variance, whose outer lines also add
+    the variance of their count.  ``m_lo`` puts each device at its vehicle
+    (|x|^-alpha is subharmonic, so its nu-disk average is at least that);
+    ``m_hi`` and ``v`` scale by (1 - nu/R)^-alpha, the most a device can gain,
+    and its square.
+    """
+    alpha, lam, mu, R, n = params.alpha, params.lambda_l, params.mu, radius, len(lines)
+    r2 = np.square(np.concatenate(lines))
+    rid = np.repeat(np.arange(n), [r.size for r in lines])
+    k = np.array([alpha, 2.0 * alpha])
+    a = 0.5 * (k - 1.0)
+    whole = np.array([math.gamma(b) * math.sqrt(math.pi) / math.gamma(b + 0.5) for b in a])
+    inner = np.zeros((2, n))
+    for start in range(0, r2.size, _LINE_PIECE):
+        part = slice(start, start + _LINE_PIECE)
+        x = r2[part] / (r2[part] + R * R)
+        for row, b in zip(inner, a):
+            row += np.bincount(rid[part], r2[part] ** -b * _beta_ratio(b, x, 0.5), n)
+    own_outer = 2.0 * R ** (1.0 - k) / (k - 1.0) + 2.0 * lam * whole * R ** (2.0 - k) / (k - 2.0)
+    first, second = whole[:, None] * inner + own_outer[:, None]
+    count = 2.0 * lam * (mu * whole[0]) ** 2 * R ** (3.0 - 2.0 * alpha) / (2.0 * alpha - 3.0)
+    p, grow = params.power, (1.0 - params.nu / R) ** -alpha
+    m_lo = p * mu * first
+    return m_lo, m_lo * grow, p * p * (2.0 * mu * second + count) * grow * grow
+
+
 def _staged_estimates(
     params: NetworkParams,
     n: int,
     seed: int,
-    stat_fn: Callable[[np.ndarray], np.ndarray],
+    terms: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, WindowReport]:
-    """Run the coupled window-doubling scheme and return final per-sample stats.
+    """Run the coupled window-doubling scheme; return the per-realisation estimates.
 
-    ``stat_fn(interference) -> (n, G)`` evaluates every grid point on
-    the current interference; the same realisations serve all grid points and
-    all stages, so stage-to-stage shifts isolate truncation bias.
+    ``terms(interference, m_lo, m_hi, v) -> (stat, lo, hi)``, each (n, G), gives
+    every grid point's statistic on the window's interference and the two ends
+    of its truncation bias, from the remainder moments of
+    :func:`_remainder_moments`.  The estimate is stat - (lo + hi)/2, the
+    bracket's midpoint; the run stops at the first stage whose half-width, the
+    mean of (hi - lo)/2, is at most ``_STABLE`` standard errors of the estimate
+    at every grid point.
     """
     _check_sample_size(n)
     i1 = np.zeros(n)
     i2 = np.zeros(n)
     lines = [np.empty(0)] * n
 
-    prev_mean: Optional[np.ndarray] = None
-    ratio = math.inf
+    ratios = np.array([math.inf])
     for stage in range(_MAX_DOUBLINGS + 1):
+        radius = _radius(stage)
         other, own = _stage_interference(params, seed, stage, lines)
         i1 += other
         i2 += own
-        stats = stat_fn(i1 + i2)
-        mean = stats.mean(axis=0)
-        if prev_mean is not None:
-            se = stats.std(axis=0, ddof=1) / math.sqrt(n)
-            shift = np.abs(mean - prev_mean)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(shift == 0.0, 0.0, shift / se)
-            ratio = float(np.max(ratios))
-            if ratio < _STABLE:
-                report = WindowReport(
-                    final_radius=_radius(stage),
-                    stages=stage + 1,
-                    max_shift_over_se=ratio,
-                )
-                return stats, report
-        prev_mean = mean
-    raise WindowNotConverged(_radius(_MAX_DOUBLINGS), ratio)
+        if radius <= params.nu:  # a missed device may sit at the origin: no bound holds
+            continue
+        stat, lo, hi = terms(i1 + i2, *_remainder_moments(params, lines, radius))
+        # an ASE realisation without interferers is infinite: the stage cannot stop
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est = stat - 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo).mean(axis=0)
+            ratios = np.where(half == 0.0, 0.0, half / (est.std(axis=0, ddof=1) / math.sqrt(n)))
+        if np.all(ratios <= _STABLE):
+            return est, WindowReport(radius, stage + 1, tuple(ratios.tolist()))
+    raise WindowNotConverged(_radius(_MAX_DOUBLINGS), float(np.max(ratios)))
+
+
+def _exp_terms(rate: np.ndarray, total: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^(-c I) and the ends of its truncation bias e^(-c I) E[1 - e^(-c F)], c =
+    ``rate`` broadcast against one row per realisation: from max(0, y - y^2/2) <=
+    1 - e^-y <= min(1, y)."""
+    stat = np.exp(-rate * total[:, None])
+    hi = stat * np.minimum(1.0, rate * m_hi[:, None])
+    lo = stat * np.maximum(0.0, rate * m_lo[:, None]
+                           - 0.5 * np.square(rate) * (np.square(m_hi) + v)[:, None])
+    return stat, lo, hi
 
 
 def _nonempty(values: Sequence[float], name: str) -> np.ndarray:
@@ -326,12 +386,12 @@ def _grid_result(
     return GridEstimate(grid=grid, estimates=estimates, window=report)
 
 
-def _serving_signal(params: NetworkParams, n: int, seed: int) -> np.ndarray:
-    """Serving-link power per realisation: a unit fade over rho^alpha, rho uniform in the disk."""
+def _serving_link(params: NetworkParams, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Serving distance rho, uniform in the nu-disk, and unit fade per realisation."""
     _check_sample_size(n)
     rng = substream(seed, 2)
     rho = params.nu * np.sqrt(rng.uniform(size=n))
-    return params.power * rng.exponential(size=n) * rho ** (-params.alpha)
+    return rho, rng.exponential(size=n)
 
 
 def estimate_laplace(
@@ -347,11 +407,8 @@ def estimate_laplace(
     runs would give.
     """
     grid = _nonempty(s_values, "transform argument")
-
-    def stat(total: np.ndarray) -> np.ndarray:
-        return np.exp(-np.outer(total, grid))
-
-    stats, report = _staged_estimates(params, n, seed, stat)
+    stats, report = _staged_estimates(
+        params, n, seed, lambda total, *moments: _exp_terms(grid[None, :], total, *moments))
     return _grid_result(grid, stats, report)
 
 
@@ -361,15 +418,16 @@ def estimate_coverage(
     n: int = 10_000,
     seed: int = 0,
 ) -> GridEstimate:
-    """Estimate P(SIR >= tau) of the typical link for each threshold."""
+    """Estimate P(SIR >= tau) of the typical link for each threshold.
+
+    Each realisation contributes P(SIR >= tau | I, rho) = e^(-c I) over its
+    fade, c = tau rho^alpha / p: the transform's statistic at s = c.
+    """
     grid = _nonempty(thresholds, "tau")
-    signal = _serving_signal(params, n, seed)
-
-    def stat(total: np.ndarray) -> np.ndarray:
-        # signal >= tau * I avoids 0/0 when a window stage has no interferer
-        return signal[:, None] >= np.outer(total, grid)
-
-    stats, report = _staged_estimates(params, n, seed, stat)
+    rho, _ = _serving_link(params, n, seed)
+    rate = np.outer(rho ** params.alpha / params.power, grid)
+    stats, report = _staged_estimates(
+        params, n, seed, lambda total, *moments: _exp_terms(rate, total, *moments))
     return _grid_result(grid, stats, report)
 
 
@@ -380,18 +438,24 @@ def estimate_ase(
 ) -> tuple[Estimate, WindowReport]:
     """Estimate the area spectral efficiency lambda_l * mu * E[log2(1 + SIR)].
 
-    Early window stages can contain zero interferers, making individual
-    samples infinite; the stability rule cannot pass while such samples
-    persist, and they vanish as the window grows.
+    The missed interference F lowers the rate by g(F) = ln(1 + F/I) - ln(1 +
+    F/(I + S)) nats, increasing and concave in F: Jensen bounds its mean by
+    g(m_hi), and ln(1 + y) >= y - y^2/2 from below by m_lo S/(I (I + S)) -
+    (m_hi^2 + v)/(2 I^2).  Early window stages can contain zero interferers,
+    making individual samples infinite; such a stage cannot stop.
     """
-    signal = _serving_signal(params, n, seed)
+    rho, fade = _serving_link(params, n, seed)
+    signal = params.power * fade * rho ** (-params.alpha)
 
-    def stat(total: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            rate = np.log2(1.0 + signal / total)
-        return rate[:, None]
+    def terms(total, m_lo, m_hi, v):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = np.log2(1.0 + signal / total)
+            hi = (np.log1p(m_hi / total) - np.log1p(m_hi / (total + signal))) / _LOG2
+            lo = np.maximum(0.0, m_lo * signal / (total * (total + signal))
+                            - (np.square(m_hi) + v) / (2.0 * np.square(total))) / _LOG2
+        return stat[:, None], lo[:, None], hi[:, None]
 
-    stats, report = _staged_estimates(params, n, seed, stat)
+    stats, report = _staged_estimates(params, n, seed, terms)
     scale = params.lambda_l * params.mu
     samples = scale * stats[:, 0]
     return Estimate.from_samples(samples), report

@@ -10,6 +10,7 @@ amplifies), and the tolerances below cover both sides.
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -635,6 +636,20 @@ class TestSpecialFunctions:
         ref = special.betainc(a, 1.0 - a, x)
         assert abs(analytic._beta_ratio(a, np.array(x)) - ref) <= 1e-13 * ref
 
+    # the window remainder's inner-line tails: I_x(a, 1/2) at a = (alpha-1)/2 (mean)
+    # and (2 alpha-1)/2 (variance), x = r^2/(r^2 + R^2) <= 1/2 for |r| <= R; a call
+    # that reached _MAX_STEPS would raise (these take 10 rounds at most)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(2.05, 12.0), st.sampled_from([1.0, 2.0]),
+           st.one_of(st.just(0.0), st.floats(-12.0, math.log10(0.5)).map(lambda e: 10.0 ** e)))
+    @example(alpha=2.05, k=1.0, x=0.5)
+    @example(alpha=12.0, k=2.0, x=0.5)
+    @example(alpha=12.0, k=2.0, x=1e-12)
+    def test_general_beta_ratio_matches_scipy(self, alpha, k, x):
+        a = (k * alpha - 1.0) / 2.0
+        ref = special.betainc(a, 0.5, x)
+        assert abs(analytic._beta_ratio(a, np.array(x), 0.5) - ref) <= 1e-14 * ref
+
     def test_batch_matches_elementwise(self):
         # each element stops at its own step, so no value depends on the batch
         t = np.geomspace(1e-14, 1e3, 40)
@@ -862,6 +877,30 @@ class TestMeanLatency:
         log_series = special.logsumexp(k * math.log(span * q) - np.log(k) - special.gammaln(k + 1))
         ref = math.exp(log_series - span - math.log(-math.expm1(-span))) / (mu * V)
         assert mean_latency(params) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("lam, mu, nu", [
+        (1e5, 0.001, 10.0),  # a about 2e6: 180 MiB as the whole series; 0.0
+        (1e5, 0.1, 0.1),     # a about 2e4: 3.15e-137 s
+    ])
+    def test_dense_roads_sum_near_the_peak(self, lam, mu, nu):
+        # only the terms within 10 sqrt(a) of the peak at k = a are summed
+        params = NetworkParams(lambda_l=lam, mu=mu, nu=nu, speed=V)
+        tracemalloc.start()
+        try:
+            value = mean_latency(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        z, span = 2.0 * mu * nu, 2.0 * lam * nu
+        q, _ = quad(lambda th: math.exp(-z * math.cos(th)) * math.cos(th), 0.0, math.pi / 2,
+                    epsabs=0.0, epsrel=1e-13)
+        a = span * q
+        # 40 sqrt(a) either side: the terms beyond are below e^-800 of the sum
+        k = np.arange(max(1.0, math.floor(a - 40.0 * math.sqrt(a))), a + 40.0 * math.sqrt(a))
+        log_series = special.logsumexp(k * math.log(a) - np.log(k) - special.gammaln(k + 1))
+        ref = math.exp(log_series - span) / (mu * V)
+        assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_plain_series_kept_below_overflow(self):
         params = NetworkParams(lambda_l=236.0, mu=0.25, nu=1.5, speed=V)

@@ -347,7 +347,8 @@ class TestConfigResolution:
         manifest = json.loads((out / "ase_manifest.json").read_text())
         assert len(manifest["window"]) == 2
         for window in manifest["window"]:
-            assert set(window) == {"final_radius", "stages", "max_shift_over_se"}
+            assert set(window) == {"final_radius", "stages", "half_width_over_se"}
+            assert len(window["half_width_over_se"]) == 1
 
     def test_defaults_presets_and_flags_set_only_known_keys(self):
         # so the merged config needs no key check of its own

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linecox import montecarlo
-from linecox.core import NetworkParams, ZeroSpeed, skip_ahead, substream
+from linecox.core import Estimate, NetworkParams, ZeroSpeed, skip_ahead, substream
 from linecox.montecarlo import (
     WindowNotConverged,
     estimate_af_cumulative,
@@ -36,9 +36,10 @@ class TestAgreementWithAnalytic:
         res = estimate_laplace(P33, grid, n=2000, seed=11)
         for s, est in zip(res.grid, res.estimates):
             assert abs(est.z_score(analytic.laplace(P33, float(s)))) < 3
-        # the doubling schedule stops only once the last doubling moved
-        # every point by less than half a standard error
-        assert res.window.max_shift_over_se <= 0.5
+        # the doubling schedule stops only once the remainder bracket's
+        # half-width is below half a standard error at every point
+        assert len(res.window.half_width_over_se) == grid.size
+        assert max(res.window.half_width_over_se) <= 0.5
 
     def test_coverage(self):
         grid = np.array([0.5, 2.0])
@@ -194,28 +195,53 @@ def _reference_stage(rng, params, stage, r0, line_offsets):
     return power_sum(np.concatenate((r_ext, r_full)), t), own
 
 
+def _shift_rule(params, n, seed, stat_fn):
+    """The staged estimators' stop rule before the remainder bracket, kept as a
+    reference: the window grows until the last doubling moved every grid point's
+    raw mean by less than ``_STABLE`` standard errors.  Returns the interference
+    totals after every stage and the last stage's raw statistics."""
+    i1, i2, lines, totals, prev = np.zeros(n), np.zeros(n), [np.empty(0)] * n, [], None
+    for stage in range(montecarlo._MAX_DOUBLINGS + 1):
+        other, own = _stage_interference(params, seed, stage, lines)
+        i1 += other
+        i2 += own
+        totals.append(i1 + i2)
+        stats = stat_fn(totals[-1])
+        mean = stats.mean(axis=0)
+        if prev is not None:
+            se = stats.std(axis=0, ddof=1) / math.sqrt(n)
+            shift = np.abs(mean - prev)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if np.max(np.where(shift == 0.0, 0.0, shift / se)) < montecarlo._STABLE:
+                    return totals, stats
+        prev = mean
+    raise AssertionError("the shift rule did not stop")
+
+
 class TestStagedStreams:
     """The staged simulator makes each realisation's draws in their order.
 
     The digests were taken when every realisation-stage built its own
-    generator and drew and summed its interferers on its own.  They cover
-    the interference total after every window stage, then the final values
-    and standard errors.  A chunk of 1 flushes every realisation alone.
-    Each case names the window-schedule constants it sets; the rest keep their values.
+    generator and drew and summed its interferers on its own, and the
+    estimators stopped by the shift rule (:func:`_shift_rule`).  They cover
+    the interference total after every window stage, then the raw values and
+    standard errors of the last stage.  A chunk of 1 flushes every realisation
+    alone.  Each case names the window-schedule constants it sets; the rest
+    keep their values.
     """
 
     FIG3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
     CASES = {
-        "laplace-p33": (estimate_laplace, P33, [0.002, 0.01], 300, 3, {},
+        "laplace-p33": ("laplace", P33, [0.002, 0.01], 300, 3, {}, 3,
                         "059d6ce51dfbb03fe0a9170c9a5c637a6583dde292532c0648df94f0d1d0524b"),
-        "coverage-p33": (estimate_coverage, P33, [0.5, 2.0], 300, 3, {},
+        "coverage-p33": ("coverage", P33, [0.5, 2.0], 300, 3, {}, 2,
                          "30a0fd2a180db6386f8ccc9d83244a88e2b3237b5e6dc4684ce173220480a065"),
         # six stages, and a seed of three 32-bit words
-        "laplace-fig3": (estimate_laplace, FIG3, [1e-4, 1e-3, 1e-2, 0.1], 200, 2**64 + 9,
-                         {"_R0": 0.5, "_STABLE": 0.1},
+        "laplace-fig3": ("laplace", FIG3, [1e-4, 1e-3, 1e-2, 0.1], 200, 2**64 + 9,
+                         {"_R0": 0.5, "_STABLE": 0.1}, 6,
                          "8c7f0d0e8668d1da07f47be2ed3079005af2ac89bc5e4c43d6bae8fae2b1b0b4"),
-        "coverage-fig3": (estimate_coverage, FIG3, [0.5, 2.0], 200, 2**64 + 9,
-                          {"_R0": 0.25, "_STABLE": 0.05},
+        "coverage-fig3": ("coverage", FIG3, [0.5, 2.0], 200, 2**64 + 9,
+                          {"_R0": 0.25, "_STABLE": 0.05}, 3,
                           "ddac64bad9bae9c5787d7558d5872729c0269516bed77f50d7b94fb3b6e0b9fd"),
     }
 
@@ -224,23 +250,20 @@ class TestStagedStreams:
     def test_pinned(self, monkeypatch, case, chunk):
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_STAGE_CHUNK", chunk)
-        estimator, params, grid, n, seed, schedule, digest = self.CASES[case]
+        kind, params, grid, n, seed, schedule, stages, digest = self.CASES[case]
         for name, value in schedule.items():
             monkeypatch.setattr(montecarlo, name, value)
-        totals = []
-        run = montecarlo._staged_estimates
-
-        def recording(params, n, seed, stat_fn):
-            def stat(total):
-                totals.append(total.copy())
-                return stat_fn(total)
-            return run(params, n, seed, stat)
-
-        monkeypatch.setattr(montecarlo, "_staged_estimates", recording)
-        res = estimator(params, np.array(grid), n=n, seed=seed)
-        assert len(totals) == res.window.stages
-        assert _sha256(*totals, np.array([e.value for e in res.estimates]),
-                       np.array([e.std_error for e in res.estimates])) == digest
+        if kind == "laplace":
+            stat_fn = lambda total: np.exp(-np.outer(total, grid))
+        else:
+            rho, fade = montecarlo._serving_link(params, n, seed)
+            signal = params.power * fade * rho ** (-params.alpha)
+            stat_fn = lambda total: signal[:, None] >= np.outer(total, grid)
+        totals, stats = _shift_rule(params, n, seed, stat_fn)
+        raw = [Estimate.from_samples(stats[:, g]) for g in range(len(grid))]
+        assert len(totals) == stages
+        assert _sha256(*totals, np.array([e.value for e in raw]),
+                       np.array([e.std_error for e in raw])) == digest
 
     # a small chunk puts the flushes inside and across realisations
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
@@ -329,7 +352,76 @@ class TestWindowControl:
         with pytest.raises(WindowNotConverged) as exc:
             estimate_laplace(fig3, np.array([1e-4]), n=400, seed=32)
         assert exc.value.radius == 4.0
-        assert exc.value.shift_over_se > 1e-6
+        assert exc.value.half_width_over_se > 1e-6
+
+
+class TestRemainderBracket:
+    """The closed-form moments of the interference the window misses, and the
+    bracket they give each estimator's truncation bias."""
+
+    # at nu = 0.01 a device's disk average of d^-k exceeds its vehicle's d^-k by
+    # about k^2 nu^2 / 8 at most: m_lo is within 2e-4 of the mean, v_lo within 8e-4
+    # of the variance
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_moments_match_sampled_far_fields(self, monkeypatch, alpha):
+        # one realisation's inner lines (radius 1), then 4000 far fields drawn given
+        # them by the staged simulator's next three stages (out to radius 8); the
+        # conditional mean and variance of what lies beyond radius 8 are added on
+        monkeypatch.setattr(montecarlo, "_R0", 1.0)
+        params = NetworkParams(lambda_l=2.0, mu=1.0, nu=0.01, speed=V, alpha=alpha)
+        lines = [np.empty(0)] * 50
+        _stage_interference(params, 5, 0, lines)
+        inner = next(r for r in lines if r.size >= 3)
+        m_lo, m_hi, v = (x[0] for x in montecarlo._remainder_moments(params, [inner], 1.0))
+        n, far = 4000, np.zeros(4000)
+        many = [inner] * n
+        for stage in (1, 2, 3):
+            other, own = _stage_interference(params, 6, stage, many)
+            far += other + own
+        beyond, _, beyond_var = montecarlo._remainder_moments(params, many, 8.0)
+        far += beyond
+        assert abs(far.mean() - m_lo) < 3 * far.std(ddof=1) / math.sqrt(n)
+        assert m_hi == m_lo * (1.0 - params.nu) ** -alpha
+        spread = np.square(far - far.mean())
+        var, v_lo = far.var(ddof=1) + beyond_var.mean(), v * (1.0 - params.nu) ** (2 * alpha)
+        assert abs(var - v_lo) < 3 * spread.std(ddof=1) / math.sqrt(n)
+
+    # transform arguments where L is about 0.7 and 0.3
+    S_GRID = {2.5: [1e-4, 1e-3], 3.0: [1e-4, 1e-3], 4.0: [1e-5, 1e-4], 8.0: [1e-9, 1e-7]}
+
+    @pytest.mark.parametrize("quantity", ["laplace", "coverage", "ase"])
+    @pytest.mark.parametrize("alpha", sorted(S_GRID))
+    def test_contains_analytic_value(self, monkeypatch, alpha, quantity):
+        # at the first window stage (radius 2), where the bias is largest: at alpha
+        # = 2.5 the raw transform, coverage and ASE miss the analytic value by up to
+        # 6.3, 6.1 and 5.3 SE
+        params = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V, alpha=alpha)
+        s, tau = self.S_GRID[alpha], [0.1, 1.0, 10.0]
+        run, truth = {
+            "laplace": (lambda seed: estimate_laplace(params, s, n=2000, seed=seed),
+                        lambda: analytic.laplace(params, s)),
+            "coverage": (lambda seed: estimate_coverage(params, tau, n=2000, seed=seed),
+                         lambda: analytic.coverage_probability(params, tau)),
+            "ase": (lambda seed: estimate_ase(params, n=2000, seed=seed),
+                    lambda: analytic.area_spectral_efficiency(params) / (3.0 * 3.0)),
+        }[quantity]
+        truth, taken = truth(), {}
+
+        def first_stage(params, n, seed, terms):
+            lines = [np.empty(0)] * n
+            other, own = _stage_interference(params, seed, 0, lines)
+            taken["terms"] = terms(other + own, *montecarlo._remainder_moments(
+                params, lines, montecarlo._radius(0)))
+            return taken["terms"][0], None
+
+        monkeypatch.setattr(montecarlo, "_staged_estimates", first_stage)
+        for seed in (1, 2, 3):
+            run(seed)
+            stat, lo, hi = taken["terms"]
+            se = np.maximum((stat - lo).std(axis=0, ddof=1),
+                            (stat - hi).std(axis=0, ddof=1)) / math.sqrt(stat.shape[0])
+            assert np.all((stat - hi).mean(axis=0) - 3 * se <= truth), seed
+            assert np.all(truth <= (stat - lo).mean(axis=0) + 3 * se), seed
 
 
 class TestComponentIndependence:
