@@ -22,12 +22,12 @@ share draws:
     substream(seed, 4)         latency realisations
 
 The availability and latency samplers draw from one stream each across all
-realisations.  They read their per-vehicle (per-line) draws in pieces of
-``_CHUNK`` and fold each piece into per-realisation results at once, so their
-working memory is O(n + lines) plus one piece; the stream layout, and hence
-every output, is the same as drawing each array whole.  Per-line arrays are
-freed once used, and indicators are summarised as bool arrays, without float
-copies (:meth:`~linecox.core.Estimate.from_samples`).
+realisations, its items sorted by realisation, so each result is a segment
+minimum over the realisation's run of the stream (:func:`_fold_min`).  They
+read it in pieces of ``_CHUNK``: working memory is O(n + lines) plus one
+piece, and every output is the one whole arrays would give.  Per-line arrays
+are freed once used, and indicators are summarised as bool arrays, without
+float copies (:meth:`~linecox.core.Estimate.from_samples`).
 
 Interference estimators grow the simulation window on one fixed schedule:
 stage k adds the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k,
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -467,27 +467,18 @@ def estimate_ase(
 # per-vehicle (per-line) draws the bulk samplers read at a time
 _CHUNK = 2**16
 
-
-def _pieces(ends: np.ndarray, labels: Optional[np.ndarray] = None):
-    """``np.repeat(labels, counts)`` in consecutive pieces of ``_CHUNK`` items.
-
-    ``ends`` is ``np.cumsum(counts)``; without ``labels`` each item is
-    labelled with the index of its group.
-    """
-    total = int(ends[-1]) if ends.size else 0
-    for a in range(0, total, _CHUNK):
-        b = min(a + _CHUNK, total)
-        lo = int(np.searchsorted(ends, a, side="right"))
-        hi = int(np.searchsorted(ends, b, side="left")) + 1
-        sizes = np.diff(np.concatenate(([a], np.minimum(ends[lo:hi], b))))
-        yield np.repeat(np.arange(lo, hi) if labels is None else labels[lo:hi], sizes)
+# added to a gap by its heading's top bit: a vehicle heading away (0) never arrives
+_AWAY = np.array([np.inf, 0.0])
 
 
-def _record_hits(first: np.ndarray, rid: np.ndarray, gap: np.ndarray,
-                 speeds: np.ndarray) -> None:
-    # gap is inf for a vehicle heading away; a stopped vehicle never arrives
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.minimum.at(first, rid, np.where(speeds > 0.0, gap / speeds, np.inf))
+def _fold_min(out: np.ndarray, ends: np.ndarray, a: int, values: np.ndarray) -> None:
+    """Lower each ``out[j]`` to the minimum of ``values`` over group j's items, where
+    items are sorted by group, group j ends at item ``ends[j]`` and ``values`` holds
+    items ``a`` on: one ``np.minimum.reduceat`` over the starts of its nonempty runs."""
+    lo, hi = np.searchsorted(ends, (a, a + values.size - 1), side="right")
+    starts = np.concatenate(([a], ends[lo:hi])) - a
+    runs = np.flatnonzero(np.diff(starts, append=values.size))
+    out[lo + runs] = np.minimum(out[lo + runs], np.minimum.reduceat(values, starts[runs]))
 
 
 def _af_event_times(
@@ -506,10 +497,11 @@ def _af_event_times(
     prefix of the draws of a longer run, which makes snapshot and time-window
     estimates exactly consistent under a shared seed.
 
-    The per-vehicle draws are read in pieces of ``_CHUNK``: gaps and headings
-    take a fixed number of 64-bit outputs each, so :func:`skip_ahead` starts
-    the heading and normal sections where they begin in the stream.  Working
-    memory is O(n + lines) plus one piece, whatever the number of vehicles.
+    Vehicles come sorted by realisation, so a first contact is a segment
+    minimum over the realisation's run of the stream (:func:`_fold_min`), read
+    in pieces of ``_CHUNK``: gaps and headings take a fixed number of 64-bit
+    outputs each, so :func:`skip_ahead` starts the heading and normal sections.
+    At sigma = 0 each minimum gap is divided by v once (division is monotone).
 
     Vehicles faster than speed + 6 sigma that start beyond the sampled
     approach zone are ignored; the chance any exist is below 1e-8 per run.
@@ -517,23 +509,22 @@ def _af_event_times(
     nu, v = params.nu, params.speed
     rng = substream(seed, 3)
 
-    n_lines = rng.poisson(2.0 * params.lambda_l * nu, size=n)
-    total = int(n_lines.sum())
-    rid = np.repeat(np.arange(n), n_lines)
-    offsets = rng.uniform(-nu, nu, size=total)
-    chord = np.sqrt(np.maximum(nu * nu - offsets * offsets, 0.0))
-    on_disk = rng.poisson(2.0 * params.mu * chord)
-
+    line_ends = np.cumsum(rng.poisson(2.0 * params.lambda_l * nu, size=n))
+    total = int(line_ends[-1])
+    chord = np.sqrt(np.maximum(nu * nu - np.square(rng.uniform(-nu, nu, size=total)), 0.0))
+    on_disk = np.flatnonzero(rng.poisson(2.0 * params.mu * chord))
     covered0 = np.zeros(n, dtype=bool)
-    np.logical_or.at(covered0, rid, on_disk > 0)
-    del offsets, chord, on_disk
+    covered0[np.searchsorted(line_ends, on_disk, side="right")] = True
+    del chord, on_disk
 
     first = np.full(n, np.inf)
     reach = (v + 6.0 * sigma) * t_max
     if reach > 0.0 and total:
         counts = rng.poisson(2.0 * params.mu * reach, size=total)
-        ends = np.cumsum(counts, out=counts)
+        # a realisation's vehicles end where its last line's do (at 0 before any line)
+        ends = np.concatenate(([0], np.cumsum(counts, out=counts)))[line_ends]
         ntail = int(ends[-1])
+        del counts, line_ends
         # a gap takes one 64-bit output and a heading one 32-bit half, the
         # first heading the half left pending, if any: both sections have
         # known lengths, so the heading and normal sections start known too
@@ -541,18 +532,21 @@ def _af_event_times(
         heads = skip_ahead(rng, ntail)
         normals = skip_ahead(rng, ntail + (ntail + 1 - pending) // 2)
         slow_rid, slow_gap = [], []
-        for veh_rid in _pieces(ends, rid):
-            gap = rng.uniform(0.0, reach, size=veh_rid.size)
-            gap[_side_draws(heads, veh_rid.size) < 0.5] = np.inf
-            # at sigma = 0 the speed is v exactly, so the normals (drawn last) are skipped
-            speeds = (v + sigma * normals.standard_normal(size=veh_rid.size) if sigma > 0.0
-                      else np.full(veh_rid.size, v))
-            bad = speeds < 0.0
-            if bad.any():
-                slow_rid.append(veh_rid[bad])
-                slow_gap.append(gap[bad])
-            _record_hits(first, veh_rid, gap, speeds)
-        if slow_rid:
+        for a in range(0, ntail, _CHUNK):
+            size = min(_CHUNK, ntail - a)
+            gap = rng.uniform(0.0, reach, size=size)
+            gap += _AWAY.take((_side_draws(heads, size) >= 0.5).view(np.uint8))
+            if sigma > 0.0:
+                speeds = v + sigma * normals.standard_normal(size=size)
+                slow = np.flatnonzero(speeds < 0.0)
+                slow_rid.append(np.searchsorted(ends, a + slow, side="right"))
+                slow_gap.append(gap[slow])
+                # a stopped or reversing vehicle never arrives
+                gap = np.divide(gap, speeds, out=np.full(size, np.inf), where=speeds > 0.0)
+            _fold_min(first, ends, a, gap)
+        if sigma == 0.0:  # the normals, drawn last, are skipped
+            first /= v
+        elif slow_gap:  # empty when no approach zone holds a vehicle
             # truncate the speed law at zero: once every first draw is made,
             # redraw the negative speeds in vehicle order until none is left
             gap = np.concatenate(slow_gap)
@@ -561,7 +555,8 @@ def _af_event_times(
             while np.any(bad):
                 speeds[bad] = v + sigma * normals.standard_normal(size=int(bad.sum()))
                 bad = speeds < 0.0
-            _record_hits(first, np.concatenate(slow_rid), gap, speeds)
+            np.minimum.at(first, np.concatenate(slow_rid),
+                          np.divide(gap, speeds, out=np.full(gap.size, np.inf), where=speeds > 0.0))
     return covered0, first
 
 
@@ -589,8 +584,7 @@ def estimate_af_cumulative(
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     grid = _nonempty(times, "t")
     covered0, first = _af_event_times(params, float(grid.max()), n, seed, sigma)
-    hit = covered0[:, None] | (first[:, None] <= grid[None, :])
-    return tuple(Estimate.from_samples(hit[:, g]) for g in range(grid.size))
+    return tuple(Estimate.from_samples(covered0 | (first <= t)) for t in grid)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +626,10 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     side sits an Exp(mu) gap beyond the chord, independent of the vacancy.
 
     Draws live in substream(seed, 4): line counts, then all offsets, all
-    vacancy uniforms and two exponentials per line.  Lines are read in pieces
-    of ``_CHUNK``, each section from its own :func:`skip_ahead` start, so
-    working memory is O(n + lines) plus one piece.
+    vacancy uniforms and two exponentials per line.  Lines come sorted by
+    realisation, so a wait is a segment minimum over the realisation's run of
+    the stream (:func:`_fold_min`), read in pieces of ``_CHUNK`` from each
+    section's :func:`skip_ahead` start: memory is O(n + lines) plus a piece.
     """
     nu, v = params.nu, params.speed
     rng = substream(seed, 4)
@@ -644,14 +639,16 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     vacancy = skip_ahead(rng, total)
     exponentials = skip_ahead(rng, 2 * total)
     waits = np.full(n, np.inf)
-    for rid in _pieces(ends):
-        offsets = rng.uniform(-nu, nu, size=rid.size)
-        chord = np.sqrt(np.maximum(nu * nu - offsets * offsets, 0.0))
-        vacant = vacancy.uniform(size=rid.size) < np.exp(-2.0 * params.mu * chord)
+    for a in range(0, total, _CHUNK):
+        size = min(_CHUNK, total - a)
+        chord = np.sqrt(np.maximum(nu * nu - np.square(rng.uniform(-nu, nu, size=size)), 0.0))
+        vacant = vacancy.uniform(size=size) < np.exp(-2.0 * params.mu * chord)
         # nearest approaching carrier beyond each chord end: Exp(mu/2) per side
-        gaps = exponentials.exponential(scale=2.0 / params.mu, size=(rid.size, 2)).min(axis=1)
+        pair = exponentials.exponential(scale=2.0 / params.mu, size=(size, 2))
+        gaps = np.minimum(pair[:, 0], pair[:, 1])
+        del chord, pair
         # at zero speed a vacant line never covers the origin
-        np.minimum.at(waits, rid, np.where(vacant, gaps / v if v > 0.0 else np.inf, 0.0))
+        _fold_min(waits, ends, a, np.where(vacant, gaps / v if v > 0.0 else np.inf, 0.0))
     if v <= 0.0 and not np.all(waits == 0.0):
         raise ZeroSpeed(
             [("speed", "latency diverges at zero speed when not covered at t=0")]

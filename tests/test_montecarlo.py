@@ -96,6 +96,12 @@ class TestStreamDiscipline:
         assert cum.value == snap.value
         assert cum.std_error == snap.std_error
 
+    def test_af_random_speeds_with_no_vehicle_in_reach(self):
+        # sigma > 0 and a reach so short that no approach zone holds a vehicle:
+        # nothing arrives, so every time reads the snapshot
+        snap = estimate_af_snapshot(P33, n=200, seed=1)
+        assert estimate_af_cumulative(P33, [0.0, 1e-6], n=200, seed=1, sigma=0.01) == (snap, snap)
+
     def test_af_cumulative_monotone_within_run(self):
         times = np.array([0.0, 30.0, 120.0, 480.0])
         ests = estimate_af_cumulative(FIG7, times, n=3000, seed=22)
@@ -131,10 +137,11 @@ class TestBulkStreams:
     LATENCY = "d3579ed5a9f5885505e08ba4bbb913832282f1d01aec7f44f60aabfcbe5aaa12"
 
     # None keeps the default piece size (a few pieces per run); 1009 crosses
-    # hundreds of piece edges, inside lines and realisations
-    @pytest.mark.parametrize("chunk", [None, 1009])
-    @pytest.mark.parametrize("sigma", [0.0, 0.004])
-    def test_af_event_times_pinned(self, monkeypatch, chunk, sigma):
+    # hundreds of piece edges, inside lines and realisations; 7 (about 40k
+    # pieces) puts whole pieces inside one realisation
+    @pytest.mark.parametrize("sigma,chunk", [(0.0, 1009), (0.0, None), (0.004, 1009),
+                                             (0.004, None), (0.004, 7)])
+    def test_af_event_times_pinned(self, monkeypatch, sigma, chunk):
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         n, digest = self.AF[sigma]
@@ -161,6 +168,32 @@ class TestBulkStreams:
                           gen.bit_generator.random_raw(6)) for gen in (rng, jumped)]
                 for a, b in zip(*draws):
                     np.testing.assert_array_equal(a, b, err_msg=f"k={k} halves={halves}")
+
+
+class TestFoldMin:
+    """Segment minima over sorted pieces equal ``np.minimum.at`` on per-item labels."""
+
+    # x + 0.0 turns -0.0 into 0.0: the two compare equal, so either reduction
+    # may keep either one, and the samplers never make a -0.0
+    value = st.one_of(st.floats(-1e6, 1e6).map(lambda x: x + 0.0), st.just(math.inf))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), sizes=st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    def test_matches_minimum_at(self, data, sizes):
+        total = sum(sizes)
+
+        def floats(count):
+            return np.array(data.draw(st.lists(self.value, min_size=count, max_size=count)),
+                            dtype=float)
+
+        values, start = floats(total), floats(len(sizes))
+        piece = data.draw(st.integers(1, max(total, 1)))
+        expected = start.copy()
+        np.minimum.at(expected, np.repeat(np.arange(len(sizes)), sizes), values)
+        out = start.copy()
+        for a in range(0, total, piece):
+            montecarlo._fold_min(out, np.cumsum(sizes), a, values[a:a + piece])
+        assert out.tobytes() == expected.tobytes()
 
 
 def _reference_stage(rng, params, stage, r0, line_offsets):
@@ -312,7 +345,8 @@ def _traced_peak(run):
 class TestWorkingMemory:
     # drawn whole, the per-vehicle arrays peaked at 312 MiB and 70 MiB; read in
     # pieces of 2**18 with float copies of the indicators, at 27.6 and 31.0 MiB;
-    # in pieces of 2**16 with per-line arrays freed once used, at 15.9 and 19.2 MiB
+    # in pieces of 2**16 with per-line arrays freed once used, at 15.9 and 19.2 MiB;
+    # folded by segment minima, with no per-item labels, at 11.0 and 18.2 MiB
     def test_af_cumulative_fig7(self):
         peak = _traced_peak(lambda: estimate_af_cumulative(
             FIG7, np.linspace(0.0, 400.0, 9), n=200_000, seed=1))
