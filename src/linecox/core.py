@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -351,83 +351,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent, reproducible generator for (seed, key).
 
     Streams are derived with a counter-based bit generator keyed on the
-    integer path, so realisation i always sees the same draws no matter how
-    work is chunked across workers.  :func:`substreams` yields the same
-    streams for many leading words at once.
+    integer path, so a key always sees the same draws no matter how work is
+    chunked.  The samplers read each stream across all realisations, items
+    sorted by realisation.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_WORD = 2**32
-
-
-def _words(value: int) -> list[int]:
-    """``value`` as little-endian 32-bit words, as SeedSequence splits it."""
-    words = [value % _WORD]
-    while value >= _WORD:
-        value //= _WORD
-        words.append(value % _WORD)
-    return words
-
-
-def _philox_keys(seed: int, heads: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
-    """Philox keys of ``substream(seed, h, *tail)`` for each h in ``heads``.
-
-    One uint32 numpy pass of SeedSequence's hash: each spawn word is
-    hashmixed into every word of the 4-word pool, then ``generate_state(2,
-    uint64)`` hashes the pool out.  The pool after the run entropy is
-    ``SeedSequence(seed).pool`` for every seed, and the hash multiplier has
-    by then moved 16 steps, plus 4 for each run word past the fourth.
-    """
-    if heads.size and (heads.min() < 0 or heads.max() >= _WORD):
-        raise ValueError("leading stream words must lie in [0, 2**32)")
-    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], heads.size, axis=1)
-    steps = 16 + 4 * max(len(_words(seed)) - 4, 0)
-    hash_const = _INIT_A * pow(_MULT_A, steps, _WORD) % _WORD
-    spawn = [heads.astype(np.uint32)] + [np.full(heads.size, w, np.uint32)
-                                         for v in tail for w in _words(v)]
-    for word in spawn:
-        for dst in range(4):
-            mixed = word ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_A % _WORD
-            mixed *= np.uint32(hash_const)
-            mixed ^= mixed >> 16
-            pool[dst] = pool[dst] * np.uint32(_MIX_MULT_L) - mixed * np.uint32(_MIX_MULT_R)
-            pool[dst] ^= pool[dst] >> 16
-    state = np.empty((4, heads.size), np.uint64)
-    hash_const = _INIT_B
-    for dst in range(4):
-        word = pool[dst] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B % _WORD
-        word *= np.uint32(hash_const)
-        state[dst] = word ^ (word >> 16)
-    return np.stack((state[0] | state[1] << 32, state[2] | state[3] << 32), axis=1)
-
-
-def substreams(seed: int, heads, *tail: int) -> Iterator[np.random.Generator]:
-    """``substream(seed, h, *tail)`` for each h in ``heads``, in turn.
-
-    Every stream is one generator re-keyed in place, valid until the next is
-    yielded: the keys come from one vectorised pass (:func:`_philox_keys`),
-    and each re-key only sets a fresh state (counter 0, empty buffer, no
-    pending 32-bit half), a fraction of the cost of building a generator.
-    """
-    keys = _philox_keys(seed, np.asarray(heads, dtype=np.int64), tuple(tail))
-    bits = np.random.Philox(key=0)
-    rng = np.random.Generator(bits)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64)},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for key in keys:
-        state["state"]["key"] = key
-        bits.state = state
-        yield rng
 
 
 def skip_ahead(rng: np.random.Generator, k: int) -> np.random.Generator:

@@ -3,28 +3,27 @@
 The staged interference model (:func:`_stage_interference`) is the
 package's one simulator of the Palm interference seen by the typical
 vehicle: each realisation draws its own-line and other-line interferers, with
-their device offsets and fades, one window stage at a time.  A stage derives
-the Philox keys of all its realisations in one pass and re-keys one generator
-for each (:func:`~linecox.core.substreams`); a realisation only draws, into
-buffers shared across realisations, and every ``_STAGE_CHUNK`` interferers
-one in-place pass turns the buffered draws into path gains and each
-realisation's sums.  The draws and the arithmetic on them are those of a
-realisation simulated on its own, so every sum is bit for bit the same.
+their device offsets and fades, one window stage at a time.  A stage draws
+each of its sections (line counts, line offsets, vehicle counts, positions,
+disk offsets, fades) for all realisations in realisation order from the
+section's own stream, and the per-vehicle sections in pieces of whole
+realisations; each realisation's sums are one reduction over its run.
 
 Every estimator is a pure function of (params, grid, n, seed): results are
 bit-identical across runs and across machine configurations.  Randomness is
 organised in named substreams so that independent parts of a simulation never
 share draws:
 
-    substream(seed, i, 1, k)   interference realisation i, window stage k
+    substream(seed, 1, k, j)   window stage k, section j of the interference
     substream(seed, 2)         signal marks (bulk across realisations)
     substream(seed, 3)         availability / connectivity realisations
     substream(seed, 4)         latency realisations
 
-The availability and latency samplers draw from one stream each across all
-realisations, its items sorted by realisation, so each result is a segment
-minimum over the realisation's run of the stream (:func:`_fold_min`).  They
-read it in pieces of ``_CHUNK``: working memory is O(n + lines) plus one
+Every sampler reads each stream across all realisations, its items sorted
+by realisation.  A staged section has a stream of its own, so the first n
+realisations of a run draw what a run of n draws.  The availability and
+latency samplers take each result as a segment minimum over the
+realisation's run of the stream (:func:`_fold`).  They read it in pieces of ``_CHUNK``: working memory is O(n + lines) plus one
 piece, and every output is the one whole arrays would give.  Per-line arrays
 are freed once used, and indicators are summarised as bool arrays, without
 float copies (:meth:`~linecox.core.Estimate.from_samples`).
@@ -58,7 +57,6 @@ from .core import (
     batch,
     skip_ahead,
     substream,
-    substreams,
 )
 from .analytic import _LOG2, _beta_ratio
 
@@ -116,161 +114,111 @@ def _side_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.random(count, dtype=np.float32)
 
 
-def _signed_segment(
-    rng: np.random.Generator, count: int, inner: float, outer: float
-) -> np.ndarray:
-    # uniform over the two-sided extension (inner, outer] of a line segment
-    mag = rng.uniform(inner, outer, size=count)
-    return np.copysign(mag, _side_draws(rng, count) - np.float32(0.5))
+def _signed(mag: np.ndarray, sides: np.random.Generator) -> np.ndarray:
+    """``mag`` put on a random side in place, one draw of ``sides`` per value."""
+    return np.copysign(mag, _side_draws(sides, mag.size) - np.float32(0.5), out=mag)
 
 
-# interferers buffered before one arithmetic pass of the staged simulator
+def _fold(ufunc: np.ufunc, out: np.ndarray, ends: np.ndarray, a: int, values: np.ndarray) -> None:
+    """Fold into each ``out[j]`` by ``ufunc`` (``np.minimum`` or ``np.add``) group j's
+    items, where items are sorted by group, group j ends at item ``ends[j]`` and
+    ``values`` holds items ``a`` on: one ``ufunc.reduceat`` over the starts of its
+    nonempty runs.  A group that lies whole in ``values`` gets the reduceat of its
+    run alone, wherever the run starts."""
+    lo, hi = np.searchsorted(ends, (a, a + values.size - 1), side="right")
+    starts = np.concatenate(([a], ends[lo:hi])) - a
+    runs = np.flatnonzero(np.diff(starts, append=values.size))
+    out[lo + runs] = ufunc(out[lo + runs], ufunc.reduceat(values, starts[runs]))
+
+
+# vehicles one arithmetic pass of the staged simulator takes at least
 _STAGE_CHUNK = 2**14
 
 # lines whose remainder moments one pass computes
 _LINE_PIECE = 2**12
-
-# line offset of the own line: its vehicles sit at r = 0
-_OWN_LINE = np.zeros(1)
-
-
-class _Interferers:
-    """Interferers of consecutive realisations awaiting one arithmetic pass.
-
-    Per slot, the rows of ``rows`` hold the position along the line, the raw
-    uniforms of the disk radius and angle, the raw fade, and scratch.
-    ``lines`` and ``counts`` give each buffered line's offset and its number
-    of slots, in slot order; ``cuts`` gives each realisation's (index, own
-    start, other start, other end).
-    """
-
-    def __init__(self) -> None:
-        self.rows = np.empty((5, _STAGE_CHUNK))
-        self.end = 0
-        self.lines: list[np.ndarray] = []
-        self.counts: list[np.ndarray] = []
-        self.cuts: list[tuple[int, int, int, int]] = []
-
-    def take(self, lines: np.ndarray, counts: np.ndarray) -> int:
-        """First of the slots of ``counts`` interferers on ``lines``, appended."""
-        start = self.end
-        self.end += int(counts.sum())
-        if self.end > start:
-            self.lines.append(lines)
-            self.counts.append(counts)
-            if self.end > self.rows.shape[1]:
-                rows = np.empty((5, max(2 * self.rows.shape[1], self.end)))
-                rows[:, :start] = self.rows[:, :start]
-                self.rows = rows
-        return start
-
-    def place(self, rng: np.random.Generator, start: int, stop: int,
-              low: float, high: float, two_sided: bool) -> None:
-        """Positions of slots [start, stop): uniform on (low, high], on either
-        side of the line's centre when ``two_sided``."""
-        if stop > start:
-            count = stop - start
-            self.rows[0, start:stop] = (_signed_segment(rng, count, low, high) if two_sided
-                                        else rng.uniform(low, high, size=count))
-
-    def draw_offsets(self, rng: np.random.Generator, start: int) -> None:
-        """Raw disk-offset uniforms and fades of the slots from ``start`` on.
-
-        ``random`` and ``standard_exponential`` make the draws of
-        ``uniform()``, ``uniform(0, 2 pi)`` and ``exponential()``, which add 0
-        and scale by 1, 2 pi and 1.
-        """
-        if self.end > start:
-            rng.random(out=self.rows[1, start:self.end])
-            rng.random(out=self.rows[2, start:self.end])
-            rng.standard_exponential(out=self.rows[3, start:self.end])
-
-    def flush(self, params: NetworkParams, other: np.ndarray, own: np.ndarray) -> None:
-        """Store each buffered realisation's interference in ``other`` and ``own``.
-
-        One in-place pass gives every path gain ((r + rho cos phi)^2 +
-        (t + rho sin phi)^2)^(-alpha/2) with rho = nu sqrt(u); a realisation's
-        sums are dots over its own slices.
-        """
-        end = self.end
-        if end:
-            t, rho, phi, fade, scratch = self.rows[:, :end]
-            gain = np.repeat(np.concatenate(self.lines), np.concatenate(self.counts))
-            np.sqrt(rho, out=rho)
-            rho *= params.nu
-            phi *= 2.0 * np.pi
-            np.cos(phi, out=scratch)
-            scratch *= rho
-            np.sin(phi, out=phi)
-            phi *= rho
-            gain += scratch
-            np.square(gain, out=gain)
-            t += phi
-            np.square(t, out=t)
-            gain += t
-            np.power(gain, -0.5 * params.alpha, out=gain)
-            p = params.power
-            for i, a, b, c in self.cuts:
-                if b > a:
-                    own[i] = np.dot(fade[a:b], gain[a:b]) * p
-                if c > b:
-                    other[i] = np.dot(fade[b:c], gain[b:c]) * p
-        self.end = 0
-        self.lines.clear()
-        self.counts.clear()
-        self.cuts.clear()
 
 
 def _stage_interference(
     params: NetworkParams,
     seed: int,
     stage: int,
-    lines: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+    lines: np.ndarray,
+    ends: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Interference each realisation gains at one window stage.
 
-    Realisation i draws from substream(seed, i, 1, stage).  Returns the
-    (other-line, own-line) increments, one per realisation, and appends the
-    stage's newly born lines to ``lines[i]``, realisation i's line offsets.
-    Draw order within a stream is fixed: own-line count, positions, disk
-    offsets and fades; new-line count and offsets; vehicle counts on the old
-    lines, then on the new ones; positions on the old lines' two-sided
-    extensions, then on the new lines' full segments; disk offsets and fades
-    of all of those.
+    ``lines`` holds the line offsets of every realisation in turn, realisation
+    i's ending at ``lines[ends[i] - 1]``.  Returns the (other-line, own-line)
+    increments, one per realisation, and the lines and ends with the stage's
+    newly born lines after each realisation's old ones.  The stage draws each
+    of its sections for all realisations in realisation order, from its own
+    stream substream(seed, 1, stage, k): own-line vehicle counts (k = 0),
+    new-line counts (1), new-line offsets and their sides (2, 3), vehicle
+    counts on the old lines, then on the new ones (4), positions and their
+    sides (5, 6), disk-offset uniforms, two per vehicle (7), and fades (8).
+    The own and old lines gain the two-sided extension r_in < |t| <= r_out,
+    the new lines the full segment; stage 0 has r_in = 0.
+
+    The per-vehicle sections are read in pieces of whole realisations, each of
+    at least ``_STAGE_CHUNK`` vehicles, and each realisation's own-line and
+    other-line sums are one ``np.add.reduceat`` each over its run of the
+    piece (:func:`_fold`): no draw and no sum depends on the piece size, and
+    the first n realisations of a run draw and sum what a run of n does.
     """
-    mu = params.mu
+    alpha, mu, n = params.alpha, params.mu, ends.size
     r_out = _radius(stage)
     r_in = _radius(stage - 1) if stage else 0.0
-    seg_len = 2.0 * r_out if stage == 0 else 2.0 * (r_out - r_in)
-    # the own line spans the full segment at stage 0, two-sided extensions after
-    own_low = r_in if stage else -r_out
-    n = len(lines)
-    other, own = np.zeros(n), np.zeros(n)
-    buf = _Interferers()
-    for i, rng in enumerate(substreams(seed, range(n), 1, stage)):
-        a = buf.take(_OWN_LINE, rng.poisson(mu * seg_len, size=1))
-        buf.place(rng, a, buf.end, own_low, r_out, two_sided=stage > 0)
-        buf.draw_offsets(rng, a)
-
-        n_new = rng.poisson(2.0 * params.lambda_l * (r_out - r_in))
-        if stage == 0:
-            new_lines = rng.uniform(-r_out, r_out, size=n_new)
-        else:
-            new_lines = _signed_segment(rng, n_new, r_in, r_out)
-
-        # old lines gain only the two-sided extension while this stage's new
-        # lines are populated over the full segment
-        b = buf.take(lines[i], rng.poisson(mu * seg_len, size=lines[i].size))
-        c = buf.take(new_lines, rng.poisson(mu * 2.0 * r_out, size=n_new))
-        buf.place(rng, b, c, r_in, r_out, two_sided=True)
-        buf.place(rng, c, buf.end, -r_out, r_out, two_sided=False)
-        buf.draw_offsets(rng, b)
-        buf.cuts.append((i, a, b, buf.end))
-        lines[i] = np.concatenate((lines[i], new_lines))
-        if buf.end >= _STAGE_CHUNK:
-            buf.flush(params, other, own)
-    buf.flush(params, other, own)
-    return other, own
+    ext = 2.0 * mu * (r_out - r_in)
+    streams = [substream(seed, 1, stage, k) for k in range(9)]
+    own = streams[0].poisson(ext, size=n)
+    born = streams[1].poisson(2.0 * params.lambda_l * (r_out - r_in), size=n)
+    fresh = np.insert(np.zeros(lines.size, bool), np.repeat(ends, born), True)
+    old, lines = lines, np.empty(fresh.size)
+    lines[fresh] = _signed(streams[2].uniform(r_in, r_out, size=born.sum()), streams[3])
+    lines[~fresh] = old
+    ends = ends + np.cumsum(born)
+    starts = np.concatenate(([0], ends[:-1]))
+    vehicles = streams[4].poisson(np.where(fresh, 2.0 * mu * r_out, ext))
+    tally = np.concatenate(([0], np.cumsum(vehicles)))
+    on_lines = tally[ends] - tally[starts]
+    del tally  # the pieces then hold the per-line arrays and one piece
+    stops = np.cumsum(own + on_lines)
+    # the own-line and other-line runs of each realisation, in turn
+    cuts = np.column_stack((stops - on_lines, stops)).ravel()
+    sums, j = np.zeros(2 * n), 0
+    while j < n:
+        i, a = j, (stops[j - 1] if j else 0)
+        j = min(int(np.searchsorted(stops, a + _STAGE_CHUNK)) + 1, n)
+        size = int(stops[j - 1] - a)
+        if not size:
+            continue
+        # the piece's lines, each realisation's own line (offset 0) first; a
+        # vehicle's position is uniform in magnitude on (low, r_out], then signed
+        part, at = slice(starts[i], ends[j - 1]), starts[i:j] - starts[i]
+        counts = np.insert(vehicles[part], at, own[i:j])
+        t = np.repeat(np.insert(np.where(fresh[part], 0.0, r_in), at, r_in), counts)
+        t += (r_out - t) * streams[5].random(size)
+        _signed(t, streams[6])
+        # gain ((r + rho cos phi)^2 + (t + rho sin phi)^2)^(-alpha/2), rho = nu sqrt(u)
+        disk = streams[7].random((size, 2))
+        rho, phi = disk[:, 0], disk[:, 1]
+        np.sqrt(rho, out=rho)
+        rho *= params.nu
+        phi *= 2.0 * np.pi
+        gain = np.cos(phi)
+        gain *= rho
+        gain += np.repeat(np.insert(lines[part], at, 0.0), counts)
+        np.sin(phi, out=phi)
+        phi *= rho
+        t += phi
+        np.square(gain, out=gain)
+        np.square(t, out=t)
+        gain += t
+        np.power(gain, -0.5 * alpha, out=gain)
+        gain *= streams[8].standard_exponential(size)
+        _fold(np.add, sums, cuts, a, gain)
+    sums *= params.power
+    return sums[1::2], sums[0::2], lines, ends
 
 
 def _check_sample_size(n: int) -> None:
@@ -280,12 +228,13 @@ def _check_sample_size(n: int) -> None:
 
 
 def _remainder_moments(
-    params: NetworkParams, lines: list[np.ndarray], radius: float
+    params: NetworkParams, lines: np.ndarray, ends: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m_lo, m_hi, v) per realisation: bounds on the mean of the interference F
-    that the window of ``radius`` R misses, given the realisation's lines
-    ``lines[i]`` (all with |r| <= R), and a bound on its variance.  The lines
-    are taken ``_LINE_PIECE`` at a time.
+    that the window of ``radius`` R misses, given the realisation's lines (all
+    with |r| <= R, laid out as :func:`_stage_interference` returns them), and a
+    bound on its variance.  The lines are taken ``_LINE_PIECE`` at a time, and
+    each piece's terms are summed per realisation by :func:`_fold`.
 
     F takes the own and inner lines' vehicles with |t| > R and every line with
     |r| > R.  Given the inner lines it is independent of the window's
@@ -299,18 +248,16 @@ def _remainder_moments(
     ``m_hi`` and ``v`` scale by (1 - nu/R)^-alpha, the most a device can gain,
     and its square.
     """
-    alpha, lam, mu, R, n = params.alpha, params.lambda_l, params.mu, radius, len(lines)
-    r2 = np.square(np.concatenate(lines))
-    rid = np.repeat(np.arange(n), [r.size for r in lines])
+    alpha, lam, mu, R, n = params.alpha, params.lambda_l, params.mu, radius, ends.size
     k = np.array([alpha, 2.0 * alpha])
     a = 0.5 * (k - 1.0)
     whole = np.array([math.gamma(b) * math.sqrt(math.pi) / math.gamma(b + 0.5) for b in a])
     inner = np.zeros((2, n))
-    for start in range(0, r2.size, _LINE_PIECE):
-        part = slice(start, start + _LINE_PIECE)
-        x = r2[part] / (r2[part] + R * R)
+    for start in range(0, lines.size, _LINE_PIECE):
+        r2 = np.square(lines[start:start + _LINE_PIECE])
+        x = r2 / (r2 + R * R)
         for row, b in zip(inner, a):
-            row += np.bincount(rid[part], r2[part] ** -b * _beta_ratio(b, x, 0.5), n)
+            _fold(np.add, row, ends, start, r2 ** -b * _beta_ratio(b, x, 0.5))
     own_outer = 2.0 * R ** (1.0 - k) / (k - 1.0) + 2.0 * lam * whole * R ** (2.0 - k) / (k - 2.0)
     first, second = whole[:, None] * inner + own_outer[:, None]
     count = 2.0 * lam * (mu * whole[0]) ** 2 * R ** (3.0 - 2.0 * alpha) / (2.0 * alpha - 3.0)
@@ -338,17 +285,17 @@ def _staged_estimates(
     _check_sample_size(n)
     i1 = np.zeros(n)
     i2 = np.zeros(n)
-    lines = [np.empty(0)] * n
+    lines, ends = np.empty(0), np.zeros(n, np.int64)
 
     ratios = np.array([math.inf])
     for stage in range(_MAX_DOUBLINGS + 1):
         radius = _radius(stage)
-        other, own = _stage_interference(params, seed, stage, lines)
+        other, own, lines, ends = _stage_interference(params, seed, stage, lines, ends)
         i1 += other
         i2 += own
         if radius <= params.nu:  # a missed device may sit at the origin: no bound holds
             continue
-        stat, lo, hi = terms(i1 + i2, *_remainder_moments(params, lines, radius))
+        stat, lo, hi = terms(i1 + i2, *_remainder_moments(params, lines, ends, radius))
         # an ASE realisation without interferers is infinite: the stage cannot stop
         with np.errstate(divide="ignore", invalid="ignore"):
             est = stat - 0.5 * (lo + hi)
@@ -471,16 +418,6 @@ _CHUNK = 2**16
 _AWAY = np.array([np.inf, 0.0])
 
 
-def _fold_min(out: np.ndarray, ends: np.ndarray, a: int, values: np.ndarray) -> None:
-    """Lower each ``out[j]`` to the minimum of ``values`` over group j's items, where
-    items are sorted by group, group j ends at item ``ends[j]`` and ``values`` holds
-    items ``a`` on: one ``np.minimum.reduceat`` over the starts of its nonempty runs."""
-    lo, hi = np.searchsorted(ends, (a, a + values.size - 1), side="right")
-    starts = np.concatenate(([a], ends[lo:hi])) - a
-    runs = np.flatnonzero(np.diff(starts, append=values.size))
-    out[lo + runs] = np.minimum(out[lo + runs], np.minimum.reduceat(values, starts[runs]))
-
-
 def _af_event_times(
     params: NetworkParams,
     t_max: float,
@@ -498,7 +435,7 @@ def _af_event_times(
     estimates exactly consistent under a shared seed.
 
     Vehicles come sorted by realisation, so a first contact is a segment
-    minimum over the realisation's run of the stream (:func:`_fold_min`), read
+    minimum over the realisation's run of the stream (:func:`_fold`), read
     in pieces of ``_CHUNK``: gaps and headings take a fixed number of 64-bit
     outputs each, so :func:`skip_ahead` starts the heading and normal sections.
     At sigma = 0 each minimum gap is divided by v once (division is monotone).
@@ -543,7 +480,7 @@ def _af_event_times(
                 slow_gap.append(gap[slow])
                 # a stopped or reversing vehicle never arrives
                 gap = np.divide(gap, speeds, out=np.full(size, np.inf), where=speeds > 0.0)
-            _fold_min(first, ends, a, gap)
+            _fold(np.minimum, first, ends, a, gap)
         if sigma == 0.0:  # the normals, drawn last, are skipped
             first /= v
         elif slow_gap:  # empty when no approach zone holds a vehicle
@@ -628,7 +565,7 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     Draws live in substream(seed, 4): line counts, then all offsets, all
     vacancy uniforms and two exponentials per line.  Lines come sorted by
     realisation, so a wait is a segment minimum over the realisation's run of
-    the stream (:func:`_fold_min`), read in pieces of ``_CHUNK`` from each
+    the stream (:func:`_fold`), read in pieces of ``_CHUNK`` from each
     section's :func:`skip_ahead` start: memory is O(n + lines) plus a piece.
     """
     nu, v = params.nu, params.speed
@@ -648,7 +585,7 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
         gaps = np.minimum(pair[:, 0], pair[:, 1])
         del chord, pair
         # at zero speed a vacant line never covers the origin
-        _fold_min(waits, ends, a, np.where(vacant, gaps / v if v > 0.0 else np.inf, 0.0))
+        _fold(np.minimum, waits, ends, a, np.where(vacant, gaps / v if v > 0.0 else np.inf, 0.0))
     if v <= 0.0 and not np.all(waits == 0.0):
         raise ZeroSpeed(
             [("speed", "latency diverges at zero speed when not covered at t=0")]

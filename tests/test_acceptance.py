@@ -217,7 +217,7 @@ def test_criterion_6_independence_and_invariance(report, monkeypatch):
     # the (i1, i2) of the estimators' own first window stage, radius 3
     s, n = 0.01, 2500
     monkeypatch.setattr(montecarlo, "_R0", 3.0)
-    i1, i2 = _stage_interference(P33, 610, 0, [np.empty(0)] * n)
+    i1, i2 = _stage_interference(P33, 610, 0, np.empty(0), np.zeros(n, int))[:2]
     g = np.exp(-s * i1)
     h = np.exp(-s * i2)
     f = g * h

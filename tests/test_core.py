@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from linecox.core import (
     AlphaOutOfRange,
@@ -18,7 +17,6 @@ from linecox.core import (
     convert_units,
     params_digest,
     substream,
-    substreams,
 )
 
 V = 30.0 / 3600.0  # 30 km/h in km/s
@@ -189,37 +187,6 @@ class TestSubstream:
         a2 = substream(9, 0)
         assert np.array_equal(a.uniform(size=5), a2.uniform(size=5))
 
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160)),
-           head=st.integers(0, 10**6), stage=st.integers(0, 8), halves=st.integers(0, 2))
-    def test_rekeyed_streams_match(self, seed, head, stage, halves):
-        # each re-key must also clear the counter and the pending 32-bit half
-        # the previous stream left behind
-        heads = [head, head + 1, head]
-        for h, rekeyed in zip(heads, substreams(seed, heads, 1, stage)):
-            built = substream(seed, h, 1, stage)
-            np.testing.assert_array_equal(rekeyed.bit_generator.random_raw(16),
-                                          built.bit_generator.random_raw(16))
-            for rng in (rekeyed, built):
-                rng.integers(0, 2, size=2 * halves + 1)
-            np.testing.assert_array_equal(rekeyed.standard_normal(3), built.standard_normal(3))
-            np.testing.assert_array_equal(rekeyed.integers(0, 2, size=3),
-                                          built.integers(0, 2, size=3))
-
-    def test_rekeyed_tail_words(self):
-        # tail values of more than one 32-bit word are split as SeedSequence splits them
-        for tail in ((), (0,), (2**40, 3), (2**64 + 1,)):
-            heads = [0, 5, 2**32 - 1]
-            for h, rekeyed in zip(heads, substreams(11, heads, *tail)):
-                np.testing.assert_array_equal(rekeyed.bit_generator.random_raw(4),
-                                              substream(11, h, *tail).bit_generator.random_raw(4))
-
-    def test_rekeyed_heads_are_single_words(self):
-        with pytest.raises(ValueError):
-            next(substreams(1, [2**32], 1, 0))
-        with pytest.raises(ValueError):
-            next(substreams(1, [-1], 1, 0))
 
 class TestDigest:
     def test_stable(self):

@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,40 +196,67 @@ class TestFoldMin:
         np.minimum.at(expected, np.repeat(np.arange(len(sizes)), sizes), values)
         out = start.copy()
         for a in range(0, total, piece):
-            montecarlo._fold_min(out, np.cumsum(sizes), a, values[a:a + piece])
+            montecarlo._fold(np.minimum, out, np.cumsum(sizes), a, values[a:a + piece])
         assert out.tobytes() == expected.tobytes()
 
 
-def _reference_stage(rng, params, stage, r0, line_offsets):
-    """(other, own) interference of one realisation-stage drawn and summed on
-    its own, with ``integers`` side draws, for a window of first radius
-    ``r0``: the reference the staged simulator must match bit for bit."""
-    p, mu, nu, alpha = params.power, params.mu, params.nu, params.alpha
+def _reference_stage(params, seed, stage, r0, lines):
+    """(other, own) interference of every realisation at one window stage of first
+    radius ``r0``, given each realisation's line offsets ``lines[i]``, to which
+    the stage's new lines are appended.  Each section is drawn whole, with
+    ``integers`` side draws, and each realisation is summed on its own: the
+    reference the staged simulator must match bit for bit."""
+    p, lam, mu, nu, alpha = params.power, params.lambda_l, params.mu, params.nu, params.alpha
     r_out = r0 * 2.0**stage
     r_in = r0 * 2.0 ** (stage - 1) if stage else 0.0
-    seg_len = 2.0 * r_out if stage == 0 else 2.0 * (r_out - r_in)
+    n = len(lines)
+    rng = [substream(seed, 1, stage, k) for k in range(9)]
 
-    def signed(count):
-        mag = rng.uniform(r_in, r_out, size=count)
-        return (rng.integers(0, 2, size=count) * 2 - 1) * mag
+    def sides(k, count):
+        return rng[k].integers(0, 2, size=count) * 2 - 1
 
-    def power_sum(r, t):
-        rho = nu * np.sqrt(rng.uniform(size=r.size))
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=r.size)
-        fades = rng.exponential(size=r.size)
-        d2 = (r + rho * np.cos(phi)) ** 2 + (t + rho * np.sin(phi)) ** 2
-        return float(np.dot(fades, d2 ** (-0.5 * alpha)) * p) if r.size else 0.0
+    own = rng[0].poisson(2.0 * mu * (r_out - r_in), size=n)
+    born = rng[1].poisson(2.0 * lam * (r_out - r_in), size=n)
+    mag = rng[2].uniform(r_in, r_out, size=born.sum())
+    new = np.split(mag * sides(3, born.sum()), np.cumsum(born)[:-1])
+    # per realisation: the own line at offset 0, then its old and its new lines
+    line_r = [np.concatenate(([0.0], old, nw)) for old, nw in zip(lines, new)]
+    line_low = [np.concatenate(([r_in], np.full(old.size, r_in), np.zeros(nw.size)))
+                for old, nw in zip(lines, new)]
+    mean = np.concatenate([np.concatenate((np.full(old.size, 2.0 * mu * (r_out - r_in)),
+                                           np.full(nw.size, 2.0 * mu * r_out)))
+                           for old, nw in zip(lines, new)])
+    per_line = np.split(rng[4].poisson(mean), np.cumsum([r.size - 1 for r in line_r])[:-1])
+    counts = [np.concatenate(([m], c)) for m, c in zip(own, per_line)]
+    r = np.concatenate([np.repeat(x, c) for x, c in zip(line_r, counts)])
+    low = np.concatenate([np.repeat(x, c) for x, c in zip(line_low, counts)])
+    t = rng[5].uniform(low, r_out) * sides(6, r.size)
+    disk = rng[7].uniform(size=(r.size, 2))
+    fades = rng[8].exponential(size=r.size)
+    gains = fades * ((r + nu * np.sqrt(disk[:, 0]) * np.cos(2.0 * np.pi * disk[:, 1])) ** 2
+                     + (t + nu * np.sqrt(disk[:, 0]) * np.sin(2.0 * np.pi * disk[:, 1])) ** 2
+                     ) ** (-0.5 * alpha)
 
-    m = int(rng.poisson(mu * seg_len))
-    own = power_sum(np.zeros(m), rng.uniform(-r_out, r_out, size=m) if stage == 0 else signed(m))
-    n_new = rng.poisson(2.0 * params.lambda_l * (r_out - r_in))
-    new_lines = rng.uniform(-r_out, r_out, size=n_new) if stage == 0 else signed(n_new)
-    old = [np.repeat(lines, rng.poisson(mu * seg_len, size=lines.size)) for lines in line_offsets]
-    line_offsets.append(new_lines)
-    r_full = np.repeat(new_lines, rng.poisson(mu * 2.0 * r_out, size=n_new))
-    r_ext = np.concatenate([np.empty(0)] + old)
-    t = np.concatenate((signed(r_ext.size), rng.uniform(-r_out, r_out, size=r_full.size)))
-    return power_sum(np.concatenate((r_ext, r_full)), t), own
+    def power_sum(part):
+        # the reduceat of one run: its first value plus the pairwise sum of the rest
+        return np.add.reduceat(gains[part], [0])[0] * p if part.stop > part.start else 0.0
+
+    other, mine, start = np.zeros(n), np.zeros(n), 0
+    for i, c in enumerate(counts):
+        mine[i] = power_sum(slice(start, start + c[0]))
+        other[i] = power_sum(slice(start + c[0], start + c.sum()))
+        start += c.sum()
+        lines[i] = np.concatenate((lines[i], new[i]))
+    return other, mine
+
+
+def _stages(params, seed, n, stages):
+    """Per-stage (other, own) increments of n realisations and their final lines."""
+    lines, ends, increments = np.empty(0), np.zeros(n, int), []
+    for stage in range(stages):
+        other, own, lines, ends = _stage_interference(params, seed, stage, lines, ends)
+        increments.append((other, own))
+    return increments, lines, ends
 
 
 def _shift_rule(params, n, seed, stat_fn):
@@ -233,9 +264,9 @@ def _shift_rule(params, n, seed, stat_fn):
     reference: the window grows until the last doubling moved every grid point's
     raw mean by less than ``_STABLE`` standard errors.  Returns the interference
     totals after every stage and the last stage's raw statistics."""
-    i1, i2, lines, totals, prev = np.zeros(n), np.zeros(n), [np.empty(0)] * n, [], None
+    i1, i2, lines, ends, totals, prev = np.zeros(n), np.zeros(n), np.empty(0), np.zeros(n, int), [], None
     for stage in range(montecarlo._MAX_DOUBLINGS + 1):
-        other, own = _stage_interference(params, seed, stage, lines)
+        other, own, lines, ends = _stage_interference(params, seed, stage, lines, ends)
         i1 += other
         i2 += own
         totals.append(i1 + i2)
@@ -252,30 +283,28 @@ def _shift_rule(params, n, seed, stat_fn):
 
 
 class TestStagedStreams:
-    """The staged simulator makes each realisation's draws in their order.
+    """The staged simulator draws each section of a stage from its own stream.
 
-    The digests were taken when every realisation-stage built its own
-    generator and drew and summed its interferers on its own, and the
-    estimators stopped by the shift rule (:func:`_shift_rule`).  They cover
-    the interference total after every window stage, then the raw values and
-    standard errors of the last stage.  A chunk of 1 flushes every realisation
-    alone.  Each case names the window-schedule constants it sets; the rest
+    The digests cover the interference total after every window stage, then
+    the raw values and standard errors of the last stage, under the shift rule
+    (:func:`_shift_rule`); a chunk of 1 puts every realisation in a piece of
+    its own.  Each case names the window-schedule constants it sets; the rest
     keep their values.
     """
 
     FIG3 = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=V, power=0.01)
     CASES = {
         "laplace-p33": ("laplace", P33, [0.002, 0.01], 300, 3, {}, 3,
-                        "059d6ce51dfbb03fe0a9170c9a5c637a6583dde292532c0648df94f0d1d0524b"),
+                        "0e08ae4f5c5c611b905dc4c22a32584799fe7ec5040c58a7765a241d0d22c7da"),
         "coverage-p33": ("coverage", P33, [0.5, 2.0], 300, 3, {}, 2,
-                         "30a0fd2a180db6386f8ccc9d83244a88e2b3237b5e6dc4684ce173220480a065"),
+                         "e271e6bbe53a487deb0ea72d0237c69fae533ba3b96aa1c63806dcf65d701f80"),
         # six stages, and a seed of three 32-bit words
         "laplace-fig3": ("laplace", FIG3, [1e-4, 1e-3, 1e-2, 0.1], 200, 2**64 + 9,
                          {"_R0": 0.5, "_STABLE": 0.1}, 6,
-                         "8c7f0d0e8668d1da07f47be2ed3079005af2ac89bc5e4c43d6bae8fae2b1b0b4"),
+                         "1493ef75eded839c3a47ba2defb650eb79415c4fbe0bf79afe2e7a62dbac520f"),
         "coverage-fig3": ("coverage", FIG3, [0.5, 2.0], 200, 2**64 + 9,
-                          {"_R0": 0.25, "_STABLE": 0.05}, 3,
-                          "ddac64bad9bae9c5787d7558d5872729c0269516bed77f50d7b94fb3b6e0b9fd"),
+                          {"_R0": 0.25, "_STABLE": 0.05}, 8,
+                          "2e7440dd52891adefbdd0b1f538851a814ca8903ce9c7788e37e9c56c8db0cac"),
     }
 
     @pytest.mark.parametrize("chunk", [None, 1])
@@ -298,20 +327,68 @@ class TestStagedStreams:
         assert _sha256(*totals, np.array([e.value for e in raw]),
                        np.array([e.std_error for e in raw])) == digest
 
-    # a small chunk puts the flushes inside and across realisations
+    # a small chunk cuts pieces of one to a few realisations
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_matches_per_realisation_reference(self, monkeypatch, alpha):
         monkeypatch.setattr(montecarlo, "_STAGE_CHUNK", 64)
         monkeypatch.setattr(montecarlo, "_R0", 1.0)
         params = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=V, power=0.3, alpha=alpha)
         n = 60
-        lines, ref_lines = [np.empty(0)] * n, [[] for _ in range(n)]
+        lines, ends, ref_lines = np.empty(0), np.zeros(n, int), [np.empty(0)] * n
         for stage in range(3):
-            other, own = _stage_interference(params, 5, stage, lines)
-            for i in range(n):
-                expect = _reference_stage(substream(5, i, 1, stage), params, stage,
-                                          1.0, ref_lines[i])
-                assert (other[i], own[i]) == expect, (stage, i)
+            other, own, lines, ends = _stage_interference(params, 5, stage, lines, ends)
+            ref_other, ref_own = _reference_stage(params, 5, stage, 1.0, ref_lines)
+            assert other.tobytes() == ref_other.tobytes(), stage
+            assert own.tobytes() == ref_own.tobytes(), stage
+            assert lines.tobytes() == np.concatenate(ref_lines).tobytes(), stage
+            assert ends.tolist() == np.cumsum([r.size for r in ref_lines]).tolist(), stage
+
+    def test_prefix_of_a_longer_run(self):
+        # every section is read in realisation order from a stream of its own
+        n = 150
+        short, lines, ends = _stages(P33, 8, n, 3)
+        long, long_lines, long_ends = _stages(P33, 8, 2 * n, 3)
+        for (other, own), (long_other, long_own) in zip(short, long):
+            assert other.tobytes() == long_other[:n].tobytes()
+            assert own.tobytes() == long_own[:n].tobytes()
+        assert ends.tobytes() == long_ends[:n].tobytes()
+        assert lines.tobytes() == long_lines[:ends[-1]].tobytes()
+
+    def test_same_bits_for_every_piece_size(self, monkeypatch):
+        # one realisation a piece, the default (several pieces a stage) and one
+        # piece a stage: each realisation's sums are taken over its run alone
+        runs = []
+        for chunk in (1, montecarlo._STAGE_CHUNK, 10**12):
+            monkeypatch.setattr(montecarlo, "_STAGE_CHUNK", chunk)
+            increments, lines, ends = _stages(P33, 9, 100, 3)
+            runs.append(_sha256(*(x for pair in increments for x in pair), lines, ends))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_sums_independent_of_blas_threads(self):
+        # the pinned laplace-fig3 case, where a realisation's run reaches over
+        # 10^4 interferers; a BLAS dot over such a run split across threads
+        # moved its sum by 1 to 6 ulps
+        code = (
+            "import hashlib, numpy as np\n"
+            "from linecox import montecarlo\n"
+            "from linecox.core import NetworkParams\n"
+            "montecarlo._R0 = 0.5\n"
+            "params = NetworkParams(lambda_l=5.0, mu=5.0, nu=0.1, speed=30.0 / 3600.0, power=0.01)\n"
+            "lines, ends, digest = np.empty(0), np.zeros(200, int), hashlib.sha256()\n"
+            "for stage in range(6):\n"
+            "    other, own, lines, ends = montecarlo._stage_interference(\n"
+            "        params, 2**64 + 9, stage, lines, ends)\n"
+            "    digest.update(other.tobytes() + own.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1] != ""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**160), halves=st.integers(0, 3),
@@ -403,16 +480,18 @@ class TestRemainderBracket:
         # conditional mean and variance of what lies beyond radius 8 are added on
         monkeypatch.setattr(montecarlo, "_R0", 1.0)
         params = NetworkParams(lambda_l=2.0, mu=1.0, nu=0.01, speed=V, alpha=alpha)
-        lines = [np.empty(0)] * 50
-        _stage_interference(params, 5, 0, lines)
-        inner = next(r for r in lines if r.size >= 3)
-        m_lo, m_hi, v = (x[0] for x in montecarlo._remainder_moments(params, [inner], 1.0))
+        lines, ends = _stage_interference(params, 5, 0, np.empty(0), np.zeros(50, int))[2:]
+        sizes = np.diff(ends, prepend=0)
+        first = int(np.argmax(sizes >= 3))
+        inner = lines[ends[first] - sizes[first]:ends[first]]
+        m_lo, m_hi, v = (x[0] for x in montecarlo._remainder_moments(
+            params, inner, np.array([inner.size]), 1.0))
         n, far = 4000, np.zeros(4000)
-        many = [inner] * n
+        lines, ends = np.tile(inner, n), inner.size * np.arange(1, n + 1)
         for stage in (1, 2, 3):
-            other, own = _stage_interference(params, 6, stage, many)
+            other, own, lines, ends = _stage_interference(params, 6, stage, lines, ends)
             far += other + own
-        beyond, _, beyond_var = montecarlo._remainder_moments(params, many, 8.0)
+        beyond, _, beyond_var = montecarlo._remainder_moments(params, lines, ends, 8.0)
         far += beyond
         assert abs(far.mean() - m_lo) < 3 * far.std(ddof=1) / math.sqrt(n)
         assert m_hi == m_lo * (1.0 - params.nu) ** -alpha
@@ -442,10 +521,10 @@ class TestRemainderBracket:
         truth, taken = truth(), {}
 
         def first_stage(params, n, seed, terms):
-            lines = [np.empty(0)] * n
-            other, own = _stage_interference(params, seed, 0, lines)
+            other, own, lines, ends = _stage_interference(params, seed, 0, np.empty(0),
+                                                          np.zeros(n, int))
             taken["terms"] = terms(other + own, *montecarlo._remainder_moments(
-                params, lines, montecarlo._radius(0)))
+                params, lines, ends, montecarlo._radius(0)))
             return taken["terms"][0], None
 
         monkeypatch.setattr(montecarlo, "_staged_estimates", first_stage)
@@ -465,7 +544,7 @@ class TestComponentIndependence:
         # estimators' own first window stage, radius 3, of each realisation
         s, n = 0.01, 1200
         monkeypatch.setattr(montecarlo, "_R0", 3.0)
-        i1, i2 = _stage_interference(P33, 600, 0, [np.empty(0)] * n)
+        i1, i2 = _stage_interference(P33, 600, 0, np.empty(0), np.zeros(n, int))[:2]
         g = np.exp(-s * i1)
         h = np.exp(-s * i2)
         gc = g - g.mean()
