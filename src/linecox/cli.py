@@ -670,8 +670,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with open(paths[-1], "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    for path in paths:
-        print(f"wrote {path}")
+    try:
+        print("\n".join(f"wrote {path}" for path in paths), flush=True)
+    except BrokenPipeError:  # a reader that closed stdout is no failure of the run
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
     return status
 
 

@@ -16,17 +16,19 @@ share draws:
 
     substream(seed, 1, k, j)   window stage k, section j of the interference
     substream(seed, 2)         signal marks (bulk across realisations)
-    substream(seed, 3)         availability / connectivity realisations
-    substream(seed, 4)         latency realisations
+    substream(seed, 3)         availability: line counts, per-line waits,
+                               approach-zone vehicles (sigma > 0 only)
+    substream(seed, 4)         latency: line counts (>= 1), per-line waits
 
 Every sampler reads each stream across all realisations, its items sorted
 by realisation.  A staged section has a stream of its own, so the first n
-realisations of a run draw what a run of n draws.  The availability and
-latency samplers take each result as a segment minimum over the
-realisation's run of the stream (:func:`_fold`).  They read it in pieces of ``_CHUNK``: working memory is O(n + lines) plus one
-piece, and every output is the one whole arrays would give.  Per-line arrays
-are freed once used, and indicators are summarised as bool arrays, without
-float copies (:meth:`~linecox.core.Estimate.from_samples`).
+realisations of a run draw what a run of n draws.  One per-line sampler
+(:func:`_line_waits`) draws the waiting time W behind both the swept area
+fraction and the latency.  Each result is a segment minimum over the
+realisation's run of the stream (:func:`_fold`), read in pieces of
+``_CHUNK``: working memory is O(n + lines) plus one piece, and every output
+is the one whole arrays would give.  Indicators are summarised as bool
+arrays, without float copies (:meth:`~linecox.core.Estimate.from_samples`).
 
 Interference estimators grow the simulation window on one fixed schedule:
 stage k adds the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k,
@@ -424,37 +426,27 @@ def _af_event_times(
     n: int,
     seed: int,
     sigma: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample connectivity per realisation: (covered at 0, first contact time).
+) -> np.ndarray:
+    """Each realisation's first contact time W (0.0 if covered now, inf if none).
 
-    Draws live in substream(seed, 3) in a fixed order: line counts, line
-    offsets, on-disk vehicle counts, then (only when t_max > 0) approach-zone
-    vehicle counts, all gaps, all headings, all speed normals and the
-    redraws of negative speeds.  A run with t_max = 0 therefore consumes a
-    prefix of the draws of a longer run, which makes snapshot and time-window
-    estimates exactly consistent under a shared seed.
-
-    Vehicles come sorted by realisation, so a first contact is a segment
-    minimum over the realisation's run of the stream (:func:`_fold`), read
-    in pieces of ``_CHUNK``: gaps and headings take a fixed number of 64-bit
-    outputs each, so :func:`skip_ahead` starts the heading and normal sections.
-    At sigma = 0 each minimum gap is divided by v once (division is monotone).
-
-    Vehicles faster than speed + 6 sigma that start beyond the sampled
-    approach zone are ignored; the chance any exist is below 1e-8 per run.
+    Draws live in substream(seed, 3): Poisson line counts, then the sections
+    of :func:`_line_waits`, whose waits are W at sigma = 0 and give the
+    covered-now set (W = 0) at every sigma and t_max.  At sigma > 0 the first
+    to arrive need not be the nearest, so every vehicle of the approach zone
+    follows, each with its own speed: vehicle counts per line, all gaps, all
+    headings, all speed normals and the redraws of negative speeds.  Gaps and
+    headings take a fixed number of 64-bit outputs each, so
+    :func:`skip_ahead` starts the heading and normal sections.  Vehicles
+    faster than speed + 6 sigma that start beyond the sampled approach zone
+    are ignored; the chance any exist is below 1e-8 per run.
     """
-    nu, v = params.nu, params.speed
-    rng = substream(seed, 3)
-
-    line_ends = np.cumsum(rng.poisson(2.0 * params.lambda_l * nu, size=n))
+    v, rng = params.speed, substream(seed, 3)
+    counts = rng.poisson(2.0 * params.lambda_l * params.nu, size=n)
+    first, line_ends = _line_waits(params, rng, counts)
+    if sigma == 0.0:
+        return first
+    first[first > 0.0] = np.inf  # only the covered-now zeros stand
     total = int(line_ends[-1])
-    chord = np.sqrt(np.maximum(nu * nu - np.square(rng.uniform(-nu, nu, size=total)), 0.0))
-    on_disk = np.flatnonzero(rng.poisson(2.0 * params.mu * chord))
-    covered0 = np.zeros(n, dtype=bool)
-    covered0[np.searchsorted(line_ends, on_disk, side="right")] = True
-    del chord, on_disk
-
-    first = np.full(n, np.inf)
     reach = (v + 6.0 * sigma) * t_max
     if reach > 0.0 and total:
         counts = rng.poisson(2.0 * params.mu * reach, size=total)
@@ -473,17 +465,14 @@ def _af_event_times(
             size = min(_CHUNK, ntail - a)
             gap = rng.uniform(0.0, reach, size=size)
             gap += _AWAY.take((_side_draws(heads, size) >= 0.5).view(np.uint8))
-            if sigma > 0.0:
-                speeds = v + sigma * normals.standard_normal(size=size)
-                slow = np.flatnonzero(speeds < 0.0)
-                slow_rid.append(np.searchsorted(ends, a + slow, side="right"))
-                slow_gap.append(gap[slow])
-                # a stopped or reversing vehicle never arrives
-                gap = np.divide(gap, speeds, out=np.full(size, np.inf), where=speeds > 0.0)
+            speeds = v + sigma * normals.standard_normal(size=size)
+            slow = np.flatnonzero(speeds < 0.0)
+            slow_rid.append(np.searchsorted(ends, a + slow, side="right"))
+            slow_gap.append(gap[slow])
+            # a stopped or reversing vehicle never arrives
+            gap = np.divide(gap, speeds, out=np.full(size, np.inf), where=speeds > 0.0)
             _fold(np.minimum, first, ends, a, gap)
-        if sigma == 0.0:  # the normals, drawn last, are skipped
-            first /= v
-        elif slow_gap:  # empty when no approach zone holds a vehicle
+        if slow_gap:  # empty when no approach zone holds a vehicle
             # truncate the speed law at zero: once every first draw is made,
             # redraw the negative speeds in vehicle order until none is left
             gap = np.concatenate(slow_gap)
@@ -494,7 +483,7 @@ def _af_event_times(
                 bad = speeds < 0.0
             np.minimum.at(first, np.concatenate(slow_rid),
                           np.divide(gap, speeds, out=np.full(gap.size, np.inf), where=speeds > 0.0))
-    return covered0, first
+    return first
 
 
 def estimate_af_snapshot(params: NetworkParams, n: int = 100_000, seed: int = 0) -> Estimate:
@@ -513,15 +502,15 @@ def estimate_af_cumulative(
     """Estimate P(origin covered at some point within [0, t]) for each t.
 
     ``sigma`` randomises vehicle speeds: each vehicle draws an independent
-    speed from a normal(speed, sigma) truncated at zero.  sigma = 0
-    reproduces the constant-speed model draw for draw.
+    speed from a normal(speed, sigma) truncated at zero.  sigma = 0 is the
+    constant-speed model, drawn one wait per line.
     """
     _check_sample_size(n)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     grid = _nonempty(times, "t")
-    covered0, first = _af_event_times(params, float(grid.max()), n, seed, sigma)
-    return tuple(Estimate.from_samples(covered0 | (first <= t)) for t in grid)
+    first = _af_event_times(params, float(grid.max()), n, seed, sigma)
+    return tuple(Estimate.from_samples(first <= t) for t in grid)
 
 
 # ---------------------------------------------------------------------------
@@ -555,27 +544,25 @@ def _conditioned_line_counts(
     return counts
 
 
-def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
-    """Sample waits given that at least one line passes within distance nu.
+def _line_waits(
+    params: NetworkParams, rng: np.random.Generator, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(waits, line ends): each realisation's wait W until a device disk covers
+    the origin, inf with no line, given ``counts[i]`` lines within nu.  The
+    ends are ``counts`` itself, summed in place.
 
-    A line at offset r is covered immediately with the on-chord vacancy
-    probability; otherwise the nearest approaching device-carrier on either
-    side sits an Exp(mu) gap beyond the chord, independent of the vacancy.
-
-    Draws live in substream(seed, 4): line counts, then all offsets, all
-    vacancy uniforms and two exponentials per line.  Lines come sorted by
-    realisation, so a wait is a segment minimum over the realisation's run of
-    the stream (:func:`_fold`), read in pieces of ``_CHUNK`` from each
-    section's :func:`skip_ahead` start: memory is O(n + lines) plus a piece.
+    A line is covered now with its chord's vacancy probability; otherwise the
+    nearest approaching device-carrier sits an Exp(mu) gap beyond the chord.
+    Draws continue on ``rng``, which is left after the last: all offsets, all
+    vacancy uniforms and two Exp(mu/2) per line, each section read in pieces
+    of ``_CHUNK`` from its :func:`skip_ahead` start.
     """
     nu, v = params.nu, params.speed
-    rng = substream(seed, 4)
-    counts = _conditioned_line_counts(rng, 2.0 * params.lambda_l * nu, n)
     ends = np.cumsum(counts, out=counts)
     total = int(ends[-1])
     vacancy = skip_ahead(rng, total)
     exponentials = skip_ahead(rng, 2 * total)
-    waits = np.full(n, np.inf)
+    waits = np.full(ends.size, np.inf)
     for a in range(0, total, _CHUNK):
         size = min(_CHUNK, total - a)
         chord = np.sqrt(np.maximum(nu * nu - np.square(rng.uniform(-nu, nu, size=size)), 0.0))
@@ -586,10 +573,18 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
         del chord, pair
         # at zero speed a vacant line never covers the origin
         _fold(np.minimum, waits, ends, a, np.where(vacant, gaps / v if v > 0.0 else np.inf, 0.0))
-    if v <= 0.0 and not np.all(waits == 0.0):
-        raise ZeroSpeed(
-            [("speed", "latency diverges at zero speed when not covered at t=0")]
-        )
+    rng.bit_generator.state = exponentials.bit_generator.state
+    return waits, ends
+
+
+def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
+    """Sample waits given that at least one line passes within distance nu:
+    :func:`_line_waits` on substream(seed, 4), after its line counts."""
+    rng = substream(seed, 4)
+    counts = _conditioned_line_counts(rng, 2.0 * params.lambda_l * params.nu, n)
+    waits, _ = _line_waits(params, rng, counts)
+    if params.speed <= 0.0 and not np.all(waits == 0.0):
+        raise ZeroSpeed([("speed", "latency diverges at zero speed when not covered at t=0")])
     return waits
 
 
@@ -605,7 +600,7 @@ def estimate_latency(
     at least one street passing within distance nu.
     """
     _check_sample_size(n)
-    grid = batch(waits_grid, "w")[0]
+    grid = _nonempty(waits_grid, "w")
     waits = _latency_waits(params, n, seed)
     ccdf = tuple(Estimate.from_samples(waits > w) for w in grid)
     return LatencyResult(

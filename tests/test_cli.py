@@ -132,6 +132,20 @@ class TestExitCodes:
         assert "quadrature stalled" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_closed_stdout_keeps_the_run_status(self, tmp_path):
+        # a reader that is gone (``| head -0``) before the run reports its files
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(linecox.__file__).parents[1]))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "linecox.cli", "af-snapshot", "--out", str(tmp_path / "o")],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert (tmp_path / "o" / "af-snapshot_manifest.json").exists()
+
 
 # one named test per table row, so each case reports on its own
 for _name, (_argv, _field) in BAD_INPUTS.items():

@@ -24,6 +24,7 @@ from linecox.montecarlo import (
     estimate_latency,
     _af_event_times,
     _latency_waits,
+    _line_waits,
     _stage_interference,
 )
 from linecox import analytic
@@ -106,6 +107,26 @@ class TestStreamDiscipline:
         snap = estimate_af_snapshot(P33, n=200, seed=1)
         assert estimate_af_cumulative(P33, [0.0, 1e-6], n=200, seed=1, sigma=0.01) == (snap, snap)
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_af_covered_now_shared_by_every_run(self, seed):
+        # the covered-now set comes from the per-line sampler's draws, which
+        # come before any that sigma or t_max decides
+        now = _af_event_times(P33, 0.0, 300, seed, 0.0) == 0.0
+        for sigma in (0.0, 0.004, 0.3 * V):
+            for t_max in (0.0, 400.0):
+                first = _af_event_times(P33, t_max, 300, seed, sigma)
+                np.testing.assert_array_equal(first == 0.0, now)
+
+    def test_af_at_constant_speed_is_the_per_line_wait(self):
+        # at sigma = 0 the first contact is the per-line sampler's wait, on the
+        # availability stream after its Poisson line counts
+        for seed in (3, 8):
+            rng = substream(seed, 3)
+            counts = rng.poisson(2.0 * FIG7.lambda_l * FIG7.nu, size=5000)
+            waits, _ = _line_waits(FIG7, rng, counts)
+            assert _af_event_times(FIG7, 400.0, 5000, seed, 0.0).tobytes() == waits.tobytes()
+
     def test_af_cumulative_monotone_within_run(self):
         times = np.array([0.0, 30.0, 120.0, 480.0])
         ests = estimate_af_cumulative(FIG7, times, n=3000, seed=22)
@@ -127,16 +148,18 @@ def _sha256(*arrays):
 class TestBulkStreams:
     """The bulk samplers read their streams in pieces without moving a draw.
 
-    The digests were taken from the samplers as they were before they read
-    in pieces, when every per-vehicle array was drawn whole.  At sigma =
-    0.004 about 5000 speeds come out negative and are redrawn, and the
-    count of headings (277061) is odd, so the last one uses half of a 64-bit
-    output and the normals start at the next.
+    The latency digest was taken from the sampler as it was before it read in
+    pieces, when every per-line array was drawn whole; the availability
+    digests when it came to draw its waits through the same per-line sampler
+    (``_line_waits``).  At sigma = 0.004 about 5000 speeds come out
+    negative and are redrawn, and the count of headings (276665) is odd, so
+    the last one uses half of a 64-bit output and the normals start at the
+    next.
     """
 
     AF = {
-        0.0: (20_000, "bca51318aef44c984c20aa2feae5869b99e918c24dfbcca198f2ec081c1bd1a0"),
-        0.004: (2_004, "e21997ab1c7431edd221d0effa2e2f5198d13c1b893dd9dc162575e896f8e608"),
+        0.0: (20_000, "a1fd73d5f88259352f5474960453fed94960536a75d418d03528cc263c25477e"),
+        0.004: (2_004, "a4a94846ba3b472c4781aa9fd4d3ead00d7932ac8ef9eb22e1435465501a9af2"),
     }
     LATENCY = "d3579ed5a9f5885505e08ba4bbb913832282f1d01aec7f44f60aabfcbe5aaa12"
 
@@ -149,13 +172,26 @@ class TestBulkStreams:
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         n, digest = self.AF[sigma]
-        assert _sha256(*_af_event_times(FIG7, 400.0, n, 7, sigma)) == digest
+        assert _sha256(_af_event_times(FIG7, 400.0, n, 7, sigma)) == digest
 
     @pytest.mark.parametrize("chunk", [None, 1009])
     def test_latency_waits_pinned(self, monkeypatch, chunk):
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         assert _sha256(_latency_waits(P33, 300_000, 7)) == self.LATENCY
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_line_waits_leave_the_stream_after_their_draws(self, monkeypatch, chunk):
+        # the sections drawn next (the approach zone at sigma > 0) share no
+        # output with the offsets, vacancy uniforms or exponentials
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        counts = substream(2, 0).poisson(0.6, size=500)
+        rng, whole = substream(2, 3), substream(2, 3)
+        _line_waits(P33, rng, counts.copy())
+        whole.uniform(size=(2, counts.sum()))
+        whole.exponential(size=(counts.sum(), 2))
+        np.testing.assert_array_equal(*(g.bit_generator.random_raw(9) for g in (rng, whole)))
 
     @pytest.mark.parametrize("buffer_pos", range(5))
     def test_skip_ahead_matches_sequential_draws(self, buffer_pos):
@@ -600,7 +636,6 @@ class TestPreconditions:
                 for grid in ([value], [1.0, value]):
                     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
                         call(grid)
-            if name != "w":  # an empty latency grid still gives the mean and P(no wait)
-                with pytest.raises(ValueError, match=f"^{name} grid must be non-empty"):
-                    call([])
+            with pytest.raises(ValueError, match=f"^{name} grid must be non-empty"):
+                call([])
 
