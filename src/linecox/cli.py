@@ -344,9 +344,11 @@ def _ase_mc(x: _Inputs) -> tuple[list, list]:
 
 
 def _af_cumulative(x: _Inputs) -> list:
-    rows = _curve("af-cumulative", x, analytic.af_cumulative(x.params, x.grid, x.quad, x.variant))
+    # random speeds act through their mean, as in the sampler
+    params = replace(x.params, speed=montecarlo._mean_speed(x.params.speed, x.sigma))
+    rows = _curve("af-cumulative", x, analytic.af_cumulative(params, x.grid, x.quad, x.variant))
     # closing row: the t -> infinity limit every curve approaches
-    return rows + [("af-cumulative", math.inf, analytic.af_limit(x.params))]
+    return rows + [("af-cumulative", math.inf, analytic.af_limit(params))]
 
 
 def _latency_mc(x: _Inputs) -> tuple[list, list]:

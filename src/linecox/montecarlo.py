@@ -16,8 +16,7 @@ share draws:
 
     substream(seed, 1, k, j)   window stage k, section j of the interference
     substream(seed, 2)         signal marks (bulk across realisations)
-    substream(seed, 3)         availability: line counts, per-line waits,
-                               approach-zone vehicles (sigma > 0 only)
+    substream(seed, 3)         availability: line counts, per-line waits
     substream(seed, 4)         latency: line counts (>= 1), per-line waits
 
 Every sampler reads each stream across all realisations, its items sorted
@@ -46,7 +45,7 @@ answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -413,77 +412,32 @@ def estimate_ase(
 # ---------------------------------------------------------------------------
 # availability
 
-# per-vehicle (per-line) draws the bulk samplers read at a time
+# per-line draws the bulk samplers read at a time
 _CHUNK = 2**16
 
-# added to a gap by its heading's top bit: a vehicle heading away (0) never arrives
-_AWAY = np.array([np.inf, 0.0])
+
+def _mean_speed(speed: float, sigma: float) -> float:
+    """E[V] of V ~ normal(speed, sigma) truncated at zero: speed + sigma
+    phi(x)/Phi(x), x = speed/sigma; ``speed`` itself at sigma = 0."""
+    if sigma == 0.0:
+        return speed
+    x = speed / sigma
+    mills = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) / math.erfc(-x / math.sqrt(2.0))
+    return speed + sigma * mills
 
 
-def _af_event_times(
-    params: NetworkParams,
-    t_max: float,
-    n: int,
-    seed: int,
-    sigma: float,
-) -> np.ndarray:
+def _af_event_times(params: NetworkParams, n: int, seed: int, sigma: float) -> np.ndarray:
     """Each realisation's first contact time W (0.0 if covered now, inf if none).
 
     Draws live in substream(seed, 3): Poisson line counts, then the sections
-    of :func:`_line_waits`, whose waits are W at sigma = 0 and give the
-    covered-now set (W = 0) at every sigma and t_max.  At sigma > 0 the first
-    to arrive need not be the nearest, so every vehicle of the approach zone
-    follows, each with its own speed: vehicle counts per line, all gaps, all
-    headings, all speed normals and the redraws of negative speeds.  Gaps and
-    headings take a fixed number of 64-bit outputs each, so
-    :func:`skip_ahead` starts the heading and normal sections.  Vehicles
-    faster than speed + 6 sigma that start beyond the sampled approach zone
-    are ignored; the chance any exist is below 1e-8 per run.
+    of :func:`_line_waits`.  With an iid speed V per vehicle, the carriers
+    beyond a chord end reach it at the times of a Poisson process of rate
+    (mu/2) E[V] (the mapping theorem, Kingman 1993, section 2.3), so W has
+    the constant-speed law at speed E[V] (:func:`_mean_speed`), and is drawn so.
     """
-    v, rng = params.speed, substream(seed, 3)
+    rng = substream(seed, 3)
     counts = rng.poisson(2.0 * params.lambda_l * params.nu, size=n)
-    first, line_ends = _line_waits(params, rng, counts)
-    if sigma == 0.0:
-        return first
-    first[first > 0.0] = np.inf  # only the covered-now zeros stand
-    total = int(line_ends[-1])
-    reach = (v + 6.0 * sigma) * t_max
-    if reach > 0.0 and total:
-        counts = rng.poisson(2.0 * params.mu * reach, size=total)
-        # a realisation's vehicles end where its last line's do (at 0 before any line)
-        ends = np.concatenate(([0], np.cumsum(counts, out=counts)))[line_ends]
-        ntail = int(ends[-1])
-        del counts, line_ends
-        # a gap takes one 64-bit output and a heading one 32-bit half, the
-        # first heading the half left pending, if any: both sections have
-        # known lengths, so the heading and normal sections start known too
-        pending = int(rng.bit_generator.state["has_uint32"])
-        heads = skip_ahead(rng, ntail)
-        normals = skip_ahead(rng, ntail + (ntail + 1 - pending) // 2)
-        slow_rid, slow_gap = [], []
-        for a in range(0, ntail, _CHUNK):
-            size = min(_CHUNK, ntail - a)
-            gap = rng.uniform(0.0, reach, size=size)
-            gap += _AWAY.take((_side_draws(heads, size) >= 0.5).view(np.uint8))
-            speeds = v + sigma * normals.standard_normal(size=size)
-            slow = np.flatnonzero(speeds < 0.0)
-            slow_rid.append(np.searchsorted(ends, a + slow, side="right"))
-            slow_gap.append(gap[slow])
-            # a stopped or reversing vehicle never arrives
-            gap = np.divide(gap, speeds, out=np.full(size, np.inf), where=speeds > 0.0)
-            _fold(np.minimum, first, ends, a, gap)
-        if slow_gap:  # empty when no approach zone holds a vehicle
-            # truncate the speed law at zero: once every first draw is made,
-            # redraw the negative speeds in vehicle order until none is left
-            gap = np.concatenate(slow_gap)
-            speeds = np.full(gap.size, -1.0)
-            bad = speeds < 0.0
-            while np.any(bad):
-                speeds[bad] = v + sigma * normals.standard_normal(size=int(bad.sum()))
-                bad = speeds < 0.0
-            np.minimum.at(first, np.concatenate(slow_rid),
-                          np.divide(gap, speeds, out=np.full(gap.size, np.inf), where=speeds > 0.0))
-    return first
+    return _line_waits(replace(params, speed=_mean_speed(params.speed, sigma)), rng, counts)
 
 
 def estimate_af_snapshot(params: NetworkParams, n: int = 100_000, seed: int = 0) -> Estimate:
@@ -502,14 +456,15 @@ def estimate_af_cumulative(
     """Estimate P(origin covered at some point within [0, t]) for each t.
 
     ``sigma`` randomises vehicle speeds: each vehicle draws an independent
-    speed from a normal(speed, sigma) truncated at zero.  sigma = 0 is the
-    constant-speed model, drawn one wait per line.
+    speed from a normal(speed, sigma) truncated at zero.  Such speeds act
+    only through their mean E[V], so every sigma draws the constant-speed
+    model at E[V], one wait per line (:func:`_af_event_times`).
     """
     _check_sample_size(n)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     grid = _nonempty(times, "t")
-    first = _af_event_times(params, float(grid.max()), n, seed, sigma)
+    first = _af_event_times(params, n, seed, sigma)
     return tuple(Estimate.from_samples(first <= t) for t in grid)
 
 
@@ -544,18 +499,15 @@ def _conditioned_line_counts(
     return counts
 
 
-def _line_waits(
-    params: NetworkParams, rng: np.random.Generator, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(waits, line ends): each realisation's wait W until a device disk covers
-    the origin, inf with no line, given ``counts[i]`` lines within nu.  The
-    ends are ``counts`` itself, summed in place.
+def _line_waits(params: NetworkParams, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """Each realisation's wait W until a device disk covers the origin, inf with
+    no line, given ``counts[i]`` lines within nu (summed in place).
 
     A line is covered now with its chord's vacancy probability; otherwise the
     nearest approaching device-carrier sits an Exp(mu) gap beyond the chord.
-    Draws continue on ``rng``, which is left after the last: all offsets, all
-    vacancy uniforms and two Exp(mu/2) per line, each section read in pieces
-    of ``_CHUNK`` from its :func:`skip_ahead` start.
+    Draws continue on ``rng``: all offsets, then all vacancy uniforms and two
+    Exp(mu/2) per line, each section read in pieces of ``_CHUNK`` from its
+    :func:`skip_ahead` start.
     """
     nu, v = params.nu, params.speed
     ends = np.cumsum(counts, out=counts)
@@ -573,8 +525,7 @@ def _line_waits(
         del chord, pair
         # at zero speed a vacant line never covers the origin
         _fold(np.minimum, waits, ends, a, np.where(vacant, gaps / v if v > 0.0 else np.inf, 0.0))
-    rng.bit_generator.state = exponentials.bit_generator.state
-    return waits, ends
+    return waits
 
 
 def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
@@ -582,7 +533,7 @@ def _latency_waits(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     :func:`_line_waits` on substream(seed, 4), after its line counts."""
     rng = substream(seed, 4)
     counts = _conditioned_line_counts(rng, 2.0 * params.lambda_l * params.nu, n)
-    waits, _ = _line_waits(params, rng, counts)
+    waits = _line_waits(params, rng, counts)
     if params.speed <= 0.0 and not np.all(waits == 0.0):
         raise ZeroSpeed([("speed", "latency diverges at zero speed when not covered at t=0")])
     return waits

@@ -512,3 +512,12 @@ class TestValidateCommand:
         rows = _read_csv(out / "validate_af-snapshot.csv")
         assert len(rows) == 1
         assert float(rows[0]["z_abs"]) < 3
+
+    def test_random_speeds_compare_at_the_mean_speed(self, tmp_path):
+        # the analytic rows take speed E[V], as the sampler does; at speed v they
+        # were off by 15.6 SE at t = 50
+        code, out = _run(tmp_path, "validate", "--preset", "fig7", "--seed", "1", "--n",
+                         "100000", "--set", "run.sigma=0.008333")
+        assert code == 0
+        manifest = json.loads((out / "validate_manifest.json").read_text())
+        assert manifest["max_abs_z"] <= 3

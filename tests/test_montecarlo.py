@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +103,8 @@ class TestStreamDiscipline:
         assert cum.std_error == snap.std_error
 
     def test_af_random_speeds_with_no_vehicle_in_reach(self):
-        # sigma > 0 and a reach so short that no approach zone holds a vehicle:
-        # nothing arrives, so every time reads the snapshot
+        # sigma > 0 and a time so short that no carrier arrives within it (about
+        # 60 vacant lines, each with a chance of 4e-8): every time reads the snapshot
         snap = estimate_af_snapshot(P33, n=200, seed=1)
         assert estimate_af_cumulative(P33, [0.0, 1e-6], n=200, seed=1, sigma=0.01) == (snap, snap)
 
@@ -111,12 +112,10 @@ class TestStreamDiscipline:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_af_covered_now_shared_by_every_run(self, seed):
         # the covered-now set comes from the per-line sampler's draws, which
-        # come before any that sigma or t_max decides
-        now = _af_event_times(P33, 0.0, 300, seed, 0.0) == 0.0
-        for sigma in (0.0, 0.004, 0.3 * V):
-            for t_max in (0.0, 400.0):
-                first = _af_event_times(P33, t_max, 300, seed, sigma)
-                np.testing.assert_array_equal(first == 0.0, now)
+        # sigma does not change
+        now = _af_event_times(P33, 300, seed, 0.0) == 0.0
+        for sigma in (0.004, 0.3 * V):
+            np.testing.assert_array_equal(_af_event_times(P33, 300, seed, sigma) == 0.0, now)
 
     def test_af_at_constant_speed_is_the_per_line_wait(self):
         # at sigma = 0 the first contact is the per-line sampler's wait, on the
@@ -124,8 +123,8 @@ class TestStreamDiscipline:
         for seed in (3, 8):
             rng = substream(seed, 3)
             counts = rng.poisson(2.0 * FIG7.lambda_l * FIG7.nu, size=5000)
-            waits, _ = _line_waits(FIG7, rng, counts)
-            assert _af_event_times(FIG7, 400.0, 5000, seed, 0.0).tobytes() == waits.tobytes()
+            waits = _line_waits(FIG7, rng, counts)
+            assert _af_event_times(FIG7, 5000, seed, 0.0).tobytes() == waits.tobytes()
 
     def test_af_cumulative_monotone_within_run(self):
         times = np.array([0.0, 30.0, 120.0, 480.0])
@@ -150,48 +149,33 @@ class TestBulkStreams:
 
     The latency digest was taken from the sampler as it was before it read in
     pieces, when every per-line array was drawn whole; the availability
-    digests when it came to draw its waits through the same per-line sampler
-    (``_line_waits``).  At sigma = 0.004 about 5000 speeds come out
-    negative and are redrawn, and the count of headings (276665) is odd, so
-    the last one uses half of a 64-bit output and the normals start at the
-    next.
+    digest when it came to draw its waits through the same per-line sampler
+    (``_line_waits``).
     """
 
-    AF = {
-        0.0: (20_000, "a1fd73d5f88259352f5474960453fed94960536a75d418d03528cc263c25477e"),
-        0.004: (2_004, "a4a94846ba3b472c4781aa9fd4d3ead00d7932ac8ef9eb22e1435465501a9af2"),
-    }
+    AF = "a1fd73d5f88259352f5474960453fed94960536a75d418d03528cc263c25477e"
     LATENCY = "d3579ed5a9f5885505e08ba4bbb913832282f1d01aec7f44f60aabfcbe5aaa12"
 
     # None keeps the default piece size (a few pieces per run); 1009 crosses
-    # hundreds of piece edges, inside lines and realisations; 7 (about 40k
+    # hundreds of piece edges, inside lines and realisations; 7 (about 500
     # pieces) puts whole pieces inside one realisation
     @pytest.mark.parametrize("sigma,chunk", [(0.0, 1009), (0.0, None), (0.004, 1009),
                                              (0.004, None), (0.004, 7)])
     def test_af_event_times_pinned(self, monkeypatch, sigma, chunk):
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        n, digest = self.AF[sigma]
-        assert _sha256(_af_event_times(FIG7, 400.0, n, 7, sigma)) == digest
+        if sigma == 0.0:
+            assert _sha256(_af_event_times(FIG7, 20_000, 7, 0.0)) == self.AF
+        else:  # random speeds draw, bit for bit, the constant speed E[V]
+            at_mean = replace(FIG7, speed=montecarlo._mean_speed(FIG7.speed, sigma))
+            assert (_af_event_times(FIG7, 2004, 7, sigma).tobytes()
+                    == _af_event_times(at_mean, 2004, 7, 0.0).tobytes())
 
     @pytest.mark.parametrize("chunk", [None, 1009])
     def test_latency_waits_pinned(self, monkeypatch, chunk):
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         assert _sha256(_latency_waits(P33, 300_000, 7)) == self.LATENCY
-
-    @pytest.mark.parametrize("chunk", [None, 7])
-    def test_line_waits_leave_the_stream_after_their_draws(self, monkeypatch, chunk):
-        # the sections drawn next (the approach zone at sigma > 0) share no
-        # output with the offsets, vacancy uniforms or exponentials
-        if chunk is not None:
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        counts = substream(2, 0).poisson(0.6, size=500)
-        rng, whole = substream(2, 3), substream(2, 3)
-        _line_waits(P33, rng, counts.copy())
-        whole.uniform(size=(2, counts.sum()))
-        whole.exponential(size=(counts.sum(), 2))
-        np.testing.assert_array_equal(*(g.bit_generator.random_raw(9) for g in (rng, whole)))
 
     @pytest.mark.parametrize("buffer_pos", range(5))
     def test_skip_ahead_matches_sequential_draws(self, buffer_pos):
@@ -208,6 +192,53 @@ class TestBulkStreams:
                           gen.bit_generator.random_raw(6)) for gen in (rng, jumped)]
                 for a, b in zip(*draws):
                     np.testing.assert_array_equal(a, b, err_msg=f"k={k} halves={halves}")
+
+
+class TestRandomSpeeds:
+    """Speeds drawn iid per vehicle, normal(speed, sigma) truncated at zero,
+    act on the first contact time only through their mean E[V]."""
+
+    @pytest.mark.parametrize("speed", [V, 0.0])
+    @pytest.mark.parametrize("sigma", [0.004, 0.3 * V, V, 3.0 * V])
+    def test_mean_speed_is_the_truncated_normal_mean(self, speed, sigma):
+        from scipy.stats import truncnorm
+
+        expected = truncnorm.mean(-speed / sigma, np.inf, loc=speed, scale=sigma)
+        assert montecarlo._mean_speed(speed, sigma) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("speed", [V, 0.0])
+    def test_mean_speed_at_zero_sigma_is_the_speed(self, speed):
+        assert montecarlo._mean_speed(speed, 0.0) == speed
+
+    @pytest.mark.parametrize("speed,sigma", [(V, V), (0.0, 0.01)])
+    def test_sampler_draws_the_constant_speed_model_at_the_mean(self, speed, sigma):
+        params = replace(FIG7, speed=speed)
+        at_mean = replace(params, speed=montecarlo._mean_speed(speed, sigma))
+        assert (_af_event_times(params, 5000, 7, sigma).tobytes()
+                == _af_event_times(at_mean, 5000, 7, 0.0).tobytes())
+
+    @pytest.mark.parametrize("sigma", [V, 3.0 * V])
+    def test_first_arrivals_are_exponential_at_the_mean_speed(self, sigma):
+        # the mapping theorem by brute force: carriers of density mu on each
+        # side of a chord, half heading in, each at its own speed; the first to
+        # reach the chord arrives at rate mu E[V].  A carrier starting beyond
+        # the reach arrives by the last t only at a speed above V + 8 sigma.
+        mu, m, times = FIG7.mu, 10_000, np.array([10.0, 30.0, 60.0, 120.0])
+        reach = (V + 8.0 * sigma) * times[-1]
+        rng = substream(33, 0)
+        counts = rng.poisson(2.0 * mu * reach, size=m)
+        k = int(counts.sum())
+        speeds = V + sigma * rng.standard_normal(k)
+        bad = np.flatnonzero(speeds <= 0.0)
+        while bad.size:  # truncate at zero by redrawing
+            speeds[bad] = V + sigma * rng.standard_normal(bad.size)
+            bad = bad[speeds[bad] <= 0.0]
+        arrival = np.where(rng.random(k) < 0.5, rng.uniform(0.0, reach, k) / speeds, np.inf)
+        first = np.full(m, np.inf)
+        np.minimum.at(first, np.repeat(np.arange(m), counts), arrival)
+        p = 1.0 - np.exp(-mu * montecarlo._mean_speed(V, sigma) * times)
+        z = ((first[:, None] <= times).mean(axis=0) - p) / np.sqrt(p * (1.0 - p) / m)
+        assert np.max(np.abs(z)) <= 3.0, z
 
 
 class TestFoldMin:
