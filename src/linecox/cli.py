@@ -53,8 +53,8 @@ class ConfigError(Exception):
     """Configuration or usage problem; maps to exit code 2."""
 
 
-def _named(section: str, exc: ParameterError) -> str:
-    return "; ".join(f"[{section}] {f}: {m}" for f, m in exc.violations)
+def _named(section: str, exc: ParameterError, key: str = "") -> str:
+    return "; ".join(f"[{section}] {key or f}: {m}" for f, m in exc.violations)
 
 
 @contextmanager
@@ -64,7 +64,7 @@ def _field(section: str, key: str = ""):
     try:
         yield
     except ParameterError as exc:
-        raise ConfigError(_named(section, exc)) from None
+        raise ConfigError(_named(section, exc, key)) from None
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}" if key else f"[{section}] {exc}") from None
 
@@ -128,7 +128,7 @@ _RUN: dict[str, tuple[Optional[str], Callable[[str], object]]] = {
     "palm": ("true", _bool),
     "manhattan": ("false", _bool),
     "devices": ("true", _bool),
-    "sigma": ("0", _NONNEG),
+    "sigma": ("0", _number(lambda raw: convert_units(raw, "speed"), 0)),  # units as for speed
 }
 
 _DEFAULTS: dict[str, dict[str, str]] = {
@@ -295,7 +295,6 @@ class _Inputs:
     cells: list[tuple[float, NetworkParams]]  # ASE sweep: (grid value, parameter set)
     n: int
     seed: Optional[int]
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -344,11 +343,9 @@ def _ase_mc(x: _Inputs) -> tuple[list, list]:
 
 
 def _af_cumulative(x: _Inputs) -> list:
-    # random speeds act through their mean, as in the sampler
-    params = replace(x.params, speed=montecarlo._mean_speed(x.params.speed, x.sigma))
-    rows = _curve("af-cumulative", x, analytic.af_cumulative(params, x.grid, x.quad, x.variant))
+    rows = _curve("af-cumulative", x, analytic.af_cumulative(x.params, x.grid, x.quad, x.variant))
     # closing row: the t -> infinity limit every curve approaches
-    return rows + [("af-cumulative", math.inf, analytic.af_limit(params))]
+    return rows + [("af-cumulative", math.inf, analytic.af_limit(x.params))]
 
 
 def _latency_mc(x: _Inputs) -> tuple[list, list]:
@@ -383,7 +380,7 @@ _TABLE: dict[str, _Quantity] = {
         ("t",), "lin:0,400,9",
         _af_cumulative,
         lambda x: (_curve("af-cumulative", x, montecarlo.estimate_af_cumulative(
-            x.params, x.grid, n=x.n, seed=x.seed, sigma=x.sigma)), []),
+            x.params, x.grid, n=x.n, seed=x.seed)), []),
         _variant(AFVariant, AFVariant.DIRECTION_AWARE),
         run_keys=("variant", "sigma")),
     "latency": _Quantity(
@@ -408,7 +405,8 @@ def _windows(reports: list[montecarlo.WindowReport]) -> dict:
 
 def _quantity_inputs(name: str, config: dict[str, dict[str, str]], run: dict) -> _Inputs:
     quantity = _TABLE[name]
-    params = _params(config)
+    # random speeds act as their mean: every row and params_hash are at that one speed
+    params = _params(config).at_mean_speed(run.get("sigma", 0.0))
     key, grid = _grid(config, quantity.grid_keys, quantity.default_grid)
     cells = [(math.nan, params)]
     with _field("grid"):
@@ -416,10 +414,10 @@ def _quantity_inputs(name: str, config: dict[str, dict[str, str]], run: dict) ->
             cells = [(v, replace(params, **{key: v})) for v in grid]
         elif key is not None:
             batch(grid, key)
-    # validate reads no mode (it takes both); only some quantities read variant or sigma
+    # validate reads no mode (it takes both); only some quantities read variant
     return _Inputs(name, run.get("mode", "both"), params, _quad(run),
                    quantity.variant(run.get("variant", "auto")), grid, cells, run["n"],
-                   run["seed"], run.get("sigma", 0.0))
+                   run["seed"])
 
 
 def _optimize_inputs(config: dict[str, dict[str, str]], run: dict) -> dict:

@@ -235,6 +235,20 @@ class NetworkParams:
             speed=self.speed * kappa,
         )
 
+    def at_mean_speed(self, sigma: float) -> "NetworkParams":
+        """Copy at the mean E[V] = v + sigma phi(x)/Phi(x), x = v/sigma, of speeds drawn
+        iid per vehicle from normal(speed, sigma) truncated at zero; ``self`` at sigma = 0.
+        Such carriers reach a point at the times of a Poisson process of rate (mu/2) E[V]
+        per side (the mapping theorem, Kingman 1993, section 2.3), so the swept area
+        fraction and the latency take random speeds as this one speed."""
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+        if sigma == 0.0:
+            return self
+        x = self.speed / sigma
+        mills = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) / math.erfc(-x / math.sqrt(2.0))
+        return replace(self, speed=self.speed + sigma * mills)
+
 
 def batch(x, name: str):
     """``x`` flat, checked finite and >= 0, and the map giving a result x's shape (a

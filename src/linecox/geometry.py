@@ -39,7 +39,6 @@ _ARRAY_FIELDS = {
     "veh_line": np.intp,
     "veh_abscissa": float,
     "veh_direction": np.int8,  # +1 toward increasing abscissa, -1 the other way
-    "veh_speed": float,        # km/s, may differ per vehicle
 }
 
 
@@ -50,7 +49,8 @@ class Snapshot:
     Line angles must lie in [0, pi).  Under Palm conditioning (``palm=True``)
     line 0 is the extra line through the origin (offset exactly 0, angle
     ``typical_line_angle``) and vehicle 0 is the conditioned-on vehicle
-    sitting at abscissa 0 on it.
+    sitting at abscissa 0 on it.  Every vehicle moves at the one ``speed`` (km/s);
+    random speeds act as their mean (:meth:`NetworkParams.at_mean_speed`).
     """
 
     line_offset: np.ndarray
@@ -58,7 +58,7 @@ class Snapshot:
     veh_line: np.ndarray
     veh_abscissa: np.ndarray
     veh_direction: np.ndarray
-    veh_speed: np.ndarray
+    speed: float
     window_radius: float
     half_length: float
     palm: bool = False
@@ -76,9 +76,8 @@ class Snapshot:
         if not np.all((self.line_angle >= 0.0) & (self.line_angle < math.pi)):
             raise ValueError(f"line angles must lie in [0, pi), got {self.line_angle}")
         n = self.veh_abscissa.size
-        for name in ("veh_line", "veh_direction", "veh_speed"):
-            if getattr(self, name).size != n:
-                raise ValueError("vehicle arrays disagree in length")
+        if not self.veh_line.size == self.veh_direction.size == n:
+            raise ValueError("vehicle arrays disagree in length")
         if self.device_xy is not None:
             dev = np.asarray(self.device_xy, dtype=float)
             if dev.shape != (n, 2):
@@ -154,16 +153,13 @@ def sample_vehicles_on_line(mu: float, half_length: float,
     return abscissas, directions
 
 
-def _vehicle_fields(per_line: list[tuple[np.ndarray, np.ndarray]],
-                    speed: float) -> dict[str, np.ndarray]:
+def _vehicle_fields(per_line: list[tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
     """Snapshot vehicle arrays from each line's (abscissas, directions), in line order."""
     # the empty leading arrays let a snapshot without lines concatenate
-    abscissas = np.concatenate([np.empty(0), *(t for t, _ in per_line)])
     return {
         "veh_line": np.repeat(np.arange(len(per_line)), [t.size for t, _ in per_line]),
-        "veh_abscissa": abscissas,
+        "veh_abscissa": np.concatenate([np.empty(0), *(t for t, _ in per_line)]),
         "veh_direction": np.concatenate([np.empty(0, np.int8), *(d for _, d in per_line)]),
-        "veh_speed": np.full(abscissas.size, speed),
     }
 
 
@@ -174,7 +170,7 @@ def snapshot_from_lines(lines: tuple[np.ndarray, np.ndarray], params: NetworkPar
     offsets, angles = lines
     per_line = [sample_vehicles_on_line(params.mu, half_length, rng) for _ in offsets]
     return Snapshot(line_offset=offsets, line_angle=angles,
-                    **_vehicle_fields(per_line, params.speed),
+                    **_vehicle_fields(per_line), speed=params.speed,
                     window_radius=radius, half_length=half_length)
 
 
@@ -205,7 +201,7 @@ def palm_snapshot(params: NetworkParams, radius: float, half_length: float,
     per_line += [sample_vehicles_on_line(params.mu, half_length, rng) for _ in offsets]
     return Snapshot(line_offset=np.concatenate(([0.0], offsets)),
                     line_angle=np.concatenate(([typical_angle], angles)),
-                    **_vehicle_fields(per_line, params.speed),
+                    **_vehicle_fields(per_line), speed=params.speed,
                     window_radius=radius, half_length=half_length,
                     palm=True, typical_line_angle=typical_angle)
 
@@ -229,15 +225,14 @@ def advance(snapshot: Snapshot, dt: float) -> Snapshot:
     """Move every vehicle along its line by direction * speed * dt.
 
     Devices are dropped (they must be re-placed after motion) and the
-    vehicle-complete region shrinks by the largest displacement, since
-    vehicles that should have entered from beyond the window are missing.
+    vehicle-complete region shrinks by speed * dt, since vehicles that
+    should have entered from beyond the window are missing.
     """
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    moved = snapshot.veh_abscissa + snapshot.veh_direction * snapshot.veh_speed * dt
-    max_step = float(np.max(snapshot.veh_speed)) * dt if snapshot.n_vehicles else 0.0
-    return replace(snapshot, veh_abscissa=moved,
-                   half_length=max(0.0, snapshot.half_length - max_step),
+    step = snapshot.speed * dt
+    return replace(snapshot, veh_abscissa=snapshot.veh_abscissa + snapshot.veh_direction * step,
+                   half_length=max(0.0, snapshot.half_length - step),
                    palm=False, device_xy=None)
 
 

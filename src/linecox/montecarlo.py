@@ -23,11 +23,13 @@ Every sampler reads each stream across all realisations, its items sorted
 by realisation.  A staged section has a stream of its own, so the first n
 realisations of a run draw what a run of n draws.  One per-line sampler
 (:func:`_line_waits`) draws the waiting time W behind both the swept area
-fraction and the latency.  Each result is a segment minimum over the
-realisation's run of the stream (:func:`_fold`), read in pieces of
-``_CHUNK``: working memory is O(n + lines) plus one piece, and every output
-is the one whole arrays would give.  Indicators are summarised as bool
-arrays, without float copies (:meth:`~linecox.core.Estimate.from_samples`).
+fraction and the latency, at the one speed of its parameter set (random
+speeds come resolved to their mean, :meth:`NetworkParams.at_mean_speed`).
+Each result is a segment minimum over the realisation's run of the stream
+(:func:`_fold`), read in pieces of ``_CHUNK``: working memory is O(n + lines)
+plus one piece, and every output is the one whole arrays would give.
+Indicators are summarised as bool arrays, without float copies
+(:meth:`~linecox.core.Estimate.from_samples`).
 
 Interference estimators grow the simulation window on one fixed schedule:
 stage k adds the line annulus radius (R_{k-1}, R_k] with R_k = R_0 * 2**k,
@@ -45,7 +47,7 @@ answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -416,28 +418,15 @@ def estimate_ase(
 _CHUNK = 2**16
 
 
-def _mean_speed(speed: float, sigma: float) -> float:
-    """E[V] of V ~ normal(speed, sigma) truncated at zero: speed + sigma
-    phi(x)/Phi(x), x = speed/sigma; ``speed`` itself at sigma = 0."""
-    if sigma == 0.0:
-        return speed
-    x = speed / sigma
-    mills = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) / math.erfc(-x / math.sqrt(2.0))
-    return speed + sigma * mills
-
-
-def _af_event_times(params: NetworkParams, n: int, seed: int, sigma: float) -> np.ndarray:
+def _af_event_times(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     """Each realisation's first contact time W (0.0 if covered now, inf if none).
 
     Draws live in substream(seed, 3): Poisson line counts, then the sections
-    of :func:`_line_waits`.  With an iid speed V per vehicle, the carriers
-    beyond a chord end reach it at the times of a Poisson process of rate
-    (mu/2) E[V] (the mapping theorem, Kingman 1993, section 2.3), so W has
-    the constant-speed law at speed E[V] (:func:`_mean_speed`), and is drawn so.
+    of :func:`_line_waits`.
     """
     rng = substream(seed, 3)
     counts = rng.poisson(2.0 * params.lambda_l * params.nu, size=n)
-    return _line_waits(replace(params, speed=_mean_speed(params.speed, sigma)), rng, counts)
+    return _line_waits(params, rng, counts)
 
 
 def estimate_af_snapshot(params: NetworkParams, n: int = 100_000, seed: int = 0) -> Estimate:
@@ -451,20 +440,16 @@ def estimate_af_cumulative(
     times: Sequence[float],
     n: int = 100_000,
     seed: int = 0,
-    sigma: float = 0.0,
 ) -> tuple[Estimate, ...]:
-    """Estimate P(origin covered at some point within [0, t]) for each t.
+    """Estimate P(origin covered at some point within [0, t]) for each t, one wait
+    per line (:func:`_af_event_times`).
 
-    ``sigma`` randomises vehicle speeds: each vehicle draws an independent
-    speed from a normal(speed, sigma) truncated at zero.  Such speeds act
-    only through their mean E[V], so every sigma draws the constant-speed
-    model at E[V], one wait per line (:func:`_af_event_times`).
+    Vehicles move at the one speed ``params.speed``; random per-vehicle speeds
+    act as their mean, :meth:`~linecox.core.NetworkParams.at_mean_speed`.
     """
     _check_sample_size(n)
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     grid = _nonempty(times, "t")
-    first = _af_event_times(params, n, seed, sigma)
+    first = _af_event_times(params, n, seed)
     return tuple(Estimate.from_samples(first <= t) for t in grid)
 
 

@@ -245,7 +245,7 @@ def test_criterion_6_independence_and_invariance(report, monkeypatch):
     times = np.array([60.0, 180.0])
     fixed = montecarlo.estimate_af_cumulative(FIG7, times, n=20_000, seed=61)
     jittered = montecarlo.estimate_af_cumulative(
-        FIG7, times, n=20_000, seed=62, sigma=0.3 * FIG7.speed
+        FIG7.at_mean_speed(0.3 * FIG7.speed), times, n=20_000, seed=62
     )
     for t, a, b in zip(times, fixed, jittered):
         z = (a.value - b.value) / math.hypot(a.std_error, b.std_error)

@@ -16,7 +16,7 @@ import pytest
 import linecox
 from linecox import analytic, cli
 from linecox.cli import _parser, main
-from linecox.core import NetworkParams
+from linecox.core import NetworkParams, convert_units, params_digest
 
 V = 30.0 / 3600.0
 
@@ -319,6 +319,21 @@ class TestMonteCarloOutputs:
 
 
 class TestConfigResolution:
+    def test_speed_spread_reads_as_speed(self, tmp_path, capsys):
+        # a bare sigma is km/h, as a bare speed is
+        args = ["af-cumulative", "--preset", "fig7", "--mode", "both", "--seed", "1",
+                "--n", "500"]
+        _, bare = _run(tmp_path / "bare", *args, "--set", "run.sigma=30")
+        _, unit = _run(tmp_path / "unit", *args, "--set", "run.sigma=30 km/h")
+        for name in ("af-cumulative_analytic.csv", "af-cumulative_mc.csv"):
+            assert (bare / name).read_bytes() == (unit / name).read_bytes()
+        capsys.readouterr()
+        for i, bad in enumerate(["-1 km/h", "30 furlongs"]):
+            code, out = _run(tmp_path / str(i), *args, "--set", f"run.sigma={bad}")
+            err = capsys.readouterr().err
+            assert code == 2 and "[run] sigma" in err and "[run] speed" not in err
+            assert not out.exists()
+
     def test_file_then_set_then_flag(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[params]\nmu = 2\nnu = 0.2\n\n[run]\nn = 123\n")
@@ -517,7 +532,18 @@ class TestValidateCommand:
         # the analytic rows take speed E[V], as the sampler does; at speed v they
         # were off by 15.6 SE at t = 50
         code, out = _run(tmp_path, "validate", "--preset", "fig7", "--seed", "1", "--n",
-                         "100000", "--set", "run.sigma=0.008333")
+                         "100000", "--set", "run.sigma=30 km/h")
         assert code == 0
         manifest = json.loads((out / "validate_manifest.json").read_text())
         assert manifest["max_abs_z"] <= 3
+
+    def test_random_speeds_hash_the_set_they_compute_at(self, tmp_path):
+        # both tables are computed at E[V], so both name that parameter set
+        code, out = _run(tmp_path, "af-cumulative", "--preset", "fig7", "--mode", "both",
+                         "--seed", "1", "--n", "500", "--set", "run.sigma=30 km/h")
+        assert code == 0
+        v = convert_units("30 km/h", "speed")
+        expected = params_digest(NetworkParams(9.0, 3.0, 0.1, v).at_mean_speed(v))
+        hashes = {row["params_hash"] for table in ("analytic", "mc")
+                  for row in _read_csv(out / f"af-cumulative_{table}.csv")}
+        assert hashes == {expected}

@@ -122,7 +122,7 @@ class TestSnapshots:
         assert list(snap.line_angle) == [1.0, 2.2]
         assert np.all(snap.veh_line < 2)
         assert snap.half_length == 1.5
-        assert np.all(snap.veh_speed == PARAMS.speed)
+        assert snap.speed == PARAMS.speed
 
     @pytest.mark.parametrize("angle", [math.pi, -0.1, math.nan])
     def test_line_angle_outside_half_turn_rejected(self, angle):
@@ -131,7 +131,7 @@ class TestSnapshots:
             snapshot_from_lines(lines, PARAMS, 1.0, 1.5, substream(9, 905))
         with pytest.raises(ValueError, match="angles"):
             Snapshot(line_offset=lines[0], line_angle=lines[1], veh_line=[], veh_abscissa=[],
-                     veh_direction=[], veh_speed=[], window_radius=1.0, half_length=1.0)
+                     veh_direction=[], speed=V, window_radius=1.0, half_length=1.0)
 
     def test_validation_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestSnapshots:
                 veh_line=np.array([], dtype=int),
                 veh_abscissa=np.array([]),
                 veh_direction=np.array([], dtype=int),
-                veh_speed=np.array([]),
+                speed=V,
                 window_radius=1.0,
                 half_length=1.0,
             )
@@ -178,7 +178,7 @@ class TestAdvance:
         snap = palm_snapshot(PARAMS, 2.0, 2.0, substream(12, 909))
         dt = 60.0
         moved = advance(snap, dt)
-        expect = snap.veh_abscissa + snap.veh_direction * snap.veh_speed * dt
+        expect = snap.veh_abscissa + snap.veh_direction * snap.speed * dt
         assert np.array_equal(moved.veh_abscissa, expect)
         assert np.array_equal(moved.line_offset, snap.line_offset)
 
@@ -211,7 +211,7 @@ class TestDistance:
             veh_line=np.array([0]),
             veh_abscissa=np.array([-0.4]),
             veh_direction=np.array([1]),
-            veh_speed=np.array([V]),
+            speed=V,
             window_radius=1.0,
             half_length=1.0,
         )
@@ -225,7 +225,7 @@ class TestDistance:
             veh_line=np.array([], dtype=int),
             veh_abscissa=np.array([]),
             veh_direction=np.array([], dtype=int),
-            veh_speed=np.array([]),
+            speed=V,
             window_radius=1.0,
             half_length=1.0,
         )

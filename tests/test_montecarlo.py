@@ -106,25 +106,27 @@ class TestStreamDiscipline:
         # sigma > 0 and a time so short that no carrier arrives within it (about
         # 60 vacant lines, each with a chance of 4e-8): every time reads the snapshot
         snap = estimate_af_snapshot(P33, n=200, seed=1)
-        assert estimate_af_cumulative(P33, [0.0, 1e-6], n=200, seed=1, sigma=0.01) == (snap, snap)
+        assert estimate_af_cumulative(P33.at_mean_speed(0.01), [0.0, 1e-6], n=200,
+                                      seed=1) == (snap, snap)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_af_covered_now_shared_by_every_run(self, seed):
         # the covered-now set comes from the per-line sampler's draws, which
-        # sigma does not change
-        now = _af_event_times(P33, 300, seed, 0.0) == 0.0
+        # the speed does not change
+        now = _af_event_times(P33, 300, seed) == 0.0
         for sigma in (0.004, 0.3 * V):
-            np.testing.assert_array_equal(_af_event_times(P33, 300, seed, sigma) == 0.0, now)
+            np.testing.assert_array_equal(
+                _af_event_times(P33.at_mean_speed(sigma), 300, seed) == 0.0, now)
 
     def test_af_at_constant_speed_is_the_per_line_wait(self):
-        # at sigma = 0 the first contact is the per-line sampler's wait, on the
-        # availability stream after its Poisson line counts
+        # the first contact is the per-line sampler's wait, on the availability
+        # stream after its Poisson line counts
         for seed in (3, 8):
             rng = substream(seed, 3)
             counts = rng.poisson(2.0 * FIG7.lambda_l * FIG7.nu, size=5000)
             waits = _line_waits(FIG7, rng, counts)
-            assert _af_event_times(FIG7, 5000, seed, 0.0).tobytes() == waits.tobytes()
+            assert _af_event_times(FIG7, 5000, seed).tobytes() == waits.tobytes()
 
     def test_af_cumulative_monotone_within_run(self):
         times = np.array([0.0, 30.0, 120.0, 480.0])
@@ -157,19 +159,12 @@ class TestBulkStreams:
     LATENCY = "d3579ed5a9f5885505e08ba4bbb913832282f1d01aec7f44f60aabfcbe5aaa12"
 
     # None keeps the default piece size (a few pieces per run); 1009 crosses
-    # hundreds of piece edges, inside lines and realisations; 7 (about 500
-    # pieces) puts whole pieces inside one realisation
-    @pytest.mark.parametrize("sigma,chunk", [(0.0, 1009), (0.0, None), (0.004, 1009),
-                                             (0.004, None), (0.004, 7)])
-    def test_af_event_times_pinned(self, monkeypatch, sigma, chunk):
+    # hundreds of piece edges, inside lines and realisations
+    @pytest.mark.parametrize("chunk", [1009, None])
+    def test_af_event_times_pinned(self, monkeypatch, chunk):
         if chunk is not None:
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        if sigma == 0.0:
-            assert _sha256(_af_event_times(FIG7, 20_000, 7, 0.0)) == self.AF
-        else:  # random speeds draw, bit for bit, the constant speed E[V]
-            at_mean = replace(FIG7, speed=montecarlo._mean_speed(FIG7.speed, sigma))
-            assert (_af_event_times(FIG7, 2004, 7, sigma).tobytes()
-                    == _af_event_times(at_mean, 2004, 7, 0.0).tobytes())
+        assert _sha256(_af_event_times(FIG7, 20_000, 7)) == self.AF
 
     @pytest.mark.parametrize("chunk", [None, 1009])
     def test_latency_waits_pinned(self, monkeypatch, chunk):
@@ -196,7 +191,8 @@ class TestBulkStreams:
 
 class TestRandomSpeeds:
     """Speeds drawn iid per vehicle, normal(speed, sigma) truncated at zero,
-    act on the first contact time only through their mean E[V]."""
+    act on the first contact time only through their mean E[V], the speed of
+    ``NetworkParams.at_mean_speed``."""
 
     @pytest.mark.parametrize("speed", [V, 0.0])
     @pytest.mark.parametrize("sigma", [0.004, 0.3 * V, V, 3.0 * V])
@@ -204,18 +200,14 @@ class TestRandomSpeeds:
         from scipy.stats import truncnorm
 
         expected = truncnorm.mean(-speed / sigma, np.inf, loc=speed, scale=sigma)
-        assert montecarlo._mean_speed(speed, sigma) == pytest.approx(expected, rel=1e-13, abs=0)
+        at_mean = replace(FIG7, speed=speed).at_mean_speed(sigma)
+        assert at_mean.speed == pytest.approx(expected, rel=1e-13, abs=0)
+        assert at_mean == replace(FIG7, speed=at_mean.speed)  # only the speed moves
 
     @pytest.mark.parametrize("speed", [V, 0.0])
     def test_mean_speed_at_zero_sigma_is_the_speed(self, speed):
-        assert montecarlo._mean_speed(speed, 0.0) == speed
-
-    @pytest.mark.parametrize("speed,sigma", [(V, V), (0.0, 0.01)])
-    def test_sampler_draws_the_constant_speed_model_at_the_mean(self, speed, sigma):
         params = replace(FIG7, speed=speed)
-        at_mean = replace(params, speed=montecarlo._mean_speed(speed, sigma))
-        assert (_af_event_times(params, 5000, 7, sigma).tobytes()
-                == _af_event_times(at_mean, 5000, 7, 0.0).tobytes())
+        assert params.at_mean_speed(0.0) is params
 
     @pytest.mark.parametrize("sigma", [V, 3.0 * V])
     def test_first_arrivals_are_exponential_at_the_mean_speed(self, sigma):
@@ -236,7 +228,7 @@ class TestRandomSpeeds:
         arrival = np.where(rng.random(k) < 0.5, rng.uniform(0.0, reach, k) / speeds, np.inf)
         first = np.full(m, np.inf)
         np.minimum.at(first, np.repeat(np.arange(m), counts), arrival)
-        p = 1.0 - np.exp(-mu * montecarlo._mean_speed(V, sigma) * times)
+        p = 1.0 - np.exp(-mu * FIG7.at_mean_speed(sigma).speed * times)
         z = ((first[:, None] <= times).mean(axis=0) - p) / np.sqrt(p * (1.0 - p) / m)
         assert np.max(np.abs(z)) <= 3.0, z
 
@@ -633,10 +625,10 @@ class TestPreconditions:
             estimate_latency(P33, np.array([1.0]), n=50, seed=0)
 
     def test_speed_spread_rejected_by_name(self):
-        # a nan sigma failed every comparison, so each t read the t = 0 estimate
+        # nan fails every comparison, so a check written as sigma < 0 would pass it
         for sigma in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="^sigma must be finite and >= 0"):
-                estimate_af_cumulative(P33, [0.0, 100.0], n=200, sigma=sigma)
+                P33.at_mean_speed(sigma)
 
     def test_zero_speed_latency_rejected(self):
         frozen = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=0.0)

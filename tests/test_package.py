@@ -64,6 +64,25 @@ def test_only_core_calls_validate():
     assert calls == []
 
 
+def test_private_names_stay_in_their_module():
+    # a fact one module owns is read through its public names; a private name used
+    # from another module is a second owner that can drift from the first
+    allowed = {("montecarlo", "analytic", "_LOG2"), ("montecarlo", "analytic", "_beta_ratio")}
+    paths = sorted(Path(core.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in modules:
+                used |= {(path.stem, node.module, alias.name, node.lineno) for alias in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                used.add((path.stem, node.value.id, node.attr, node.lineno))
+    private = [f"{user}.py:{line} uses {owner}.{name}" for user, owner, name, line in sorted(used)
+               if user != owner and name.startswith("_") and not name.endswith("__")
+               and (user, owner, name) not in allowed]
+    assert private == []
+
+
 def test_benchmark_tracer_still_installs(tmp_path):
     # perfbench/tracing.py patches library functions by name (integrate_halfline,
     # optimize._evaluate_cell, montecarlo.substream, ...) and reads the staged
