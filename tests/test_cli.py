@@ -313,9 +313,15 @@ class TestMonteCarloOutputs:
             tmp_path, "af-snapshot", "--mode", "both", "--seed", "3", "--n", "500",
         )
         assert code == 0
-        assert (out / "af-snapshot_analytic.csv").exists()
-        assert (out / "af-snapshot_mc.csv").exists()
         assert (out / "af-snapshot_manifest.json").exists()
+        # af-snapshot is af-cumulative at t = 0 in both tables: pinned, byte for byte
+        for name, digest in (
+            ("af-snapshot_analytic.csv",
+             "5c369e83e8a32f96d185e886d33a4a3c400143eb5caccf83136bfb73111e6a01"),
+            ("af-snapshot_mc.csv",
+             "da4826fda2c021c424996353f87c15715a5a81d74b6681aae5c5ae7c21d47ba4"),
+        ):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestConfigResolution:
@@ -527,6 +533,8 @@ class TestValidateCommand:
         rows = _read_csv(out / "validate_af-snapshot.csv")
         assert len(rows) == 1
         assert float(rows[0]["z_abs"]) < 3
+        assert hashlib.sha256((out / "validate_af-snapshot.csv").read_bytes()).hexdigest() == (
+            "910bf8dc51cbb3051c5264a731dcc39cb6d178c646d9a9658389b396649293da")
 
     def test_random_speeds_compare_at_the_mean_speed(self, tmp_path):
         # the analytic rows take speed E[V], as the sampler does; at speed v they
