@@ -25,6 +25,10 @@ beta.  One kernel, ``_line_exponent``, gives k to the transform and to
 ``gauss_legendre`` (the transform in xi, the engine in its outer variable),
 and both take the semicircle average on as many nodes per side as that rule
 takes on the panel.
+
+The swept-coverage laws, one entry point each, are views of one waiting time W:
+``af_cumulative`` (at t = 0 the snapshot fraction), ``af_limit``, ``latency_ccdf`` and
+``mean_latency``; their variants, ``AFVariant`` and ``LatencyVariant``, live here too.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .core import (
-    LatencyVariant,
     NetworkParams,
     NumericalError,
     QuadratureNotConverged,
@@ -48,10 +51,9 @@ from .core import (
 from .quadrature import GL_MAX_NODES, GL_NODES, gauss_legendre, integrate, leggauss
 
 __all__ = [
-    "AFVariant", "DivergenceReport", "LaplaceEvaluator",
+    "AFVariant", "LatencyVariant", "LaplaceEvaluator",
     "laplace", "coverage_probability", "area_spectral_efficiency", "CoverageSurface",
-    "af_snapshot", "af_cumulative", "af_limit",
-    "latency_ccdf", "mean_latency",
+    "af_cumulative", "af_limit", "latency_ccdf", "mean_latency",
 ]
 
 _LOG2 = math.log(2.0)
@@ -64,16 +66,19 @@ class AFVariant(Enum):
     DIRECTION_AWARE = "direction-aware"
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Returned instead of a mean when the latency tail does not vanish.
+class LatencyVariant(Enum):
+    """Which reading of the latency tail to evaluate.
 
-    ``tail_limit`` is the positive limit of the CCDF (the chance that no line
-    ever sweeps the origin), which makes the unconditioned mean infinite.
+    DIRECTION_BLIND counts every vehicle within the swept distance whether or
+    not it is heading toward the gap; DIRECTION_AWARE keeps only approaching
+    vehicles; the CONDITIONED flavour additionally conditions on the event
+    that at least one line ever covers the origin, the law of the waiting time
+    of a point that does get covered, and the only one with a finite mean.
     """
 
-    variant: LatencyVariant
-    tail_limit: float
+    DIRECTION_BLIND = "direction-blind"
+    DIRECTION_AWARE = "direction-aware"
+    DIRECTION_AWARE_CONDITIONED = "direction-aware-conditioned"
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +689,6 @@ def _checked(variant: Enum, kind: type[Enum]) -> Enum:
     return variant
 
 
-def af_snapshot(params: NetworkParams, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Fraction of the plane within nu of some vehicle at a fixed instant."""
-    return af_cumulative(params, 0.0, quad)
-
-
 def af_cumulative(params: NetworkParams, t, quad: QuadratureSpec = QuadratureSpec(),
                   variant: AFVariant = AFVariant.DIRECTION_AWARE):
     """Fraction of the plane swept by some vehicle disk within t seconds,
@@ -697,7 +697,8 @@ def af_cumulative(params: NetworkParams, t, quad: QuadratureSpec = QuadratureSpe
     The direction-blind variant credits every vehicle within c(u) + v t of a
     point; the direction-aware one thins each line's traffic by heading, so
     the per-line exponent is mu (2 c(u) + v t) instead of 2 mu (c(u) + v t).
-    At t = 0 both coincide with :func:`af_snapshot`.
+    At t = 0 both give the snapshot fraction, the share of the plane within nu
+    of some vehicle at one instant.
     """
     ts, shaped = batch(t, "t")
     half = _checked(variant, AFVariant) is AFVariant.DIRECTION_AWARE
@@ -732,26 +733,17 @@ def latency_ccdf(params: NetworkParams, w, quad: QuadratureSpec = QuadratureSpec
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def mean_latency(params: NetworkParams,
-                 quad: QuadratureSpec = QuadratureSpec(),
-                 variant: LatencyVariant = LatencyVariant.DIRECTION_AWARE_CONDITIONED,
-                 ) -> Union[float, DivergenceReport]:
-    """Mean waiting time until first coverage, seconds.
+def mean_latency(params: NetworkParams, quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Mean waiting time until first coverage, seconds, of a point that does get
+    covered: the mean of the DIRECTION_AWARE_CONDITIONED law of :func:`latency_ccdf`.
 
-    Only the conditioned variant has a finite mean: unconditioned CCDFs level
-    off at the probability that no line ever comes within nu, so those
-    variants return a :class:`DivergenceReport` with that tail limit instead.
-    The conditioned CCDF is miss (e^(a x) - 1) / (1 - miss), x = e^(-mu v w), miss =
-    e^(-2 lambda_l nu), a = 2 lambda_l nu int_0^(pi/2) e^(-2 mu nu cos t) cos t dt; the
-    mean is miss / (1 - miss) S(a) / (mu v), S(a) = sum_k a^k / (k k!) = Ei(a) - ln a -
-    gamma (A&S 5.1.10; DLMF's Ein is the alternating series).  Once e^(2 lambda_l nu)
-    overflows, S(a) is summed in log space and scaled by e^(-2 lambda_l nu).
+    It is the one finite mean: the unconditioned CCDFs level off at miss = e^(-2 lambda_l
+    nu), the chance that no line ever comes within nu.  The conditioned CCDF is miss (e^(a
+    x) - 1) / (1 - miss), x = e^(-mu v w), a = 2 lambda_l nu int_0^(pi/2) e^(-2 mu nu cos
+    t) cos t dt; the mean is miss / (1 - miss) S(a) / (mu v), S(a) = sum_k a^k / (k k!) =
+    Ei(a) - ln a - gamma (A&S 5.1.10; DLMF's Ein is the alternating series).  Once
+    e^(2 lambda_l nu) overflows, S(a) is summed in log space and scaled by e^(-2 lambda_l nu).
     """
-    if _checked(variant, LatencyVariant) is not LatencyVariant.DIRECTION_AWARE_CONDITIONED:
-        return DivergenceReport(
-            variant=variant,
-            tail_limit=math.exp(-2.0 * params.lambda_l * params.nu),
-        )
     if params.speed <= 0.0:
         raise ZeroSpeed([("speed", "mean latency needs speed > 0")])
 

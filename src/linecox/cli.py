@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__
 from .core import (
     SCHEMA_VERSION,
-    LatencyVariant,
     NetworkParams,
     NumericalError,
     ParameterError,
@@ -46,7 +45,7 @@ from .core import (
     substream,
 )
 from . import analytic, geometry, montecarlo, optimize
-from .analytic import AFVariant
+from .analytic import AFVariant, LatencyVariant
 
 
 class ConfigError(Exception):
@@ -373,9 +372,10 @@ _TABLE: dict[str, _Quantity] = {
         _ase_mc),
     "af-snapshot": _Quantity(
         (), None,
-        lambda x: [("af-snapshot", math.nan, analytic.af_snapshot(x.params, x.quad))],
-        lambda x: ([("af-snapshot", math.nan, montecarlo.estimate_af_snapshot(
-            x.params, n=x.n, seed=x.seed))], [])),
+        # af-cumulative at t = 0, where both AF variants agree
+        lambda x: [("af-snapshot", math.nan, analytic.af_cumulative(x.params, 0.0, x.quad))],
+        lambda x: ([("af-snapshot", math.nan, montecarlo.estimate_af_cumulative(
+            x.params, [0.0], n=x.n, seed=x.seed)[0])], [])),
     "af-cumulative": _Quantity(
         ("t",), "lin:0,400,9",
         _af_cumulative,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ __all__ = [
     "NegativeSpeed", "ZeroSpeed", "UnitParseError",
     "NumericalError", "QuadratureNotConverged", "WindowNotConverged", "EmptyFeasibleSet",
     "convert_units", "NetworkParams", "Estimate", "QuadratureSpec",
-    "LatencyVariant", "substream", "params_digest",
+    "substream", "params_digest",
 ]
 
 SCHEMA_VERSION = 1
@@ -340,21 +339,6 @@ class QuadratureSpec:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not (0 <= self.abs_tol < 1):
             raise ValueError(f"abs_tol must lie in [0, 1), got {self.abs_tol}")
-
-
-class LatencyVariant(Enum):
-    """Which reading of the latency tail to evaluate.
-
-    DIRECTION_BLIND counts every vehicle within the swept distance whether or
-    not it is heading toward the gap; DIRECTION_AWARE keeps only approaching
-    vehicles; the CONDITIONED flavour additionally conditions on the event
-    that at least one line ever covers the origin, which is what a mean
-    latency needs in order to converge.
-    """
-
-    DIRECTION_BLIND = "direction-blind"
-    DIRECTION_AWARE = "direction-aware"
-    DIRECTION_AWARE_CONDITIONED = "direction-aware-conditioned"
 
 
 # ---------------------------------------------------------------------------

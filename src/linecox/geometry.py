@@ -48,9 +48,9 @@ class Snapshot:
 
     Line angles must lie in [0, pi).  Under Palm conditioning (``palm=True``)
     line 0 is the extra line through the origin (offset exactly 0, angle
-    ``typical_line_angle``) and vehicle 0 is the conditioned-on vehicle
-    sitting at abscissa 0 on it.  Every vehicle moves at the one ``speed`` (km/s);
-    random speeds act as their mean (:meth:`NetworkParams.at_mean_speed`).
+    ``line_angle[0]``) and vehicle 0 is the conditioned-on vehicle sitting at
+    abscissa 0 on it.  Every vehicle moves at the one ``speed`` (km/s, finite
+    and >= 0); random speeds act as their mean (:meth:`NetworkParams.at_mean_speed`).
     """
 
     line_offset: np.ndarray
@@ -62,7 +62,6 @@ class Snapshot:
     window_radius: float
     half_length: float
     palm: bool = False
-    typical_line_angle: Optional[float] = None
     device_xy: Optional[np.ndarray] = None  # (n_vehicles, 2) planar points
 
     def __post_init__(self):
@@ -70,6 +69,8 @@ class Snapshot:
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not (math.isfinite(self.speed) and self.speed >= 0.0):
+            raise ValueError(f"speed must be finite and >= 0, got {self.speed}")
         if self.line_offset.shape != self.line_angle.shape:
             raise ValueError("line arrays disagree in length")
         # written so that a nan angle fails too
@@ -203,7 +204,7 @@ def palm_snapshot(params: NetworkParams, radius: float, half_length: float,
                     line_angle=np.concatenate(([typical_angle], angles)),
                     **_vehicle_fields(per_line), speed=params.speed,
                     window_radius=radius, half_length=half_length,
-                    palm=True, typical_line_angle=typical_angle)
+                    palm=True)
 
 
 def place_devices(snapshot: Snapshot, nu: float,

@@ -70,7 +70,6 @@ __all__ = [
     "estimate_laplace",
     "estimate_coverage",
     "estimate_ase",
-    "estimate_af_snapshot",
     "estimate_af_cumulative",
     "estimate_latency",
 ]
@@ -427,12 +426,6 @@ def _af_event_times(params: NetworkParams, n: int, seed: int) -> np.ndarray:
     rng = substream(seed, 3)
     counts = rng.poisson(2.0 * params.lambda_l * params.nu, size=n)
     return _line_waits(params, rng, counts)
-
-
-def estimate_af_snapshot(params: NetworkParams, n: int = 100_000, seed: int = 0) -> Estimate:
-    """Estimate the probability that some device disk covers the origin now: the
-    t = 0 point of :func:`estimate_af_cumulative`, from the same draws."""
-    return estimate_af_cumulative(params, [0.0], n, seed)[0]
 
 
 def estimate_af_cumulative(

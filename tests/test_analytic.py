@@ -20,7 +20,6 @@ from scipy import special
 from scipy.integrate import quad
 
 from linecox.core import (
-    LatencyVariant,
     NetworkParams,
     NumericalError,
     QuadratureNotConverged,
@@ -30,11 +29,10 @@ from linecox.core import (
 from linecox.analytic import (
     AFVariant,
     CoverageSurface,
-    DivergenceReport,
     LaplaceEvaluator,
+    LatencyVariant,
     af_cumulative,
     af_limit,
-    af_snapshot,
     area_spectral_efficiency,
     coverage_probability,
     laplace,
@@ -722,14 +720,14 @@ def _af_oracle(params, t, sweep):
 class TestAreaFraction:
     def test_snapshot_oracle(self):
         ref = _af_oracle(P33, 0.0, lambda mu, vt, c: 2.0 * mu * c)
-        assert af_snapshot(P33) == pytest.approx(ref, rel=1e-9)
+        assert af_cumulative(P33, 0.0) == pytest.approx(ref, rel=1e-9)
 
     def test_limit_closed_form(self):
         assert af_limit(P33) == 1.0 - math.exp(-2.0 * P33.lambda_l * P33.nu)
         assert af_limit(FIG7) == 1.0 - math.exp(-1.8)
 
     def test_snapshot_below_limit(self):
-        assert 0.0 < af_snapshot(P33) < af_limit(P33)
+        assert 0.0 < af_cumulative(P33, 0.0) < af_limit(P33)
 
     def test_snapshot_at_small_reach(self):
         # z = 2 mu nu = 2e-11: h = int (1 - e^(-z cos t)) cos t dt = (pi/4) z - z^2/3 + O(z^3).
@@ -738,14 +736,14 @@ class TestAreaFraction:
         z = 2.0 * params.mu * params.nu
         h = math.pi / 4.0 * z - z * z / 3.0
         expect = -math.expm1(-2.0 * params.lambda_l * params.nu * h)
-        assert af_snapshot(params) == pytest.approx(expect, rel=1e-9)
+        assert af_cumulative(params, 0.0) == pytest.approx(expect, rel=1e-9)
 
     def test_cumulative_at_zero_equals_snapshot(self):
-        snap = af_snapshot(P33)
-        for variant in AFVariant:
-            assert af_cumulative(P33, 0.0, variant=variant) == pytest.approx(
-                snap, abs=1e-10
-            )
+        # at t = 0 both variants give the snapshot fraction
+        snap = af_cumulative(P33, 0.0, variant=AFVariant.DIRECTION_AWARE)
+        assert af_cumulative(P33, 0.0, variant=AFVariant.DIRECTION_BLIND) == pytest.approx(
+            snap, abs=1e-10
+        )
 
     def test_cumulative_oracles(self):
         t = 100.0
@@ -778,7 +776,7 @@ class TestAreaFraction:
 
     def test_scale_invariance_exact(self):
         q = P33.scaled(2.0)
-        assert af_snapshot(q) == af_snapshot(P33)
+        assert af_cumulative(q, 0.0) == af_cumulative(P33, 0.0)
         assert af_limit(q) == af_limit(P33)
 
 
@@ -810,7 +808,7 @@ class TestLatencyCcdf:
 
     def test_blind_at_zero_complements_snapshot(self):
         assert latency_ccdf(P33, 0.0, variant=DB) == pytest.approx(
-            1.0 - af_snapshot(P33), abs=1e-10
+            1.0 - af_cumulative(P33, 0.0), abs=1e-10
         )
 
     def test_nonincreasing(self):
@@ -906,18 +904,6 @@ class TestMeanLatency:
         params = NetworkParams(lambda_l=236.0, mu=0.25, nu=1.5, speed=V)
         assert mean_latency(params) == 5.932454693333034e-135
 
-    def test_blind_diverges(self):
-        report = mean_latency(P33, variant=DB)
-        assert isinstance(report, DivergenceReport)
-        assert report.variant is DB
-        miss = math.exp(-2.0 * P33.lambda_l * P33.nu)
-        assert report.tail_limit == pytest.approx(miss, abs=1e-10)
-
-    def test_unconditioned_aware_diverges(self):
-        report = mean_latency(P33, variant=DA)
-        assert isinstance(report, DivergenceReport)
-        assert report.variant is DA
-
     def test_zero_speed_rejected(self):
         frozen = NetworkParams(lambda_l=3.0, mu=3.0, nu=0.1, speed=0.0)
         with pytest.raises(ZeroSpeed):
@@ -933,8 +919,7 @@ class TestMeanLatency:
     # the same-named member of the other enum once picked the other law
     lambda: af_cumulative(P33, 100.0, variant=DA),
     lambda: latency_ccdf(P33, 10.0, variant=AFVariant.DIRECTION_BLIND),
-    lambda: mean_latency(P33, variant=AFVariant.DIRECTION_AWARE),
-], ids=["af_cumulative", "latency_ccdf", "mean_latency"])
+], ids=["af_cumulative", "latency_ccdf"])
 def test_variant_of_the_other_enum_refused(call):
     with pytest.raises(ValueError, match="^variant must be a"):
         call()

@@ -90,14 +90,13 @@ class TestSnapshots:
     def test_ordinary_no_palm_artifacts(self):
         snap = ordinary_snapshot(PARAMS, 2.0, 2.0, substream(6, 903))
         assert not snap.palm
-        assert snap.typical_line_angle is None
+        assert not np.any(snap.line_offset == 0.0)  # no line through the origin
         assert snap.device_xy is None
 
     def test_palm_conventions(self):
         snap = palm_snapshot(PARAMS, 2.0, 2.0, substream(7, 904))
         # line 0 is the typical line through the origin
         assert snap.line_offset[0] == 0.0
-        assert snap.typical_line_angle == snap.line_angle[0]
         # vehicle 0 is the typical vehicle at the origin with a coin direction
         assert snap.veh_line[0] == 0
         assert snap.veh_abscissa[0] == 0.0
@@ -108,7 +107,7 @@ class TestSnapshots:
 
     def test_palm_typical_angle_uniform(self):
         angs = [
-            palm_snapshot(PARAMS, 0.5, 0.5, substream(8, i)).typical_line_angle
+            palm_snapshot(PARAMS, 0.5, 0.5, substream(8, i)).line_angle[0]
             for i in range(500)
         ]
         p = stats.kstest(np.array(angs), stats.uniform(0.0, math.pi).cdf).pvalue
@@ -132,6 +131,14 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="angles"):
             Snapshot(line_offset=lines[0], line_angle=lines[1], veh_line=[], veh_abscissa=[],
                      veh_direction=[], speed=V, window_radius=1.0, half_length=1.0)
+
+    def test_speed_negative_or_not_finite_rejected(self):
+        # advance trusts the speed: at -0.01 km/s the complete region would grow, at
+        # nan every abscissa would be nan
+        for speed in (-0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="speed"):
+                Snapshot(line_offset=[0.3], line_angle=[1.0], veh_line=[0], veh_abscissa=[0.0],
+                         veh_direction=[1], speed=speed, window_radius=1.0, half_length=1.0)
 
     def test_validation_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from linecox.core import Estimate, NetworkParams, ZeroSpeed, skip_ahead, substre
 from linecox.montecarlo import (
     WindowNotConverged,
     estimate_af_cumulative,
-    estimate_af_snapshot,
     estimate_ase,
     estimate_coverage,
     estimate_laplace,
@@ -59,8 +58,8 @@ class TestAgreementWithAnalytic:
         assert report.final_radius >= 2.0
 
     def test_af_snapshot(self):
-        est = estimate_af_snapshot(P33, n=20000, seed=14)
-        assert abs(est.z_score(analytic.af_snapshot(P33))) < 3
+        est = estimate_af_cumulative(P33, [0.0], n=20000, seed=14)[0]
+        assert abs(est.z_score(analytic.af_cumulative(P33, 0.0))) < 3
 
     def test_af_cumulative(self):
         times = np.array([50.0, 200.0])
@@ -79,7 +78,7 @@ class TestAgreementWithAnalytic:
         assert abs(res.mean.z_score(mean_ref)) < 3
         # the zero-wait atom is the covered fraction given a qualifying line
         miss = math.exp(-2.0 * P33.lambda_l * P33.nu)
-        assert abs(res.p_zero.z_score(analytic.af_snapshot(P33) / (1 - miss))) < 3
+        assert abs(res.p_zero.z_score(analytic.af_cumulative(P33, 0.0) / (1 - miss))) < 3
 
 
 class TestStreamDiscipline:
@@ -97,15 +96,16 @@ class TestStreamDiscipline:
         assert a.estimates[0].value != b.estimates[0].value
 
     def test_af_time_zero_shares_snapshot_stream(self):
-        snap = estimate_af_snapshot(P33, n=5000, seed=21)
-        cum = estimate_af_cumulative(P33, np.array([0.0]), n=5000, seed=21)[0]
+        # the snapshot (a grid of t = 0 alone) is the t = 0 point of every grid
+        snap = estimate_af_cumulative(P33, [0.0], n=5000, seed=21)[0]
+        cum = estimate_af_cumulative(P33, np.array([0.0, 100.0]), n=5000, seed=21)[0]
         assert cum.value == snap.value
         assert cum.std_error == snap.std_error
 
     def test_af_random_speeds_with_no_vehicle_in_reach(self):
         # sigma > 0 and a time so short that no carrier arrives within it (about
         # 60 vacant lines, each with a chance of 4e-8): every time reads the snapshot
-        snap = estimate_af_snapshot(P33, n=200, seed=1)
+        snap = estimate_af_cumulative(P33, [0.0], n=200, seed=1)[0]
         assert estimate_af_cumulative(P33.at_mean_speed(0.01), [0.0, 1e-6], n=200,
                                       seed=1) == (snap, snap)
 
@@ -617,8 +617,6 @@ class TestPreconditions:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             estimate_laplace(P33, np.array([0.01]), n=50, seed=0)
-        with pytest.raises(ValueError):
-            estimate_af_snapshot(P33, n=50, seed=0)
         with pytest.raises(ValueError):
             estimate_af_cumulative(P33, np.array([1.0]), n=50, seed=0)
         with pytest.raises(ValueError):

@@ -14,7 +14,8 @@ MODULES = (core, geometry, analytic, montecarlo, optimize)
 
 # every name the package exported while it listed them by hand, plus
 # LaplaceEvaluator, which analytic already declared public, less validate, whose
-# checks NetworkParams runs on construction
+# checks NetworkParams runs on construction, and less the t = 0 aliases
+# af_snapshot and estimate_af_snapshot and DivergenceReport
 PUBLIC = {
     "__version__", "SCHEMA_VERSION",
     "AlphaOutOfRange", "EmptyFeasibleSet", "Estimate", "LatencyVariant", "LinecoxError",
@@ -24,19 +25,18 @@ PUBLIC = {
     "Snapshot", "advance", "nearest_vehicle_distance", "ordinary_snapshot", "palm_snapshot",
     "place_devices", "sample_lines", "sample_manhattan_lines", "sample_vehicles_on_line",
     "snapshot_from_lines", "snapshot_to_csv",
-    "AFVariant", "CoverageSurface", "DivergenceReport", "LaplaceEvaluator", "af_cumulative",
-    "af_limit", "af_snapshot", "area_spectral_efficiency", "coverage_probability", "laplace",
-    "latency_ccdf", "mean_latency",
+    "AFVariant", "CoverageSurface", "LaplaceEvaluator", "af_cumulative", "af_limit",
+    "area_spectral_efficiency", "coverage_probability", "laplace", "latency_ccdf",
+    "mean_latency",
     "GridEstimate", "LatencyResult", "WindowReport", "estimate_af_cumulative",
-    "estimate_af_snapshot", "estimate_ase", "estimate_coverage", "estimate_laplace",
-    "estimate_latency",
+    "estimate_ase", "estimate_coverage", "estimate_laplace", "estimate_latency",
     "GridSpec", "OptimizeResult", "SurfaceCell", "UtilityWeights", "optimize_grid", "utility",
 }
 
 
 class TestExports:
     def test_all_lists_each_public_name_once(self):
-        assert len(PUBLIC) == 58
+        assert len(PUBLIC) == 55
         assert sorted(linecox.__all__) == sorted(PUBLIC)
 
     def test_each_name_is_its_module_attribute(self):
