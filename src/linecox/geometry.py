@@ -203,8 +203,7 @@ def palm_snapshot(params: NetworkParams, radius: float, half_length: float,
     return Snapshot(line_offset=np.concatenate(([0.0], offsets)),
                     line_angle=np.concatenate(([typical_angle], angles)),
                     **_vehicle_fields(per_line), speed=params.speed,
-                    window_radius=radius, half_length=half_length,
-                    palm=True)
+                    window_radius=radius, half_length=half_length, palm=True)
 
 
 def place_devices(snapshot: Snapshot, nu: float,
