@@ -450,12 +450,11 @@ def _tail(profile: _PhiProfile, m, beta: np.ndarray, xi: np.ndarray) -> np.ndarr
 
 
 class LaplaceEvaluator:
-    """Laplace transform of interference seen by the typical vehicle, plus the
-    coverage built on it.
+    """Laplace transform of interference seen by the typical vehicle.
 
-    One instance is tied to one parameter set.  The transform and coverage
-    take a scalar (giving a float) or an array, evaluated in batched array
-    passes; no element's value depends on the rest of the batch.
+    One instance is tied to one parameter set.  The transform takes a scalar
+    (giving a float) or an array, evaluated in batched array passes; no
+    element's value depends on the rest of the batch.
     """
 
     def __init__(self, params: NetworkParams, quad: QuadratureSpec = QuadratureSpec()):
@@ -518,34 +517,29 @@ class LaplaceEvaluator:
         other, own = self.laplace_factors(s)
         return other * own
 
-    # -- functionals --------------------------------------------------------
-
-    def coverage(self, tau):
-        """P(SIR > tau) for the typical vehicle and its own disk device,
-        elementwise over tau.
-
-        The serving distance has density 2 rho / nu^2 on [0, nu] and the
-        fading average turns the tail into the transform at tau rho^alpha / p
-        (transmit power cancels).
-        """
-        taus, shaped = batch(tau, "tau")
-        p = self.params
-
-        def f(rho: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            s = taus[rows, None, None] * rho ** p.alpha / p.power
-            return 2.0 * rho / p.nu ** 2 * self.laplace(s)
-
-        val = gauss_legendre(f, np.tile([0.0, p.nu], (taus.size, 1)), self.quad)[0][:, 0]
-        # P(SIR > 0) = 1, where the rule's sum of 2 rho / nu^2 may round below 1
-        return shaped(np.where(taus > 0.0, np.minimum(1.0, val), 1.0))
-
 
 def laplace(params: NetworkParams, s, quad: QuadratureSpec = QuadratureSpec()):
     return LaplaceEvaluator(params, quad).laplace(s)
 
 
 def coverage_probability(params: NetworkParams, tau, quad: QuadratureSpec = QuadratureSpec()):
-    return LaplaceEvaluator(params, quad).coverage(tau)
+    """P(SIR > tau) for the typical vehicle and its own disk device,
+    elementwise over tau.
+
+    The serving distance has density 2 rho / nu^2 on [0, nu] and the
+    fading average turns the tail into the transform at tau rho^alpha / p
+    (transmit power cancels).
+    """
+    evaluator = LaplaceEvaluator(params, quad)
+    taus, shaped = batch(tau, "tau")
+
+    def f(rho: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        s = taus[rows, None, None] * rho ** params.alpha / params.power
+        return 2.0 * rho / params.nu ** 2 * evaluator.laplace(s)
+
+    val = gauss_legendre(f, np.tile([0.0, params.nu], (taus.size, 1)), quad)[0][:, 0]
+    # P(SIR > 0) = 1, where the rule's sum of 2 rho / nu^2 may round below 1
+    return shaped(np.where(taus > 0.0, np.minimum(1.0, val), 1.0))
 
 
 class _CellEngine:

@@ -120,7 +120,6 @@ _RUN: dict[str, tuple[Optional[str], Callable[[str], object]]] = {
     "w2": ("0.3", _REAL),
     "w3": ("0", _REAL),
     "tau": ("1", _REAL),
-    "refine": ("true", _bool),
     "constraint": (None, lambda raw: _NONNEG(raw) if raw.strip() else None),
     "radius": ("2", _NONNEG),
     "half_length": ("2", _NONNEG),
@@ -429,7 +428,7 @@ def _optimize_inputs(config: dict[str, dict[str, str]], run: dict) -> dict:
     with _field("grid"):
         grid = optimize.GridSpec(**axes)
     return dict(base=_params(config), weights=weights, grid=grid, constraint=run["constraint"],
-                quad=_quad(run), refine=run["refine"])
+                quad=_quad(run))
 
 
 def _geometry_inputs(config: dict[str, dict[str, str]], run: dict) -> tuple[NetworkParams, dict]:
@@ -548,8 +547,8 @@ _COMMANDS: dict[str, _Command] = {
                       q.grid_keys)
        for name, q in _TABLE.items()},
     "optimize": _Command(_optimize_inputs, _run_optimize,
-                         (*_EVERY, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau", "refine",
-                          "constraint"), ("nu", "mu")),
+                         (*_EVERY, "rel_tol", "abs_tol", "w1", "w2", "w3", "tau", "constraint"),
+                         ("nu", "mu")),
     "geometry-dump": _Command(_geometry_inputs, _run_geometry,
                               (*_EVERY, "seed", "radius", "half_length", "palm", "manhattan",
                                "devices")),

@@ -351,8 +351,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     Streams are derived with a counter-based bit generator keyed on the
     integer path, so a key always sees the same draws no matter how work is
     chunked.  The samplers read each stream across all realisations, items
-    sorted by realisation.
+    sorted by realisation.  ``seed`` is an integer >= 0, of any size.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -49,8 +49,9 @@ class Snapshot:
     Line angles must lie in [0, pi).  Under Palm conditioning (``palm=True``)
     line 0 is the extra line through the origin (offset exactly 0, angle
     ``line_angle[0]``) and vehicle 0 is the conditioned-on vehicle sitting at
-    abscissa 0 on it.  Every vehicle moves at the one ``speed`` (km/s, finite
-    and >= 0); random speeds act as their mean (:meth:`NetworkParams.at_mean_speed`).
+    abscissa 0 on it.  Every vehicle moves at the one ``speed`` (km/s); random
+    speeds act as their mean (:meth:`NetworkParams.at_mean_speed`).  ``speed``,
+    ``window_radius`` and ``half_length`` are finite and >= 0.
     """
 
     line_offset: np.ndarray
@@ -69,8 +70,10 @@ class Snapshot:
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (math.isfinite(self.speed) and self.speed >= 0.0):
-            raise ValueError(f"speed must be finite and >= 0, got {self.speed}")
+        for name in ("speed", "window_radius", "half_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.line_offset.shape != self.line_angle.shape:
             raise ValueError("line arrays disagree in length")
         # written so that a nan angle fails too
@@ -228,8 +231,8 @@ def advance(snapshot: Snapshot, dt: float) -> Snapshot:
     vehicle-complete region shrinks by speed * dt, since vehicles that
     should have entered from beyond the window are missing.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+    if not (math.isfinite(dt) and dt >= 0.0):
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
     step = snapshot.speed * dt
     return replace(snapshot, veh_abscissa=snapshot.veh_abscissa + snapshot.veh_direction * step,
                    half_length=max(0.0, snapshot.half_length - step),

@@ -61,7 +61,7 @@ from .core import (
     skip_ahead,
     substream,
 )
-from .analytic import _LOG2, _beta_ratio
+from .analytic import _beta_ratio
 
 __all__ = [
     "WindowReport",
@@ -80,6 +80,8 @@ __all__ = [
 # half-width of at most this many SE
 
 _R0, _MAX_DOUBLINGS, _STABLE = 2.0, 8, 0.5
+
+_LOG2 = math.log(2.0)  # nats per bit, for the ASE's log2 rates
 
 
 def _radius(stage: int) -> float:
@@ -105,20 +107,15 @@ class GridEstimate:
     window: WindowReport
 
 
-def _side_draws(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The draws of ``integers(0, 2, size=count)``, as float32 uniforms.
-
-    Both take one 32-bit output per draw, pending half first; the integer is
-    the output's top bit, which is set exactly when the float32 uniform (the
-    output's top 24 bits over 2^24) is >= 0.5.  ``integers`` costs several
-    times more per call.
-    """
-    return rng.random(count, dtype=np.float32)
-
-
 def _signed(mag: np.ndarray, sides: np.random.Generator) -> np.ndarray:
-    """``mag`` put on a random side in place, one draw of ``sides`` per value."""
-    return np.copysign(mag, _side_draws(sides, mag.size) - np.float32(0.5), out=mag)
+    """``mag`` put on a random side in place, one float32 uniform of ``sides`` per value.
+
+    The sides are those of ``integers(0, 2, size=mag.size)``: both take one 32-bit
+    output per draw, pending half first; the integer is the output's top bit, which
+    is set exactly when the float32 uniform (the output's top 24 bits over 2^24) is
+    >= 0.5, the positive side.  ``integers`` costs several times more per call.
+    """
+    return np.copysign(mag, sides.random(mag.size, dtype=np.float32) - np.float32(0.5), out=mag)
 
 
 def _fold(ufunc: np.ufunc, out: np.ndarray, ends: np.ndarray, a: int, values: np.ndarray) -> None:

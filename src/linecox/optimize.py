@@ -140,15 +140,15 @@ def optimize_grid(
     grid: GridSpec = GridSpec(),
     constraint: Optional[float] = None,
     quad: QuadratureSpec = QuadratureSpec(),
-    refine: bool = True,
 ) -> OptimizeResult:
-    """Exhaustively maximise the utility over the grid.
+    """Exhaustively maximise the utility over the grid, then refine.
 
     ``constraint`` excludes cells whose mean latency is not strictly below it.
-    With ``refine`` the incumbent's neighbourhood is re-searched at half the
-    grid step (a quarter at an edge of the grid), reusing the cells of the
-    coarse grid; the reported optimum comes from the union of both passes
-    while ``surface`` always holds the full rectangular coarse grid.
+    The coarse incumbent's neighbourhood is re-searched at half the grid step (a
+    quarter at an edge of the grid), reusing the cells of the coarse grid.  The
+    optimum comes from the union of both passes and the coarse one is kept in
+    ``coarse_nu_opt``/``coarse_mu_opt``; ``surface`` holds the full rectangular
+    coarse grid.
     """
     if constraint is not None and not 0 <= constraint < math.inf:
         raise ValueError(f"constraint must be finite and >= 0, got {constraint}")
@@ -166,30 +166,27 @@ def optimize_grid(
     cells = evaluate([(float(nu), float(mu)) for nu in nus for mu in mus])
     # max keeps the first of equal utilities, and cells go in (nu, mu) order: a tie
     # goes to the smaller radius, then the smaller density
-    best = max((c for c in cells if c.feasible), key=lambda c: c.utility, default=None)
-    if best is None:
+    coarse = max((c for c in cells if c.feasible), key=lambda c: c.utility, default=None)
+    if coarse is None:
         raise EmptyFeasibleSet(
             f"no grid cell satisfies mean latency < {constraint}"
         )
-    coarse_nu, coarse_mu = best.nu, best.mu
-
-    if refine:
-        nu_axis = _refinement_axis(nus, int(np.argmin(np.abs(nus - best.nu))))
-        mu_axis = _refinement_axis(mus, int(np.argmin(np.abs(mus - best.mu))))
-        # a refinement cell on the coarse grid is taken from the first pass
-        known = {(c.nu, c.mu): c for c in cells}
-        fresh = [(float(nu), float(mu)) for nu in nu_axis for mu in mu_axis
-                 if (float(nu), float(mu)) not in known]
-        known.update({(c.nu, c.mu): c for c in evaluate(fresh)})
-        # the coarse cells are among them, so one is feasible
-        best = max((c for c in sorted(known.values(), key=lambda c: (c.nu, c.mu))
-                    if c.feasible), key=lambda c: c.utility)
+    nu_axis = _refinement_axis(nus, int(np.argmin(np.abs(nus - coarse.nu))))
+    mu_axis = _refinement_axis(mus, int(np.argmin(np.abs(mus - coarse.mu))))
+    # a refinement cell on the coarse grid is taken from the first pass
+    known = {(c.nu, c.mu): c for c in cells}
+    fresh = [(float(nu), float(mu)) for nu in nu_axis for mu in mu_axis
+             if (float(nu), float(mu)) not in known]
+    known.update({(c.nu, c.mu): c for c in evaluate(fresh)})
+    # the coarse cells are among them, so one is feasible
+    best = max((c for c in sorted(known.values(), key=lambda c: (c.nu, c.mu))
+                if c.feasible), key=lambda c: c.utility)
 
     return OptimizeResult(
         nu_opt=best.nu,
         mu_opt=best.mu,
         value=best.utility,
         surface=tuple(cells),
-        coarse_nu_opt=coarse_nu,
-        coarse_mu_opt=coarse_mu,
+        coarse_nu_opt=coarse.nu,
+        coarse_mu_opt=coarse.mu,
     )

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -77,6 +78,9 @@ BAD_INPUTS = {
                                 "[run] w3"),
     "infinite_constraint": (["optimize", "--preset", "fig10", "--set", "run.constraint=inf"],
                             "[run] constraint"),
+    # the optimiser always refines; the key that could turn it off is gone
+    "removed_refine_key": (["optimize", "--preset", "fig10", "--set", "run.refine=false"],
+                           "[run] refine"),
     "nan_rel_tol": (["laplace", "--set", "run.rel_tol=nan"], "[run] rel_tol"),
     "negative_density_names_section": (["laplace", "--set", "params.mu=-1"], "[params] mu"),
     "negative_speed_names_section": (["laplace", "--set", "params.speed=-5"], "[params] speed"),
@@ -325,6 +329,13 @@ class TestMonteCarloOutputs:
 
 
 class TestConfigResolution:
+    def test_readme_lists_every_run_key(self):
+        # the README's [run] table is the one list of the keys and their defaults
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| (unset|`[^`]*`) \|", readme, re.MULTILINE)
+        assert rows == [(key, "unset" if default is None else f"`{default}`")
+                        for key, (default, _) in cli._RUN.items()]
+
     def test_speed_spread_reads_as_speed(self, tmp_path, capsys):
         # a bare sigma is km/h, as a bare speed is
         args = ["af-cumulative", "--preset", "fig7", "--mode", "both", "--seed", "1",
@@ -495,8 +506,7 @@ class TestOptimizeCommand:
 
     def test_explicit_grid_used_as_given(self, tmp_path):
         code, out = _run(tmp_path, "optimize", "--preset", "fig10",
-                         "--set", "grid.nu=0.1,0.2,0.9", "--set", "grid.mu=0.25,0.5",
-                         "--set", "run.refine=false")
+                         "--set", "grid.nu=0.1,0.2,0.9", "--set", "grid.mu=0.25,0.5")
         assert code == 0
         rows = _read_csv(out / "optimize.csv")
         assert [r["nu"] for r in rows] == ["0.1", "0.1", "0.2", "0.2", "0.9", "0.9"]

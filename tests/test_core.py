@@ -162,6 +162,12 @@ class TestEstimate:
 
 
 class TestSubstream:
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.0, "1", None])
+    def test_bad_seed_named(self, seed):
+        # numpy's own message, "expected non-negative integer", names no argument
+        with pytest.raises(ValueError, match="seed"):
+            substream(seed, 3)
+
     def test_same_key_same_draws(self):
         a = substream(42, 3, 1, 0).uniform(size=5)
         b = substream(42, 3, 1, 0).uniform(size=5)

@@ -1,6 +1,7 @@
 """Sampling laws and conventions of the planar snapshot layer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,22 @@ class TestSnapshots:
             with pytest.raises(ValueError, match="speed"):
                 Snapshot(line_offset=[0.3], line_angle=[1.0], veh_line=[0], veh_abscissa=[0.0],
                          veh_direction=[1], speed=speed, window_radius=1.0, half_length=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("window_radius", -2.0), ("window_radius", math.nan), ("window_radius", math.inf),
+        ("half_length", -1.0), ("half_length", math.nan), ("half_length", math.inf),
+        ("dt", math.nan), ("dt", math.inf),
+    ])
+    def test_lengths_and_step_negative_or_not_finite_rejected(self, name, value):
+        # advance trusts both lengths and its step: at dt = nan every abscissa would
+        # be nan and half_length 0.0
+        snap = Snapshot(line_offset=[0.3], line_angle=[1.0], veh_line=[0], veh_abscissa=[0.0],
+                        veh_direction=[1], speed=V, window_radius=1.0, half_length=1.0)
+        with pytest.raises(ValueError, match=name):
+            if name == "dt":
+                advance(snap, value)
+            else:
+                replace(snap, **{name: value})
 
     def test_validation_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):

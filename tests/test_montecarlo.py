@@ -452,13 +452,13 @@ class TestStagedStreams:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**160), halves=st.integers(0, 3),
            count=st.integers(0, 40))
-    def test_side_draws_match_integers(self, seed, halves, count):
+    def test_signed_sides_match_integers(self, seed, halves, count):
         a, b = substream(seed, 7), substream(seed, 7)
         for rng in (a, b):
             rng.integers(0, 2, size=halves)  # an odd count leaves a half pending
         bits = a.integers(0, 2, size=count)
-        side = montecarlo._side_draws(b, count)
-        np.testing.assert_array_equal(bits == 1, side >= 0.5)
+        signs = montecarlo._signed(np.ones(count), b)
+        np.testing.assert_array_equal(bits == 1, signs > 0)
         for draw in (lambda g: g.integers(0, 2, size=3), lambda g: g.bit_generator.random_raw(5)):
             np.testing.assert_array_equal(draw(a), draw(b))
 

@@ -93,7 +93,7 @@ class TestGridSearch:
         assert res.mu_opt == FIG10_GRID.mu[0]
 
     def test_surface_shape_and_fields(self):
-        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=False)
+        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID)
         assert isinstance(res, OptimizeResult)
         assert len(res.surface) == len(FIG10_GRID.nu) * len(FIG10_GRID.mu)
         for cell in res.surface:
@@ -101,18 +101,18 @@ class TestGridSearch:
             assert math.isfinite(cell.utility)
             # no constraint and w3 = 0: latency never evaluated
             assert math.isnan(cell.latency)
-        assert res.nu_opt == res.coarse_nu_opt
-        assert res.mu_opt == res.coarse_mu_opt
+        # the coarse optimum is the surface's best cell, ties to the smaller nu, then mu
+        best = max(res.surface, key=lambda c: (c.utility, -c.nu, -c.mu))
+        assert (res.coarse_nu_opt, res.coarse_mu_opt) == (best.nu, best.mu)
 
     def test_refinement_stays_within_one_cell(self):
-        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=True)
+        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID)
         nu_step = FIG10_GRID.nu[1] - FIG10_GRID.nu[0]
         mu_step = FIG10_GRID.mu[1] - FIG10_GRID.mu[0]
         assert abs(res.nu_opt - res.coarse_nu_opt) < nu_step
         assert abs(res.mu_opt - res.coarse_mu_opt) < mu_step
         # refinement can only improve on the coarse incumbent
-        coarse = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=False)
-        assert res.value >= coarse.value
+        assert res.value >= max(c.utility for c in res.surface if c.feasible)
 
 
 class TestRefinementReuse:
@@ -125,22 +125,20 @@ class TestRefinementReuse:
             return evaluate(nu, mu, *args)
 
         monkeypatch.setattr(optimize, "_evaluate_cell", counted)
-        optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=True)
+        optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0)
         # 8 x 4 coarse cells, then the 5 x 5 refinement less the 3 x 3 coarse cells in it
         assert len(seen) == 32 + 16
         assert len(set(seen)) == len(seen)
 
     def test_reuse_changes_no_result(self):
-        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=True)
-        coarse = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=False)
-        assert res.surface == coarse.surface
+        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0)
         nus, mus = np.array(FIG10_GRID.nu), np.array(FIG10_GRID.mu)
         assert nus[3] == res.coarse_nu_opt and mus[1] == res.coarse_mu_opt
         # the same refinement cells, every one evaluated afresh
         fresh = optimize_grid(BASE, FIG10_WEIGHTS,
                               GridSpec(nu=_refinement_axis(nus, 3), mu=_refinement_axis(mus, 1)),
-                              constraint=30.0, refine=False).surface
-        cells = {(c.nu, c.mu): c for c in coarse.surface}
+                              constraint=30.0).surface
+        cells = {(c.nu, c.mu): c for c in res.surface}
         shared = [c for c in fresh if (c.nu, c.mu) in cells]
         assert len(shared) == 9 and all(c == cells[(c.nu, c.mu)] for c in shared)
         cells.update({(c.nu, c.mu): c for c in fresh})
@@ -157,34 +155,30 @@ class TestRefinementReuse:
 
 class TestConstraint:
     def test_constrained_never_beats_unconstrained(self):
-        free = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=False)
-        tight = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0,
-                              refine=False)
+        free = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID)
+        tight = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0)
         assert tight.value <= free.value
         for cell in tight.surface:
             if cell.feasible:
                 assert cell.latency < 30.0
 
     def test_loose_constraint_matches_unconstrained(self):
-        free = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, refine=False)
-        loose = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=1e9,
-                              refine=False)
+        free = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID)
+        loose = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=1e9)
         assert (loose.nu_opt, loose.mu_opt) == (free.nu_opt, free.mu_opt)
 
     @pytest.mark.parametrize("constraint", [math.nan, math.inf, -1.0])
     def test_bad_constraint_rejected(self, constraint):
         # nan used to pass the check and end in EmptyFeasibleSet "... < nan"
         with pytest.raises(ValueError, match="constraint"):
-            optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=constraint,
-                          refine=False)
+            optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=constraint)
 
     def test_zero_constraint_empty(self):
         with pytest.raises(EmptyFeasibleSet):
-            optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=0.0,
-                          refine=False)
+            optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=0.0)
 
     def test_feasible_domain_monotone(self):
-        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0, refine=False)
+        res = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=30.0)
         mask = np.array([c.feasible for c in res.surface]).reshape(len(FIG10_GRID.nu), -1)
         assert mask.shape == (len(FIG10_GRID.nu), len(FIG10_GRID.mu))
         assert mask.any()
@@ -195,8 +189,8 @@ class TestConstraint:
                     assert mask[i:, j:].all()
 
     def test_feasible_domain_extremes(self):
-        loose = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=1e9, refine=False)
+        loose = optimize_grid(BASE, FIG10_WEIGHTS, FIG10_GRID, constraint=1e9)
         assert all(c.feasible for c in loose.surface)
         small = GridSpec(nu=np.linspace(0.1, 0.2, 2), mu=np.linspace(0.25, 0.5, 2))
         with pytest.raises(EmptyFeasibleSet):
-            optimize_grid(BASE, FIG10_WEIGHTS, small, constraint=1e-6, refine=False)
+            optimize_grid(BASE, FIG10_WEIGHTS, small, constraint=1e-6)

@@ -67,7 +67,7 @@ def test_only_core_calls_validate():
 def test_private_names_stay_in_their_module():
     # a fact one module owns is read through its public names; a private name used
     # from another module is a second owner that can drift from the first
-    allowed = {("montecarlo", "analytic", "_LOG2"), ("montecarlo", "analytic", "_beta_ratio")}
+    allowed = {("montecarlo", "analytic", "_beta_ratio")}
     paths = sorted(Path(core.__file__).parent.glob("*.py"))
     modules = {path.stem for path in paths}
     used = set()
